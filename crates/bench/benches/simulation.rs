@@ -66,7 +66,7 @@ fn bench_model_sim(c: &mut Criterion) {
 
 /// Three-way scheduling-mode matrix on the blur-filter workload:
 /// legacy full-sweep/full-eval, event-driven + incremental netlist
-/// evaluation, and parallel wave evaluation. All configurations are
+/// evaluation, and the lowered rank walk. All configurations are
 /// asserted bit-identical before any time is measured.
 fn bench_sched_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("sched_mode_blur_frame");
@@ -90,15 +90,12 @@ fn bench_sched_modes(c: &mut Criterion) {
         run_design_sim(&mut sim, sink, budget)
     };
     let reference = run(SchedMode::FullSweep, false);
-    for (label, mode) in [
-        ("event", SchedMode::EventDriven),
-        ("parallel_t2", SchedMode::Parallel { threads: 2 }),
-        ("parallel_t8", SchedMode::Parallel { threads: 8 }),
-    ] {
+    for mode in [SchedMode::EventDriven, SchedMode::Lowered] {
         assert_eq!(
             run(mode, true),
             reference,
-            "{label} must agree bit for bit with the full sweep"
+            "{} must agree bit for bit with the full sweep",
+            mode.label()
         );
     }
     group.throughput(Throughput::Elements(n as u64));
@@ -108,8 +105,8 @@ fn bench_sched_modes(c: &mut Criterion) {
     group.bench_function("event", |b| {
         b.iter(|| black_box(run(SchedMode::EventDriven, true)))
     });
-    group.bench_function("parallel", |b| {
-        b.iter(|| black_box(run(SchedMode::parallel(), true)))
+    group.bench_function("lowered", |b| {
+        b.iter(|| black_box(run(SchedMode::Lowered, true)))
     });
     group.finish();
 }

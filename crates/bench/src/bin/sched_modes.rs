@@ -1,9 +1,9 @@
 //! Scheduling-mode performance matrix, the start of the perf
 //! trajectory record: times the blur-filter frame workload under the
-//! full-sweep, event-driven, parallel, compiled and lowered
-//! schedulers, plus the multi-design batch runner at 1 and N worker
-//! threads and the 64-way bit-parallel [`LaneBatch`] engine, and
-//! writes the numbers to `BENCH_sched_modes.json`.
+//! full-sweep, event-driven and lowered schedulers, plus the
+//! multi-design batch runner at 1 and N worker threads and the 64-way
+//! bit-parallel [`LaneBatch`] engine, and writes the numbers to
+//! `BENCH_sched_modes.json`.
 //!
 //! Every configuration is asserted bit-identical against the
 //! full-sweep reference before any time is measured; every lane of
@@ -172,44 +172,34 @@ fn main() {
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     // Always record a >=2-worker point, even on single-core hosts
     // (there it measures scheduling overhead rather than speedup).
-    let threads = match SchedMode::parallel() {
-        SchedMode::Parallel { threads } => threads.max(2),
-        _ => unreachable!(),
-    };
+    let threads = host.clamp(2, 8);
 
     // Bit-identity gate: no timing without agreement.
     let reference = {
         let (mut sim, sink) = build(&frame, SchedMode::FullSweep, false);
         run_design_sim(&mut sim, sink, budget)
     };
-    for (label, mode) in [
-        ("event", SchedMode::EventDriven),
-        ("parallel", SchedMode::Parallel { threads }),
-        ("compiled", SchedMode::Compiled),
-        ("lowered", SchedMode::Lowered),
-    ] {
+    for mode in [SchedMode::EventDriven, SchedMode::Lowered] {
         let (mut sim, sink) = build(&frame, mode, true);
         assert_eq!(
             run_design_sim(&mut sim, sink, budget),
             reference,
-            "{label} must match the full sweep bit for bit"
+            "{} must match the full sweep bit for bit",
+            mode.label()
         );
     }
 
     println!("Scheduling-mode matrix — blur 32x8, gap {GAP} ({REPS} reps)");
     println!();
     // Timed runs stay at TelemetryLevel::Off (the zero-cost default);
-    // a separate instrumented run per mode records the wave/island
-    // shape behind each number.
+    // a separate instrumented run per mode records the activity shape
+    // behind each number. The full sweep runs the legacy
+    // evaluate-everything interpreter as the baseline.
     let mut single = Vec::new();
     let mut shapes: Vec<(&str, SimStats)> = Vec::new();
-    for (label, mode, incremental) in [
-        ("full_sweep", SchedMode::FullSweep, false),
-        ("event_driven", SchedMode::EventDriven, true),
-        ("parallel", SchedMode::Parallel { threads }, true),
-        ("compiled", SchedMode::Compiled, true),
-        ("lowered", SchedMode::Lowered, true),
-    ] {
+    for mode in SchedMode::ALL {
+        let label = mode.label();
+        let incremental = mode != SchedMode::FullSweep;
         let ms = time_ms(|| {
             let (mut sim, sink) = build(&frame, mode, incremental);
             std::hint::black_box(run_design_sim(&mut sim, sink, budget));
@@ -280,18 +270,6 @@ fn main() {
             batch[1].0
         );
     }
-    let event_ms = single
-        .iter()
-        .find(|(l, _)| *l == "event_driven")
-        .expect("event timing recorded")
-        .1;
-    let compiled_ms = single
-        .iter()
-        .find(|(l, _)| *l == "compiled")
-        .expect("compiled timing recorded")
-        .1;
-    let compiled_speedup = event_ms / compiled_ms;
-    println!("  compiled speedup {compiled_speedup:.2}x vs event-driven (single sim)");
 
     // 64-way lane engine: one packed run carries 64 independent
     // stimuli, refereed lane by lane against scalar event-driven runs
@@ -356,29 +334,23 @@ fn main() {
     }
     json.push_str("  },\n");
     // Per-run scheduler shape from an instrumented (Counters) rerun of
-    // each single-sim configuration: island partition, wave fan-out
-    // and activity totals.
+    // each single-sim configuration: activity totals and the rank
+    // walk's share of the settles.
     json.push_str("  \"telemetry\": {\n");
     for (i, (label, stats)) in shapes.iter().enumerate() {
         let sep = if i + 1 == shapes.len() { "" } else { "," };
-        let islands: Vec<String> = stats.island_sizes.iter().map(u64::to_string).collect();
         let _ = writeln!(
             json,
             "    \"{label}\": {{\"evals\": {}, \"delta_passes\": {}, \"max_wake\": {}, \
-             \"toggles\": {}, \"parallel_waves\": {}, \"inline_waves\": {}, \
-             \"fallback_settles\": {}, \"compiled_settles\": {}, \"lowered_settles\": {}, \
-             \"ops_executed\": {}, \"island_sizes\": [{}]}}{sep}",
+             \"toggles\": {}, \"fallback_settles\": {}, \"lowered_settles\": {}, \
+             \"ops_executed\": {}}}{sep}",
             stats.total_evals(),
             stats.passes,
             stats.max_wake,
             stats.total_toggles(),
-            stats.parallel_waves,
-            stats.inline_waves,
             stats.fallback_settles,
-            stats.compiled_settles,
             stats.lowered_settles,
             stats.ops_executed,
-            islands.join(","),
         );
     }
     json.push_str("  },\n");
@@ -388,10 +360,6 @@ fn main() {
          \"cycles\": {LANE_CYCLES}, \"lanes\": {LANES}, \
          \"packed_ms\": {packed64_ms:.4}, \"per_lane_ms\": {per_lane_ms:.4}, \
          \"scalar_event_ms\": {scalar_event_ms:.4}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"compiled_speedup_vs_event\": {compiled_speedup:.4},"
     );
     let _ = writeln!(
         json,

@@ -38,7 +38,7 @@ use hdp_sim::{NetlistComponent, SchedMode, SignalId, SimError, Simulator, Teleme
 ///     DesignParams::small(8),
 ///     (0..16).collect(),
 /// )
-/// .mode(SchedMode::Compiled);
+/// .mode(SchedMode::Lowered);
 /// let (mut sim, sink) = hdp_bench::build_design_sim(&spec).unwrap();
 /// let frame = hdp_bench::run_design_sim(&mut sim, sink, 4000);
 /// assert_eq!(frame.len(), 16);
@@ -212,36 +212,6 @@ pub fn build_design_sim(
     Ok((sim, sink))
 }
 
-/// Legacy positional form of [`build_design_sim`].
-///
-/// # Panics
-///
-/// Panics on generation or wiring failures, preserving the original
-/// contract.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `build_design_sim(&DesignSimSpec)` — scheduler and telemetry now live in the spec"
-)]
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn build_design_sim_scheduled(
-    kind: DesignKind,
-    style: Style,
-    params: DesignParams,
-    pixels: Vec<u64>,
-    gap: u32,
-    out_len: usize,
-    mode: SchedMode,
-    incremental: bool,
-) -> (Simulator, hdp_sim::ComponentId) {
-    let spec = DesignSimSpec::new(kind, style, params, pixels)
-        .gap(gap)
-        .out_len(out_len)
-        .mode(mode)
-        .incremental(incremental);
-    build_design_sim(&spec).expect("design builds")
-}
-
 /// Runs a built design simulation until a frame is collected or the
 /// cycle budget runs out; returns the frame.
 ///
@@ -273,8 +243,7 @@ pub fn run_design_sim(sim: &mut Simulator, sink: hdp_sim::ComponentId, budget: u
 /// workers). Returns each design's first frame in input order —
 /// frame-throughput workloads (the paper's video pipelines processing
 /// a stream of frames, or a design-space sweep) are embarrassingly
-/// parallel at this granularity, complementing the intra-simulation
-/// parallelism of [`SchedMode::Parallel`].
+/// parallel at this granularity.
 ///
 /// # Panics
 ///
@@ -323,7 +292,7 @@ mod tests {
                 let mode = if i % 2 == 0 {
                     SchedMode::EventDriven
                 } else {
-                    SchedMode::parallel()
+                    SchedMode::Lowered
                 };
                 build_design_sim(&base.clone().mode(mode)).unwrap()
             })
@@ -333,32 +302,5 @@ mod tests {
         for f in frames {
             assert_eq!(f, pixels);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shim_matches_the_spec_api() {
-        let pixels: Vec<u64> = (0..16).collect();
-        let (mut old_sim, old_sink) = build_design_sim_scheduled(
-            DesignKind::Saa2vga1,
-            Style::Pattern,
-            DesignParams::small(8),
-            pixels.clone(),
-            0,
-            pixels.len(),
-            SchedMode::EventDriven,
-            true,
-        );
-        let spec = DesignSimSpec::new(
-            DesignKind::Saa2vga1,
-            Style::Pattern,
-            DesignParams::small(8),
-            pixels.clone(),
-        );
-        let (mut new_sim, new_sink) = build_design_sim(&spec).unwrap();
-        assert_eq!(
-            run_design_sim(&mut old_sim, old_sink, 4000),
-            run_design_sim(&mut new_sim, new_sink, 4000),
-        );
     }
 }

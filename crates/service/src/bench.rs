@@ -127,14 +127,11 @@ impl BenchReport {
         let _ = writeln!(json, "  \"seed\": {},", self.config.seed);
         let _ = writeln!(json, "  \"threads\": {},", self.config.threads);
         let _ = writeln!(json, "  \"reps\": {},", self.config.reps);
-        let mode = match JobOptions::default().mode {
-            hdp_sim::SchedMode::Lowered => "lowered",
-            hdp_sim::SchedMode::Compiled => "compiled",
-            hdp_sim::SchedMode::EventDriven => "event_driven",
-            hdp_sim::SchedMode::FullSweep => "full_sweep",
-            hdp_sim::SchedMode::Parallel { .. } => "parallel",
-        };
-        let _ = writeln!(json, "  \"mode\": \"{mode}\",");
+        let _ = writeln!(
+            json,
+            "  \"mode\": \"{}\",",
+            JobOptions::default().mode.label()
+        );
         let _ = writeln!(json, "  \"cold_secs\": {:.6},", self.cold_secs);
         let _ = writeln!(json, "  \"warm_secs\": {:.6},", self.warm_secs);
         let _ = writeln!(json, "  \"cold_designs_per_sec\": {:.1},", self.cold_rate());

@@ -24,7 +24,7 @@
 //! running server's catalog, printing an `hdp-service-select-v1`
 //! document. `bench` runs the cold-vs-warm cache benchmark and writes
 //! `BENCH_service.json`. `metrics` fetches a live
-//! `hdp-service-metrics-v1` snapshot from a running server via the
+//! `hdp-service-metrics-v2` snapshot from a running server via the
 //! `stats` verb and renders it Prometheus-style (`--json` prints the
 //! raw snapshot document instead).
 

@@ -2,7 +2,7 @@
 //!
 //! The expensive part of simulating a generated design is not the
 //! cycle loop — it is everything before it: metagen instantiation,
-//! netlist validation and the compiled scheduler's levelization. All
+//! netlist validation and the lowered scheduler's levelization. All
 //! three depend only on the *design*, never on the stimulus, so the
 //! service caches their products keyed by the design's content
 //! address ([`hdp_conform::wire::design_hash`]): the validated
@@ -360,7 +360,6 @@ mod tests {
         )
         .unwrap();
         sim.add_component(comp);
-        sim.set_mode(hdp_sim::SchedMode::Compiled);
         assert!(sim.compile().unwrap());
         let plan = sim.export_plan().expect("a counter levelizes");
         cache.attach_plan("h1", plan);

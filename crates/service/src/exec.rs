@@ -9,9 +9,9 @@
 //! The cache closes the reuse loop:
 //!
 //! * **miss** — instantiate the spec, validate it while wiring the
-//!   interpreter, simulate (the compiled scheduler levelizes — and,
-//!   in the default lowered mode, translates each interpreter into a
-//!   word-level op stream — on the fly), then publish the netlist and
+//!   interpreter, simulate (the default lowered mode levelizes the
+//!   design and translates each interpreter into a word-level op
+//!   stream on the fly), then publish the netlist and
 //!   the exported [`CompiledPlan`](hdp_sim::CompiledPlan) under the
 //!   design's content address;
 //! * **hit** — clone the cached netlist and install the cached plan
@@ -91,10 +91,10 @@ impl From<WireError> for ServiceError {
 /// Per-job execution options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobOptions {
-    /// Scheduler mode. The default, [`SchedMode::Lowered`], and
-    /// [`SchedMode::Compiled`] are the modes that export and install
-    /// plans (a lowered plan also carries the word-level op streams);
-    /// the cache still serves netlists to the others.
+    /// Scheduler mode. The default, [`SchedMode::Lowered`], is the
+    /// mode that exports and installs plans (rank schedule plus the
+    /// word-level op streams); the cache still serves netlists to the
+    /// others.
     pub mode: SchedMode,
     /// Record and return a VCD waveform of every port. Disables plan
     /// reuse for the job (the recorder changes the design shape).
@@ -466,8 +466,7 @@ impl Service {
 
         // A VCD recorder adds a component, so the sim no longer has
         // the shape the cached plan was exported from.
-        let plan_eligible =
-            matches!(opts.mode, SchedMode::Compiled | SchedMode::Lowered) && !opts.vcd;
+        let plan_eligible = opts.mode == SchedMode::Lowered && !opts.vcd;
         // Sampled services run every job with simulator counters on,
         // so settles / executed ops / fallback causes aggregate into
         // the service-wide metrics.

@@ -1,7 +1,7 @@
-//! The compiled scheduler's data plane: a bit-packed signal arena and
-//! the ahead-of-time levelized evaluation schedule that walks it.
+//! The rank walk's data plane: a bit-packed signal arena and the
+//! ahead-of-time levelized evaluation schedule that walks it.
 //!
-//! [`crate::SchedMode::Compiled`] freezes a settled design into a
+//! [`crate::SchedMode::Lowered`] freezes a settled design into a
 //! [`CompiledSchedule`]: every signal's value lives in a contiguous
 //! [`SignalArena`] of `u64` words (three logic planes, bit-packed, with
 //! precomputed word/shift offsets), and components are sorted into
@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// counts, and the `(signal, driver)` links the validation settle
 /// discovered.
 ///
-/// Exported from a simulator whose [`crate::SchedMode::Compiled`]
+/// Exported from a simulator whose [`crate::SchedMode::Lowered`]
 /// schedule is active ([`crate::Simulator::export_plan`]) and
 /// installed into a *freshly built* simulator of the same design
 /// ([`crate::Simulator::install_plan`]), skipping the levelization
@@ -55,8 +55,8 @@ pub struct CompiledPlan {
     pub(crate) rank_counts: Vec<u64>,
     /// Per-component lowered op-stream programs (`None` where the
     /// component keeps interpreted evaluation), indexed by component
-    /// registration order. Populated when the exporting simulator ran
-    /// [`crate::SchedMode::Lowered`]; empty otherwise. Value-free like
+    /// registration order; empty when the exporter had not lowered
+    /// its components yet. Value-free like
     /// the rest of the plan, so the service's content-addressed cache
     /// hands warm jobs a ready-to-run op stream and the lowering
     /// translation happens once per design, not once per job.

@@ -11,18 +11,12 @@
 //!   settling to a fixpoint (delta cycles), then a synchronous clock
 //!   edge. Settling is event-driven by default — only components
 //!   sensitive to a changed signal re-evaluate — with a full-sweep
-//!   reference mode, a multi-threaded wave mode
-//!   ([`SchedMode::Parallel`]), an ahead-of-time compiled mode
-//!   ([`SchedMode::Compiled`]) and a lowered mode
-//!   ([`SchedMode::Lowered`]) selectable via [`SchedMode`]. Parallel
-//!   waves evaluate signal-disjoint islands of woken components on
-//!   worker threads against an immutable pass snapshot and commit
-//!   their drives in registration order; compiled mode freezes the
-//!   design into a levelized rank schedule over a bit-packed signal
-//!   arena and settles in one walk; lowered mode additionally
-//!   translates every [`NetlistComponent`] on that walk into a flat
-//!   word-level op stream executed straight against `u64` planes.
-//!   Every mode produces bit-identical traces.
+//!   reference mode and a lowered mode ([`SchedMode::Lowered`])
+//!   selectable via [`SchedMode`]. Lowered mode freezes the design
+//!   into a levelized rank schedule over a bit-packed signal arena,
+//!   settles in one walk, and runs every [`NetlistComponent`] on that
+//!   walk as a flat word-level op stream executed straight against
+//!   `u64` planes. Every mode produces bit-identical traces.
 //! * [`LaneBatch`] — 64-way bit-parallel execution of one feed-forward
 //!   netlist: [`LANES`] independent stimulus lanes are packed one per
 //!   bit of a `u64` word per net-bit column, so a single settle/tick
@@ -72,7 +66,7 @@
 //!
 //! ## Choosing a scheduler
 //!
-//! All five [`SchedMode`]s run the same designs and produce
+//! All three [`SchedMode`]s run the same designs and produce
 //! bit-identical settled values; they differ only in how the settle
 //! phase finds the fixpoint. The default event-driven mode needs no
 //! setup:
@@ -113,33 +107,7 @@
 //! # }
 //! ```
 //!
-//! Parallel mode fans event-driven waves out over worker threads —
-//! worthwhile for designs with many independent islands:
-//!
-//! ```
-//! use hdp_sim::{SchedMode, SimBuilder, devices::Bram};
-//!
-//! # fn main() -> Result<(), hdp_sim::SimError> {
-//! let mut b = SimBuilder::new();
-//! let we = b.signal("we", 1)?;
-//! let waddr = b.signal("waddr", 4)?;
-//! let wdata = b.signal("wdata", 8)?;
-//! let raddr = b.signal("raddr", 4)?;
-//! let rdata = b.signal("rdata", 8)?;
-//! b.component(Bram::new("u_bram", 4, 8, we, waddr, wdata, raddr, rdata));
-//! b.poke(we, 0)?;
-//! b.poke(waddr, 0)?;
-//! b.poke(wdata, 0)?;
-//! b.poke(raddr, 0)?;
-//! b.threads(4); // SchedMode::Parallel { threads: 4 }
-//! let mut sim = b.build()?;
-//! assert_eq!(sim.mode(), SchedMode::Parallel { threads: 4 });
-//! sim.run(3)?;
-//! # Ok(())
-//! # }
-//! ```
-//!
-//! Compiled mode freezes the design after a validation settle and
+//! Lowered mode freezes the design after a validation settle and
 //! replaces the delta loop with one walk of a levelized schedule —
 //! the fastest mode for fixed netlists simulated over many cycles.
 //! Designs it cannot levelize fall back to event-driven evaluation
@@ -149,7 +117,7 @@
 //! use hdp_sim::{SchedMode, SimBuilder, devices::LifoCore};
 //!
 //! # fn main() -> Result<(), hdp_sim::SimError> {
-//! let mut b = SimBuilder::new();
+//! let mut b = SimBuilder::with_mode(SchedMode::Lowered);
 //! let push = b.signal("push", 1)?;
 //! let pop = b.signal("pop", 1)?;
 //! let wdata = b.signal("wdata", 8)?;
@@ -160,9 +128,8 @@
 //! b.poke(push, 0)?;
 //! b.poke(pop, 0)?;
 //! b.poke(wdata, 0)?;
-//! b.compiled(); // SchedMode::Compiled
 //! let mut sim = b.build()?;
-//! assert_eq!(sim.mode(), SchedMode::Compiled);
+//! assert_eq!(sim.mode(), SchedMode::Lowered);
 //! assert!(sim.compile()?, "a LIFO levelizes cleanly");
 //! sim.poke(push, 1)?;
 //! sim.poke(wdata, 0x5A)?;
@@ -195,7 +162,7 @@ pub use error::SimError;
 pub use lower::{LaneBatch, LANES};
 pub use netlist_sim::NetlistComponent;
 pub use sched::{ComponentId, SchedMode, SimBuilder, Simulator};
-pub use signal::{BusAccess, BusReader, DriveLog, SignalBus, SignalId, SplitBus};
+pub use signal::{BusAccess, SignalBus, SignalId};
 pub use telemetry::{
     ComponentStats, FallbackCause, SignalStats, SimStats, TelemetryLevel, TraceEvent,
 };

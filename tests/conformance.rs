@@ -1,8 +1,8 @@
 //! Fixed-seed differential conformance sweep.
 //!
 //! Samples 200 designs from the metagen design space — including the
-//! multi-clock `async_fifo` family — and demands that all seven
-//! oracles — five simulator scheduling modes, the levelized netlist
+//! multi-clock `async_fifo` family — and demands that all five
+//! oracles — three simulator scheduling modes, the levelized netlist
 //! path and the VHDL-text interpreter — agree bit-for-bit on every
 //! output, every cycle. This is the committed, deterministic slice of
 //! what the `conform` fuzz binary explores with arbitrary seeds.
@@ -90,12 +90,12 @@ fn two_hundred_sampled_designs_conform_across_all_oracles() {
 }
 
 /// Every `wr:rd` period ratio the sampler draws, at two depths, must
-/// conform across the full seven-oracle stack: the deterministic
+/// conform across the full five-oracle stack: the deterministic
 /// multi-domain interleaving has to come out bit-identical whether
 /// the ticks are dispatched by the full sweep, the event queue, the
-/// parallel islands, the compiled walk, the lowered op streams (which
-/// fall back to interpreted ticks on partial firings), the levelized
-/// path or the VHDL-text interpreter's per-rail clock stepping.
+/// lowered op streams (which fall back to interpreted ticks on
+/// partial firings), the levelized path or the VHDL-text
+/// interpreter's per-rail clock stepping.
 #[test]
 fn async_fifo_conforms_across_all_period_ratios() {
     let mut rng = StdRng::seed_from_u64(0xCDC);

@@ -90,12 +90,7 @@ fn design_hash_is_stable_and_content_addressed() {
 #[test]
 fn cached_execution_is_bit_identical_across_all_sched_modes() {
     let cases = distinct_cases(4, 8);
-    for mode in [
-        SchedMode::EventDriven,
-        SchedMode::FullSweep,
-        SchedMode::Parallel { threads: 2 },
-        SchedMode::Compiled,
-    ] {
+    for mode in SchedMode::ALL {
         let opts = JobOptions {
             mode,
             ..JobOptions::default()

@@ -225,20 +225,27 @@ fn unknown_verbs_become_wire_errors() {
 
 #[test]
 fn fallback_causes_are_typed_in_telemetry_documents() {
-    // A parallel-mode job with telemetry: its per-settle fallbacks are
-    // attributed to a typed cause, not just a prose note.
+    // A lowered-mode job with telemetry: its per-settle fallbacks are
+    // attributed to a typed cause, not just a prose note. A fresh
+    // simulator pays at least one schedule rebuild.
     let service = Service::new(8);
     let case = sample_case(5, 6);
     let opts = JobOptions {
-        mode: SchedMode::Parallel { threads: 2 },
+        mode: SchedMode::Lowered,
         telemetry: true,
         ..JobOptions::default()
     };
     let out = service.run_case(&case, &opts).unwrap();
     let stats = out.stats.expect("telemetry requested");
+    assert!(stats.fallback_cause(FallbackCause::Rebuild) >= 1);
     let settle_shaped: u64 = stats
         .fallback_cause_counts()
-        .filter(|(c, _)| *c != FallbackCause::LoweredComponent)
+        .filter(|(c, _)| {
+            !matches!(
+                c,
+                FallbackCause::LoweredComponent | FallbackCause::MultiDomain
+            )
+        })
         .map(|(_, n)| n)
         .sum();
     assert_eq!(
