@@ -21,6 +21,7 @@
 //! point fails to characterise, when a family ends up uncovered, or
 //! when the demonstration query finds no target.
 
+use hdp_conform::Json;
 use hdp_metagen::sampler::{sample_spec_in, FAMILIES};
 use hdp_service::pool::run_sharded;
 use hdp_synth::board::Xsb300e;
@@ -28,10 +29,10 @@ use hdp_synth::chardb::{characterize_spec, CharDb};
 use hdp_synth::select::{auto_select, SelectConstraints, Selection};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 const SUMMARY_JSON: &str = "BENCH_chardb.json";
+const SUMMARY_SCHEMA: &str = "hdp-bench-chardb-v1";
 
 struct Args {
     count: usize,
@@ -149,33 +150,30 @@ fn main() -> ExitCode {
     };
     let selection = auto_select(&db, &demo);
 
-    let mut summary = String::new();
-    let _ = write!(
-        summary,
-        "{{\n  \"schema\": \"hdp-bench-chardb-v1\",\n  \"seed\": {},\n  \"threads\": {},\n  \"requested_points\": {},\n  \"unique_points\": {},\n  \"duplicates\": {},\n  \"errors\": {},\n  \"elapsed_s\": {:.3},\n  \"points_per_sec\": {:.1},\n  \"families\": {},\n  \"families_covered\": {},\n  \"coverage\": {{",
-        args.seed,
-        args.threads,
-        args.count,
-        db.len(),
-        duplicates,
-        errors,
-        elapsed,
-        points_per_sec,
-        FAMILIES.len(),
-        families_covered,
-    );
-    for (i, ((kind, target), count)) in coverage.iter().enumerate() {
-        let _ = write!(
-            summary,
-            "{}\n    \"{kind}/{target}\": {count}",
-            if i == 0 { "" } else { "," }
-        );
-    }
-    let _ = write!(
-        summary,
-        "\n  }},\n  \"select_demo\": {}\n}}\n",
-        selection.to_json()
-    );
+    let count = |n: usize| Json::Num(n as u64);
+    let summary = Json::obj([
+        ("schema", Json::Str(SUMMARY_SCHEMA.into())),
+        ("seed", Json::Num(args.seed)),
+        ("threads", count(args.threads)),
+        ("requested_points", count(args.count)),
+        ("unique_points", count(db.len())),
+        ("duplicates", count(duplicates)),
+        ("errors", count(errors)),
+        ("elapsed_s", Json::Float(elapsed)),
+        ("points_per_sec", Json::Float(points_per_sec)),
+        ("families", count(FAMILIES.len())),
+        ("families_covered", count(families_covered)),
+        (
+            "coverage",
+            Json::obj(
+                coverage
+                    .iter()
+                    .map(|((kind, target), n)| (format!("{kind}/{target}"), count(*n))),
+            ),
+        ),
+        ("select_demo", selection.to_json()),
+    ]);
+    let summary = format!("{summary:#}\n");
     if let Err(e) = std::fs::write(&args.summary, &summary) {
         eprintln!("chardb_sweep: cannot write {}: {e}", args.summary);
         return ExitCode::FAILURE;

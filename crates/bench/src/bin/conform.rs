@@ -24,6 +24,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const SUMMARY_JSON: &str = "BENCH_conform.json";
+const SUMMARY_SCHEMA: &str = "hdp-bench-conform-v1";
 
 struct Args {
     seed: u64,
@@ -109,53 +110,37 @@ fn main() -> ExitCode {
             eprintln!("conform: cannot write {path}: {e}");
         }
         eprintln!("conform: DIVERGENCE in {label} -> {path}\n  {divergence}");
-        divergences.push(Json::Obj(vec![
-            ("index".to_owned(), Json::Num(index as u64)),
-            ("design".to_owned(), Json::Str(label)),
-            ("reproducer".to_owned(), Json::Str(path)),
-            ("report".to_owned(), Json::Str(divergence.to_string())),
+        divergences.push(Json::obj([
+            ("index", Json::Num(index as u64)),
+            ("design", Json::Str(label)),
+            ("reproducer", Json::Str(path)),
+            ("report", Json::Str(divergence.to_string())),
         ]));
     }
 
     let count_map = |map: &BTreeMap<String, u64>| {
-        Json::Obj(
-            map.iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        )
+        Json::obj(map.iter().map(|(k, v)| (k.as_str(), Json::Num(*v))))
     };
     let n_div = divergences.len();
-    let summary = Json::Obj(vec![
-        ("seed".to_owned(), Json::Num(args.seed)),
-        ("requested".to_owned(), Json::Num(args.count as u64)),
-        ("checked".to_owned(), Json::Num(checked as u64)),
-        (
-            "cycles_per_design".to_owned(),
-            Json::Num(args.cycles as u64),
-        ),
-        (
-            "elapsed_ms".to_owned(),
-            Json::Num(start.elapsed().as_millis() as u64),
-        ),
-        (
-            "oracles".to_owned(),
-            Json::Arr(
-                hdp_conform::ORACLE_LABELS
-                    .iter()
-                    .map(|l| Json::Str((*l).to_owned()))
-                    .collect(),
-            ),
-        ),
-        ("kinds".to_owned(), count_map(&kinds)),
-        ("targets".to_owned(), count_map(&targets)),
-        ("divergences".to_owned(), Json::Arr(divergences)),
+    let oracles = hdp_conform::ORACLE_LABELS.map(|l| Json::Str(l.to_owned()));
+    let summary = Json::obj([
+        ("schema", Json::Str(SUMMARY_SCHEMA.to_owned())),
+        ("seed", Json::Num(args.seed)),
+        ("requested", Json::Num(args.count as u64)),
+        ("checked", Json::Num(checked as u64)),
+        ("cycles_per_design", Json::Num(args.cycles as u64)),
+        ("elapsed_ms", Json::Num(start.elapsed().as_millis() as u64)),
+        ("oracles", Json::Arr(oracles.into())),
+        ("kinds", count_map(&kinds)),
+        ("targets", count_map(&targets)),
+        ("divergences", Json::Arr(divergences)),
     ]);
-    let text = summary.to_string();
+    let text = format!("{summary:#}\n");
     if let Err(e) = std::fs::write(SUMMARY_JSON, &text) {
         eprintln!("conform: cannot write {SUMMARY_JSON}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("{text}");
+    print!("{text}");
     eprintln!(
         "conform: {checked} designs x {} cycles x {} oracles in {} ms, {n_div} divergence(s)",
         args.cycles,

@@ -6,22 +6,24 @@
 //! `BENCH_profile.trace.json` (Chrome trace-event spans, loadable in
 //! `chrome://tracing` / Perfetto).
 //!
-//! `profile --validate` re-reads the two artefacts and checks them
-//! against the expected schema — the CI telemetry smoke job runs the
-//! profile and then the validator.
+//! `profile --validate` re-reads the two artefacts, parses both as
+//! JSON and checks them against the expected schema — the CI
+//! telemetry smoke job runs the profile and then the validator.
 
 use hdp_bench::{build_design_sim, run_design_sim, DesignSimSpec};
+use hdp_conform::Json;
 use hdp_core::pixel::{Frame, PixelFormat};
 use hdp_metagen::design::{DesignKind, DesignParams, Style};
-use hdp_sim::telemetry::json_string;
 use hdp_sim::{SchedMode, SimStats, TelemetryLevel};
-use std::fmt::Write as _;
 
 const WIDTH: usize = 32;
 const HEIGHT: usize = 8;
 const GAP: u32 = 1;
 const PROFILE_JSON: &str = "BENCH_profile.json";
 const TRACE_JSON: &str = "BENCH_profile.trace.json";
+const PROFILE_SCHEMA: &str = "hdp-bench-profile-v1";
+/// Components and signals listed per mode, busiest first.
+const TOP: usize = 8;
 
 fn profile_mode(frame: &Frame, mode: SchedMode) -> SimStats {
     let spec = DesignSimSpec::new(
@@ -40,120 +42,95 @@ fn profile_mode(frame: &Frame, mode: SchedMode) -> SimStats {
     sim.stats()
 }
 
-fn mode_json(label: &str, stats: &SimStats) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "    \"{label}\": {{");
-    let _ = writeln!(out, "      \"steps\": {},", stats.steps);
-    let _ = writeln!(out, "      \"settles\": {},", stats.settles);
-    let _ = writeln!(out, "      \"delta_passes\": {},", stats.passes);
-    let _ = writeln!(
-        out,
-        "      \"max_passes_per_settle\": {},",
-        stats.max_passes
-    );
-    let _ = writeln!(out, "      \"total_evals\": {},", stats.total_evals());
-    let _ = writeln!(out, "      \"total_toggles\": {},", stats.total_toggles());
-    let _ = writeln!(out, "      \"total_drives\": {},", stats.total_drives());
-    let _ = writeln!(out, "      \"max_wake\": {},", stats.max_wake);
-    let _ = writeln!(
-        out,
-        "      \"fallback_settles\": {},",
-        stats.fallback_settles
-    );
-    let _ = writeln!(out, "      \"lowered_settles\": {},", stats.lowered_settles);
-    let _ = writeln!(out, "      \"ops_executed\": {},", stats.ops_executed);
-    let causes: Vec<String> = stats
-        .fallback_cause_counts()
-        .map(|(cause, n)| format!("\"{}\": {n}", cause.label()))
-        .collect();
-    let _ = writeln!(out, "      \"fallback_causes\": {{{}}},", causes.join(", "));
-    let notes: Vec<String> = stats.notes.iter().map(|n| json_string(n)).collect();
-    let _ = writeln!(out, "      \"notes\": [{}],", notes.join(","));
-    let _ = writeln!(out, "      \"trace_spans\": {},", stats.trace.len());
-    out.push_str("      \"components_by_evals\": [\n");
+fn mode_json(stats: &SimStats) -> Json {
     let mut comps: Vec<_> = stats.components.iter().collect();
     comps.sort_by(|a, b| b.evals.cmp(&a.evals).then_with(|| a.name.cmp(&b.name)));
-    let top = comps.len().min(8);
-    for (i, c) in comps.iter().take(top).enumerate() {
-        let sep = if i + 1 == top { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "        {{\"name\": {}, \"evals\": {}, \"skips\": {}, \"eval_ns\": {}}}{sep}",
-            json_string(&c.name),
-            c.evals,
-            c.skips,
-            c.eval_ns
-        );
-    }
-    out.push_str("      ],\n");
-    out.push_str("      \"signals_by_toggles\": [\n");
+    let comps = comps.iter().take(TOP).map(|c| {
+        Json::obj([
+            ("name", Json::Str(c.name.clone())),
+            ("evals", Json::Num(c.evals)),
+            ("skips", Json::Num(c.skips)),
+            ("eval_ns", Json::Num(c.eval_ns)),
+        ])
+    });
     let mut sigs: Vec<_> = stats.signals.iter().filter(|s| s.drives > 0).collect();
     sigs.sort_by(|a, b| b.toggles.cmp(&a.toggles).then_with(|| a.name.cmp(&b.name)));
-    let top = sigs.len().min(8);
-    for (i, s) in sigs.iter().take(top).enumerate() {
-        let sep = if i + 1 == top { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "        {{\"name\": {}, \"toggles\": {}, \"drives\": {}}}{sep}",
-            json_string(&s.name),
-            s.toggles,
-            s.drives
-        );
+    let sigs = sigs.iter().take(TOP).map(|s| {
+        Json::obj([
+            ("name", Json::Str(s.name.clone())),
+            ("toggles", Json::Num(s.toggles)),
+            ("drives", Json::Num(s.drives)),
+        ])
+    });
+    let causes = stats.fallback_cause_counts();
+    Json::obj([
+        ("steps", Json::Num(stats.steps)),
+        ("settles", Json::Num(stats.settles)),
+        ("delta_passes", Json::Num(stats.passes)),
+        ("max_passes_per_settle", Json::Num(stats.max_passes)),
+        ("total_evals", Json::Num(stats.total_evals())),
+        ("total_toggles", Json::Num(stats.total_toggles())),
+        ("total_drives", Json::Num(stats.total_drives())),
+        ("max_wake", Json::Num(stats.max_wake)),
+        ("fallback_settles", Json::Num(stats.fallback_settles)),
+        ("lowered_settles", Json::Num(stats.lowered_settles)),
+        ("ops_executed", Json::Num(stats.ops_executed)),
+        (
+            "fallback_causes",
+            Json::obj(causes.map(|(c, n)| (c.label(), Json::Num(n)))),
+        ),
+        (
+            "notes",
+            Json::Arr(stats.notes.iter().cloned().map(Json::Str).collect()),
+        ),
+        ("trace_spans", Json::Num(stats.trace.len() as u64)),
+        ("components_by_evals", Json::Arr(comps.collect())),
+        ("signals_by_toggles", Json::Arr(sigs.collect())),
+    ])
+}
+
+/// Parses both artefacts and checks them against their schema.
+/// Returns a list of problems (empty = valid).
+fn validate_texts(profile: &str, trace: &str) -> Vec<String> {
+    let parse =
+        |name: &str, text: &str| Json::parse(text).map_err(|e| format!("{name}: not JSON: {e}"));
+    match (parse(PROFILE_JSON, profile), parse(TRACE_JSON, trace)) {
+        (Ok(profile), Ok(trace)) => validate_artifacts(&profile, &trace),
+        (profile, trace) => profile.err().into_iter().chain(trace.err()).collect(),
     }
-    out.push_str("      ]\n");
-    out.push_str("    }");
-    out
 }
 
-/// The text of one mode's object inside the profile summary (from
-/// its label to the closing brace at mode indentation).
-fn mode_section<'a>(profile: &'a str, label: &str) -> Option<&'a str> {
-    let start = profile.find(&format!("\"{label}\": {{"))?;
-    let rest = &profile[start..];
-    let end = rest.find("\n    }")?;
-    Some(&rest[..end])
-}
-
-/// A numeric field's value inside one mode section.
-fn field_u64(section: &str, key: &str) -> Option<u64> {
-    let pos = section.find(&format!("\"{key}\": "))?;
-    let rest = &section[pos + key.len() + 4..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Checks the profile summary against its schema: every required key
-/// present, the modes object complete — with the per-mode lowered
-/// counters (`lowered_settles`, `ops_executed`, `fallback_causes`)
-/// pinned per scheduler mode — and the trace file a Chrome
-/// trace-event object. Returns a list of problems (empty = valid).
-fn validate_artifacts(profile: &str, trace: &str) -> Vec<String> {
+/// Checks the profile summary against its schema: the envelope
+/// strings, the workload, both invariants, every mode's counter set
+/// — with the lowered counters (`lowered_settles`, `ops_executed`)
+/// pinned per scheduler mode — and the trace a Chrome trace-event
+/// object with complete-event spans.
+fn validate_artifacts(profile: &Json, trace: &Json) -> Vec<String> {
     let mut problems = Vec::new();
-    for key in [
-        "\"bench\": \"profile\"",
-        "\"workload\"",
-        "\"telemetry_level\": \"Full\"",
-        "\"modes\"",
-        "\"lowered_settles\"",
-        "\"ops_executed\"",
-        "\"total_evals\"",
-        "\"total_toggles\"",
-        "\"components_by_evals\"",
-        "\"signals_by_toggles\"",
-        "\"invariants\"",
-        "\"toggle_counts_mode_invariant\": true",
-        "\"sweep_evals_upper_bound\": true",
-        "\"trace_file\"",
+    for (key, want) in [
+        ("schema", PROFILE_SCHEMA),
+        ("telemetry_level", "Full"),
+        ("trace_file", TRACE_JSON),
     ] {
-        if !profile.contains(key) {
-            problems.push(format!("{PROFILE_JSON}: missing {key}"));
+        if profile.get(key).and_then(Json::as_str) != Some(want) {
+            problems.push(format!("{PROFILE_JSON}: {key} is not {want:?}"));
         }
     }
-    // Per-mode schema: every mode section carries the full counter
-    // set, and the lowered counters are pinned to the scheduler that
-    // produced them — only the lowered mode executes op streams.
-    for label in SchedMode::ALL.map(SchedMode::label) {
-        let Some(section) = mode_section(profile, label) else {
+    if profile
+        .get("workload")
+        .and_then(|w| w.get("design"))
+        .is_none()
+    {
+        problems.push(format!("{PROFILE_JSON}: missing workload"));
+    }
+    for key in ["toggle_counts_mode_invariant", "sweep_evals_upper_bound"] {
+        if profile.get("invariants").and_then(|i| i.get(key)) != Some(&Json::Bool(true)) {
+            problems.push(format!("{PROFILE_JSON}: invariant {key} is not true"));
+        }
+    }
+    for mode in SchedMode::ALL {
+        let label = mode.label();
+        let Some(section) = profile.get("modes").and_then(|m| m.get(label)) else {
             problems.push(format!("{PROFILE_JSON}: missing mode section {label}"));
             continue;
         };
@@ -162,54 +139,40 @@ fn validate_artifacts(profile: &str, trace: &str) -> Vec<String> {
             "lowered_settles",
             "fallback_settles",
             "ops_executed",
+            "total_evals",
+            "total_toggles",
             "fallback_causes",
+            "components_by_evals",
+            "signals_by_toggles",
         ] {
-            if !section.contains(&format!("\"{key}\"")) {
+            if section.get(key).is_none() {
                 problems.push(format!("{PROFILE_JSON}: mode {label} missing {key}"));
             }
         }
-        let lowered_settles = field_u64(section, "lowered_settles");
-        let ops_executed = field_u64(section, "ops_executed");
-        if label == "lowered" {
-            if lowered_settles == Some(0) {
+        // Only the lowered mode executes op streams.
+        for key in ["lowered_settles", "ops_executed"] {
+            let count = section.get(key).and_then(Json::as_u64);
+            if mode == SchedMode::Lowered && count == Some(0) {
+                problems.push(format!("{PROFILE_JSON}: lowered mode reports zero {key}"));
+            } else if mode != SchedMode::Lowered && count.is_some_and(|n| n > 0) {
                 problems.push(format!(
-                    "{PROFILE_JSON}: lowered mode reports zero lowered_settles"
-                ));
-            }
-            if ops_executed == Some(0) {
-                problems.push(format!(
-                    "{PROFILE_JSON}: lowered mode reports zero ops_executed"
-                ));
-            }
-        } else {
-            if lowered_settles.is_some_and(|n| n > 0) {
-                problems.push(format!(
-                    "{PROFILE_JSON}: mode {label} reports lowered_settles but never lowers"
-                ));
-            }
-            if ops_executed.is_some_and(|n| n > 0) {
-                problems.push(format!(
-                    "{PROFILE_JSON}: mode {label} reports ops_executed but never lowers"
+                    "{PROFILE_JSON}: mode {label} reports {key} but never lowers"
                 ));
             }
         }
     }
-    if profile.matches('{').count() != profile.matches('}').count() {
-        problems.push(format!("{PROFILE_JSON}: unbalanced braces"));
-    }
-    if !trace.trim_start().starts_with("{\"traceEvents\":[") {
+    let Some(events) = trace.get("traceEvents").and_then(Json::as_arr) else {
         problems.push(format!("{TRACE_JSON}: not a trace-event object"));
-    }
-    if !trace.contains("\"displayTimeUnit\"") {
+        return problems;
+    };
+    if trace.get("displayTimeUnit").is_none() {
         problems.push(format!("{TRACE_JSON}: missing displayTimeUnit"));
     }
-    if !trace.contains("\"ph\":\"X\"") {
+    if !events
+        .iter()
+        .any(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+    {
         problems.push(format!("{TRACE_JSON}: no complete-event spans"));
-    }
-    for (name, text) in [(PROFILE_JSON, profile), (TRACE_JSON, trace)] {
-        if text.matches('[').count() != text.matches(']').count() {
-            problems.push(format!("{name}: unbalanced brackets"));
-        }
     }
     problems
 }
@@ -219,7 +182,7 @@ fn validate_existing() -> ! {
         .unwrap_or_else(|e| panic!("cannot read {PROFILE_JSON}: {e}"));
     let trace = std::fs::read_to_string(TRACE_JSON)
         .unwrap_or_else(|e| panic!("cannot read {TRACE_JSON}: {e}"));
-    let problems = validate_artifacts(&profile, &trace);
+    let problems = validate_texts(&profile, &trace);
     if problems.is_empty() {
         println!("{PROFILE_JSON} and {TRACE_JSON} match the expected schema");
         std::process::exit(0);
@@ -274,30 +237,41 @@ fn main() {
         event.total_toggles()
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"profile\",\n");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"design\": \"blur\", \"width\": {WIDTH}, \"height\": {HEIGHT}, \"gap\": {GAP}}},"
-    );
-    json.push_str("  \"telemetry_level\": \"Full\",\n");
-    json.push_str("  \"modes\": {\n");
-    let _ = writeln!(json, "{},", mode_json("full_sweep", &sweep));
-    let _ = writeln!(json, "{},", mode_json("event_driven", &event));
-    let _ = writeln!(json, "{}", mode_json("lowered", &lowered));
-    json.push_str("  },\n");
-    json.push_str("  \"invariants\": {\n");
-    json.push_str("    \"toggle_counts_mode_invariant\": true,\n");
-    json.push_str("    \"sweep_evals_upper_bound\": true\n");
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"trace_file\": {}", json_string(TRACE_JSON));
-    json.push_str("}\n");
+    let summary = Json::obj([
+        ("schema", Json::Str(PROFILE_SCHEMA.into())),
+        (
+            "workload",
+            Json::obj([
+                ("design", Json::Str("blur".into())),
+                ("width", Json::Num(WIDTH as u64)),
+                ("height", Json::Num(HEIGHT as u64)),
+                ("gap", Json::Num(GAP.into())),
+            ]),
+        ),
+        ("telemetry_level", Json::Str("Full".into())),
+        (
+            "modes",
+            Json::obj([
+                ("full_sweep", mode_json(&sweep)),
+                ("event_driven", mode_json(&event)),
+                ("lowered", mode_json(&lowered)),
+            ]),
+        ),
+        (
+            "invariants",
+            Json::obj([
+                ("toggle_counts_mode_invariant", Json::Bool(true)),
+                ("sweep_evals_upper_bound", Json::Bool(true)),
+            ]),
+        ),
+        ("trace_file", Json::Str(TRACE_JSON.into())),
+    ]);
+    let json = format!("{summary:#}\n");
 
     // The event-driven run's spans go to the trace artefact: one
     // scheduler thread, step > pass > eval nesting.
     let trace = event.chrome_trace();
-    let problems = validate_artifacts(&json, &trace);
+    let problems = validate_texts(&json, &trace);
     assert!(
         problems.is_empty(),
         "schema self-check failed: {problems:?}"

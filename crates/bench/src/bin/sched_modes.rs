@@ -8,15 +8,18 @@
 //! Every configuration is asserted bit-identical against the
 //! full-sweep reference before any time is measured; every lane of
 //! the packed run is asserted bit-identical against its own scalar
-//! event-driven run.
+//! event-driven run. The process exits non-zero when the lane
+//! engine's per-lane speedup over the scalar event-driven run falls
+//! below `LOWERED_SPEEDUP_FLOOR` (8x).
 
 use hdp_bench::{build_design_sim, run_design_batch, run_design_sim, DesignSimSpec};
+use hdp_conform::Json;
 use hdp_core::pixel::{Frame, PixelFormat};
 use hdp_hdl::prim::{GateOp, Prim};
 use hdp_hdl::{Entity, LogicVector, Netlist, PortDir};
 use hdp_metagen::design::{DesignKind, DesignParams, Style};
-use hdp_sim::{LaneBatch, NetlistComponent, SchedMode, SimStats, Simulator, TelemetryLevel, LANES};
-use std::fmt::Write as _;
+use hdp_sim::{LaneBatch, NetlistComponent, SchedMode, Simulator, TelemetryLevel, LANES};
+use std::process::ExitCode;
 use std::time::Instant;
 
 const WIDTH: usize = 32;
@@ -28,6 +31,12 @@ const REPS: usize = 20;
 const LANE_STAGES: usize = 24;
 const LANE_WIDTH: usize = 16;
 const LANE_CYCLES: usize = 256;
+const SUMMARY_JSON: &str = "BENCH_sched_modes.json";
+/// Runs on a shared 2-vCPU host measure 45-84x per packed lane. The
+/// floor sits well below that, so a noisy shared runner cannot fail
+/// an honest run, while a real regression of the lowered/lane path
+/// cannot pass.
+const LOWERED_SPEEDUP_FLOOR: f64 = 8.0;
 
 fn build(
     frame: &Frame,
@@ -166,7 +175,7 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0 / REPS as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
     let frame = Frame::noise(WIDTH, HEIGHT, PixelFormat::Gray8, 11);
     let budget = budget(&frame);
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -193,10 +202,11 @@ fn main() {
     println!();
     // Timed runs stay at TelemetryLevel::Off (the zero-cost default);
     // a separate instrumented run per mode records the activity shape
-    // behind each number. The full sweep runs the legacy
-    // evaluate-everything interpreter as the baseline.
+    // behind each number: activity totals and the rank walk's share of
+    // the settles. The full sweep runs the legacy evaluate-everything
+    // interpreter as the baseline.
     let mut single = Vec::new();
-    let mut shapes: Vec<(&str, SimStats)> = Vec::new();
+    let mut shapes = Vec::new();
     for mode in SchedMode::ALL {
         let label = mode.label();
         let incremental = mode != SchedMode::FullSweep;
@@ -205,11 +215,21 @@ fn main() {
             std::hint::black_box(run_design_sim(&mut sim, sink, budget));
         });
         println!("  {label:<14} {ms:>8.3} ms/frame");
-        single.push((label, ms));
+        single.push((label, Json::Float(ms)));
         let (mut sim, sink) = build(&frame, mode, incremental);
         sim.set_telemetry(TelemetryLevel::Counters);
         std::hint::black_box(run_design_sim(&mut sim, sink, budget));
-        shapes.push((label, sim.stats()));
+        let stats = sim.stats();
+        let shape = Json::obj([
+            ("evals", Json::Num(stats.total_evals())),
+            ("delta_passes", Json::Num(stats.passes)),
+            ("max_wake", Json::Num(stats.max_wake)),
+            ("toggles", Json::Num(stats.total_toggles())),
+            ("fallback_settles", Json::Num(stats.fallback_settles)),
+            ("lowered_settles", Json::Num(stats.lowered_settles)),
+            ("ops_executed", Json::Num(stats.ops_executed)),
+        ]);
+        shapes.push((label, shape));
     }
 
     // Batch: the frame-throughput workload. Built once per timing run
@@ -311,70 +331,64 @@ fn main() {
     );
     println!("  lowered speedup {lowered_speedup:.2}x vs event-driven (per packed lane)");
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"sched_modes\",");
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"design\": \"blur\", \"width\": {WIDTH}, \"height\": {HEIGHT}, \"gap\": {GAP}, \"reps\": {REPS}}},"
+    let num = |n: usize| Json::Num(n as u64);
+    let mut batch_json = vec![
+        ("designs".to_owned(), num(BATCH)),
+        ("mode".to_owned(), Json::Str("event_driven".into())),
+    ];
+    batch_json.extend(
+        batch
+            .iter()
+            .map(|&(t, ms)| (format!("threads_{t}_ms"), Json::Float(ms))),
     );
-    json.push_str("  \"single_sim_ms_per_frame\": {\n");
-    for (i, (label, ms)) in single.iter().enumerate() {
-        let sep = if i + 1 == single.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{label}\": {ms:.4}{sep}");
-    }
-    json.push_str("  },\n");
-    let _ = writeln!(
-        json,
-        "  \"batch\": {{\"designs\": {BATCH}, \"mode\": \"event_driven\","
-    );
-    for (i, (t, ms)) in batch.iter().enumerate() {
-        let sep = if i + 1 == batch.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"threads_{t}_ms\": {ms:.4}{sep}");
-    }
-    json.push_str("  },\n");
-    // Per-run scheduler shape from an instrumented (Counters) rerun of
-    // each single-sim configuration: activity totals and the rank
-    // walk's share of the settles.
-    json.push_str("  \"telemetry\": {\n");
-    for (i, (label, stats)) in shapes.iter().enumerate() {
-        let sep = if i + 1 == shapes.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    \"{label}\": {{\"evals\": {}, \"delta_passes\": {}, \"max_wake\": {}, \
-             \"toggles\": {}, \"fallback_settles\": {}, \"lowered_settles\": {}, \
-             \"ops_executed\": {}}}{sep}",
-            stats.total_evals(),
-            stats.passes,
-            stats.max_wake,
-            stats.total_toggles(),
-            stats.fallback_settles,
-            stats.lowered_settles,
-            stats.ops_executed,
+    let report = Json::obj([
+        ("schema", Json::Str("hdp-bench-sched-modes-v1".into())),
+        (
+            "workload",
+            Json::obj([
+                ("design", Json::Str("blur".into())),
+                ("width", num(WIDTH)),
+                ("height", num(HEIGHT)),
+                ("gap", Json::Num(GAP.into())),
+                ("reps", num(REPS)),
+            ]),
+        ),
+        ("single_sim_ms_per_frame", Json::obj(single)),
+        ("batch", Json::Obj(batch_json)),
+        ("telemetry", Json::obj(shapes)),
+        (
+            "lane64",
+            Json::obj([
+                ("stages", num(LANE_STAGES)),
+                ("width", num(LANE_WIDTH)),
+                ("cycles", num(LANE_CYCLES)),
+                ("lanes", num(LANES)),
+                ("packed_ms", Json::Float(packed64_ms)),
+                ("per_lane_ms", Json::Float(per_lane_ms)),
+                ("scalar_event_ms", Json::Float(scalar_event_ms)),
+            ]),
+        ),
+        ("lowered_speedup_vs_event", Json::Float(lowered_speedup)),
+        // A one-worker host cannot measure thread scaling; a sub-1.0
+        // "speedup" there is scheduling overhead, not a regression.
+        (
+            "batch_speedup",
+            if host == 1 {
+                Json::Str("skipped_single_core".into())
+            } else {
+                Json::Float(speedup)
+            },
+        ),
+        ("batch_threads", num(threads)),
+        ("host_threads", num(host)),
+    ]);
+    std::fs::write(SUMMARY_JSON, format!("{report:#}\n")).expect("write BENCH_sched_modes.json");
+    println!("wrote {SUMMARY_JSON}");
+    if lowered_speedup.is_nan() || lowered_speedup < LOWERED_SPEEDUP_FLOOR {
+        eprintln!(
+            "sched_modes: FAIL: lowered_speedup_vs_event {lowered_speedup:.2} below the floor {LOWERED_SPEEDUP_FLOOR}"
         );
+        return ExitCode::FAILURE;
     }
-    json.push_str("  },\n");
-    let _ = writeln!(
-        json,
-        "  \"lane64\": {{\"stages\": {LANE_STAGES}, \"width\": {LANE_WIDTH}, \
-         \"cycles\": {LANE_CYCLES}, \"lanes\": {LANES}, \
-         \"packed_ms\": {packed64_ms:.4}, \"per_lane_ms\": {per_lane_ms:.4}, \
-         \"scalar_event_ms\": {scalar_event_ms:.4}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"lowered_speedup_vs_event\": {lowered_speedup:.4},"
-    );
-    // A one-worker host cannot measure thread scaling; a sub-1.0
-    // "speedup" there is scheduling overhead, not a regression.
-    if host == 1 {
-        let _ = writeln!(json, "  \"batch_speedup\": \"skipped_single_core\",");
-    } else {
-        let _ = writeln!(json, "  \"batch_speedup\": {speedup:.4},");
-    }
-    let _ = writeln!(json, "  \"batch_threads\": {threads},");
-    let _ = writeln!(json, "  \"host_threads\": {host}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_sched_modes.json", json).expect("write BENCH_sched_modes.json");
-    println!("wrote BENCH_sched_modes.json");
+    ExitCode::SUCCESS
 }

@@ -593,6 +593,21 @@ mod tests {
     }
 
     #[test]
+    fn fractional_and_negative_axes_are_field_errors() {
+        let case = sample_case(5, 2);
+        let good = job_to_json(&case);
+        let depth = format!("\"depth\":{}", case.spec.depth);
+        assert!(good.contains(&depth));
+        for value in ["1.5", "-1"] {
+            let text = good.replace(&depth, &format!("\"depth\":{value}"));
+            match parse_case(&text) {
+                Err(WireError::Field { path, .. }) => assert_eq!(path, "design.depth"),
+                other => panic!("depth {value}: expected a field error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn rejects_ragged_stimulus_rows() {
         let case = sample_case(9, 2);
         let mut ragged = case.clone();

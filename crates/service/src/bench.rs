@@ -24,12 +24,14 @@ use crate::cache::CacheStats;
 use crate::exec::{JobOptions, JobOutcome, Service, ServiceError};
 use crate::metrics::ObsMode;
 use hdp_conform::wire::design_hash;
-use hdp_conform::{Case, Stimulus};
+use hdp_conform::{Case, Json, Stimulus};
 use hdp_metagen::sampler::sample_spec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::time::Instant;
+
+/// The schema identifier of the `BENCH_service.json` document.
+pub const SCHEMA: &str = "hdp-service-bench-v1";
 
 /// Parameters of one benchmark run.
 #[derive(Debug, Clone, Copy)]
@@ -113,47 +115,34 @@ impl BenchReport {
         }
     }
 
-    /// Renders the report as the `BENCH_service.json` document.
-    ///
-    /// Hand-formatted because the report carries floating-point rates
-    /// ([`hdp_conform::Json`] is integer-only by design).
+    /// The report as the `BENCH_service.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"schema\": \"hdp-service-bench-v1\",\n");
-        let _ = writeln!(json, "  \"designs\": {},", self.config.designs);
-        let _ = writeln!(json, "  \"cycles\": {},", self.config.cycles);
-        let _ = writeln!(json, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(json, "  \"threads\": {},", self.config.threads);
-        let _ = writeln!(json, "  \"reps\": {},", self.config.reps);
-        let _ = writeln!(
-            json,
-            "  \"mode\": \"{}\",",
-            JobOptions::default().mode.label()
-        );
-        let _ = writeln!(json, "  \"cold_secs\": {:.6},", self.cold_secs);
-        let _ = writeln!(json, "  \"warm_secs\": {:.6},", self.warm_secs);
-        let _ = writeln!(json, "  \"cold_designs_per_sec\": {:.1},", self.cold_rate());
-        let _ = writeln!(json, "  \"warm_designs_per_sec\": {:.1},", self.warm_rate());
-        let _ = writeln!(json, "  \"speedup\": {:.2},", self.speedup());
-        let _ = writeln!(json, "  \"warm_hit_ratio\": {:.4},", self.warm_hit_ratio);
-        let _ = writeln!(
-            json,
-            "  \"cache_hit_ratio\": {:.4},",
-            self.stats.hit_ratio()
-        );
-        let _ = writeln!(json, "  \"cache_hits\": {},", self.stats.hits);
-        let _ = writeln!(json, "  \"cache_misses\": {},", self.stats.misses);
-        let _ = writeln!(json, "  \"plans_installed\": {},", self.plans_installed);
-        let _ = writeln!(
-            json,
-            "  \"obs_overhead_pct\": {:.2},",
-            self.obs_overhead_pct
-        );
-        let _ = writeln!(json, "  \"identical\": {}", self.identical);
-        json.push('}');
-        json
+    pub fn to_json(&self) -> Json {
+        let count = |n: usize| Json::Num(n as u64);
+        Json::obj([
+            ("schema", Json::Str(SCHEMA.to_owned())),
+            ("designs", count(self.config.designs)),
+            ("cycles", count(self.config.cycles)),
+            ("seed", Json::Num(self.config.seed)),
+            ("threads", count(self.config.threads)),
+            ("reps", count(self.config.reps)),
+            (
+                "mode",
+                Json::Str(JobOptions::default().mode.label().to_owned()),
+            ),
+            ("cold_secs", Json::Float(self.cold_secs)),
+            ("warm_secs", Json::Float(self.warm_secs)),
+            ("cold_designs_per_sec", Json::Float(self.cold_rate())),
+            ("warm_designs_per_sec", Json::Float(self.warm_rate())),
+            ("speedup", Json::Float(self.speedup())),
+            ("warm_hit_ratio", Json::Float(self.warm_hit_ratio)),
+            ("cache_hit_ratio", Json::Float(self.stats.hit_ratio())),
+            ("cache_hits", Json::Num(self.stats.hits)),
+            ("cache_misses", Json::Num(self.stats.misses)),
+            ("plans_installed", count(self.plans_installed)),
+            ("obs_overhead_pct", Json::Float(self.obs_overhead_pct)),
+            ("identical", Json::Bool(self.identical)),
+        ])
     }
 }
 
@@ -347,10 +336,13 @@ mod tests {
             "every timed warm pass hits"
         );
         assert!((report.warm_hit_ratio - 1.0).abs() < 1e-9);
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"hdp-service-bench-v1\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"obs_overhead_pct\""));
+        let json = Json::parse(&report.to_json().to_string()).unwrap();
+        assert_eq!(json.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        assert_eq!(json.get("identical").and_then(Json::as_bool), Some(true));
+        assert!(json
+            .get("obs_overhead_pct")
+            .and_then(Json::as_f64)
+            .is_some_and(|pct| pct >= 0.0));
         assert!(report.obs_overhead_pct >= 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! The `service` CLI: serve, submit, select, bench, metrics.
+//! The `service` CLI: serve, submit, select, metrics.
 //!
 //! ```text
 //! service serve   [--addr HOST:PORT] [--threads N] [--cache N]
@@ -7,8 +7,6 @@
 //! service select  --kind KIND [--catalog FILE | --addr HOST:PORT]
 //!                 [--min-width N] [--min-depth N] [--min-clk-khz N]
 //!                 [--max-area N] [--max-power-uw N] [--max-access N]
-//! service bench   [--designs N] [--cycles N] [--seed N] [--threads N]
-//!                 [--reps N] [--cache N] [--out FILE]
 //! service metrics [--addr HOST:PORT] [--json]
 //! ```
 //!
@@ -22,13 +20,12 @@
 //! cheapest characterised target satisfying the constraints — either
 //! locally against `--catalog FILE` or over the wire against a
 //! running server's catalog, printing an `hdp-service-select-v1`
-//! document. `bench` runs the cold-vs-warm cache benchmark and writes
-//! `BENCH_service.json`. `metrics` fetches a live
+//! document. `metrics` fetches a live
 //! `hdp-service-metrics-v2` snapshot from a running server via the
 //! `stats` verb and renders it Prometheus-style (`--json` prints the
 //! raw snapshot document instead).
 
-use hdp_service::bench::BenchConfig;
+use hdp_conform::Json;
 use hdp_service::job::SELECT_SCHEMA;
 use hdp_service::metrics::{MetricsSnapshot, ObsMode};
 use hdp_service::{serve, submit, Service};
@@ -155,17 +152,11 @@ fn cmd_select(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         Some(path) => {
             let db = CharDb::load(&path).map_err(|e| e.to_string())?;
             let selection = auto_select(&db, &constraints);
-            let doc = hdp_conform::Json::Obj(vec![
-                (
-                    "schema".to_owned(),
-                    hdp_conform::Json::Str(SELECT_SCHEMA.into()),
-                ),
-                (
-                    "catalog_points".to_owned(),
-                    hdp_conform::Json::Num(db.len() as u64),
-                ),
-                ("constraints".to_owned(), constraints.to_json()),
-                ("result".to_owned(), selection.to_json()),
+            let doc = Json::obj([
+                ("schema", Json::Str(SELECT_SCHEMA.into())),
+                ("catalog_points", Json::Num(db.len() as u64)),
+                ("constraints", constraints.to_json()),
+                ("result", selection.to_json()),
             ]);
             println!("{doc}");
             eprintln!("service select: {selection}");
@@ -181,46 +172,6 @@ fn cmd_select(mut it: impl Iterator<Item = String>) -> Result<(), String> {
                 .ok_or_else(|| "select: empty response".to_owned())?;
             println!("{response}");
         }
-    }
-    Ok(())
-}
-
-fn cmd_bench(mut it: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut config = BenchConfig::default();
-    let mut out = "BENCH_service.json".to_owned();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--designs" => config.designs = num(&mut it, "--designs")?.max(1) as usize,
-            "--cycles" => config.cycles = num(&mut it, "--cycles")?.max(1) as usize,
-            "--seed" => config.seed = num(&mut it, "--seed")?,
-            "--threads" => config.threads = num(&mut it, "--threads")?.max(1) as usize,
-            "--reps" => config.reps = num(&mut it, "--reps")?.max(1) as usize,
-            "--cache" => config.cache_capacity = num(&mut it, "--cache")? as usize,
-            "--out" => out = value(&mut it, "--out")?,
-            other => return Err(format!("bench: unknown argument `{other}`")),
-        }
-    }
-    if config.cache_capacity < config.designs {
-        return Err(format!(
-            "bench: cache capacity {} cannot hold all {} designs (the warm pass would miss)",
-            config.cache_capacity, config.designs
-        ));
-    }
-    let report = hdp_service::bench::run(&config).map_err(|e| e.to_string())?;
-    let text = report.to_json();
-    std::fs::write(&out, &text).map_err(|e| format!("{out}: {e}"))?;
-    println!("{text}");
-    eprintln!(
-        "service bench: {} designs, cold {:.1}/s warm {:.1}/s (x{:.2}), hit ratio {:.3}, identical={}",
-        report.config.designs,
-        report.cold_rate(),
-        report.warm_rate(),
-        report.speedup(),
-        report.warm_hit_ratio,
-        report.identical,
-    );
-    if !report.identical {
-        return Err("bench: warm trace diverged from cold trace".to_owned());
     }
     Ok(())
 }
@@ -244,7 +195,7 @@ fn cmd_metrics(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         println!("{line}");
         return Ok(());
     }
-    let doc = hdp_conform::Json::parse(line).map_err(|e| format!("metrics: bad snapshot: {e}"))?;
+    let doc = Json::parse(line).map_err(|e| format!("metrics: bad snapshot: {e}"))?;
     let snapshot = MetricsSnapshot::from_json(&doc)?;
     print!("{}", snapshot.render_text());
     Ok(())
@@ -256,12 +207,11 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(args),
         Some("submit") => cmd_submit(args),
         Some("select") => cmd_select(args),
-        Some("bench") => cmd_bench(args),
         Some("metrics") => cmd_metrics(args),
         Some(other) => Err(format!(
-            "unknown subcommand `{other}` (expected serve/submit/select/bench/metrics)"
+            "unknown subcommand `{other}` (expected serve/submit/select/metrics)"
         )),
-        None => Err("usage: service <serve|submit|select|bench|metrics> [options]".to_owned()),
+        None => Err("usage: service <serve|submit|select|metrics> [options]".to_owned()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

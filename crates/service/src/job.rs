@@ -514,4 +514,19 @@ mod tests {
             Some("wire")
         );
     }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_document_not_an_abort() {
+        let service = Service::new(4);
+        let line = "[".repeat(100_000);
+        assert!(matches!(parse_job(&line), Err(WireError::Syntax { .. })));
+        let doc = Json::parse(&handle_line(&service, &line)).unwrap();
+        assert_eq!(
+            doc.get("error")
+                .and_then(|e| e.get("stage"))
+                .and_then(Json::as_str),
+            Some("wire")
+        );
+        assert_eq!(service.metrics().get(Counter::ErrorsWire), 1);
+    }
 }

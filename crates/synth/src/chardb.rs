@@ -180,9 +180,13 @@ impl CharRecord {
         self.power_uw as f64 / 1000.0
     }
 
-    /// Whether the metric fields pass the integrity floor: a clock
-    /// and an access count of zero are corrupt, not slow.
+    /// Whether the record passes the integrity floor: an empty board
+    /// name is corrupt, and so are a clock and an access count of
+    /// zero.
     fn validate(&self, path: &str) -> Result<(), CharDbError> {
+        if self.board.is_empty() {
+            return Err(bad(format!("{path}.board"), "empty board name"));
+        }
         if self.clk_khz == 0 {
             return Err(bad(format!("{path}.clk_khz"), "zero clock"));
         }

@@ -9,11 +9,16 @@
 //! model, or the canonical spec encoding changes, these tests fail
 //! and the schema version must be bumped instead.
 
+use hdp_conform::Json;
 use hdp_synth::board::Xsb300e;
 use hdp_synth::chardb::{characterize_spec, CharDb, CharDbError, CHARDB_SCHEMA};
 use hdp_synth::select::{auto_select, SelectConstraints, Selection};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/chardb_v1.json");
+/// The committed 1200-point catalog and its sweep summary, at the
+/// repository root.
+const CATALOG: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../chardb.json");
+const CATALOG_SUMMARY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chardb.json");
 
 fn fixture_db() -> CharDb {
     CharDb::load(FIXTURE).expect("pinned fixture must load")
@@ -142,6 +147,20 @@ fn wrong_version_and_corrupt_inputs_are_named_errors() {
         other => panic!("invalid metric must be a Field error, got {other:?}"),
     }
 
+    let no_board = text.replacen("\"board\":\"xsb300e\"", "\"board\":\"\"", 1);
+    match CharDb::parse(&no_board) {
+        Err(CharDbError::Field { path, .. }) => assert_eq!(path, "points[0].board"),
+        other => panic!("an empty board must be a Field error, got {other:?}"),
+    }
+    let deep = format!(
+        "{{\"schema\":\"{CHARDB_SCHEMA}\",\"points\":{}",
+        "[".repeat(100_000)
+    );
+    assert!(
+        matches!(CharDb::parse(&deep), Err(CharDbError::Syntax { .. })),
+        "nesting past the parser's bound is a Syntax error"
+    );
+
     match CharDb::load("/nonexistent/chardb.json") {
         Err(CharDbError::Io { path, .. }) => assert!(path.contains("nonexistent")),
         other => panic!("missing file must be an Io error, got {other:?}"),
@@ -180,4 +199,19 @@ fn auto_select_answers_over_reloaded_data() {
         }
         Selection::Target { key, .. } => panic!("depth 1000 cannot be satisfied, got {key}"),
     }
+}
+
+#[test]
+fn committed_catalog_matches_its_summary() {
+    let db = CharDb::load(CATALOG).expect("committed catalog must load and validate");
+    let summary = Json::parse(&std::fs::read_to_string(CATALOG_SUMMARY).unwrap()).unwrap();
+    assert_eq!(
+        summary.get("schema").and_then(Json::as_str),
+        Some("hdp-bench-chardb-v1")
+    );
+    assert_eq!(
+        summary.get("unique_points").and_then(Json::as_u64),
+        Some(db.len() as u64),
+        "chardb.json and BENCH_chardb.json come from one sweep"
+    );
 }

@@ -174,3 +174,24 @@ fn pruned_variants_shrink_the_interface() {
     let pruned_cost = hdp::synth::map_resources(&hdp::synth::dissolve_wrappers(&pruned).unwrap());
     assert!(pruned_cost.luts <= full_cost.luts);
 }
+
+#[test]
+fn committed_bench_artifacts_parse_and_name_their_schema() {
+    use hdp::prelude::Json;
+    for (file, schema) in [
+        ("BENCH_sched_modes.json", "hdp-bench-sched-modes-v1"),
+        ("BENCH_profile.json", "hdp-bench-profile-v1"),
+        ("BENCH_conform.json", "hdp-bench-conform-v1"),
+        ("BENCH_service.json", "hdp-service-bench-v1"),
+        ("BENCH_chardb.json", "hdp-bench-chardb-v1"),
+    ] {
+        let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(schema),
+            "{file}"
+        );
+    }
+}
