@@ -25,8 +25,8 @@ use hdp_conform::Json;
 use hdp_metagen::sampler::{sample_spec_in, FAMILIES};
 use hdp_service::pool::run_sharded;
 use hdp_synth::board::Xsb300e;
-use hdp_synth::chardb::{characterize_spec, CharDb};
-use hdp_synth::select::{auto_select, SelectConstraints, Selection};
+use hdp_synth::chardb::{characterize_spec, CharDb, Query};
+use hdp_synth::select::{auto_select, Selection};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -141,12 +141,12 @@ fn main() -> ExitCode {
 
     // A demonstration of the §3.4 decision the database automates:
     // the cheapest queue target that still answers in one cycle.
-    let demo = SelectConstraints {
-        kind: "queue".to_owned(),
+    let demo = Query {
+        kind: Some("queue".to_owned()),
         min_data_width: 8,
         min_depth: 4,
         max_access_cycles: Some(1),
-        ..SelectConstraints::default()
+        ..Query::default()
     };
     let selection = auto_select(&db, &demo);
 

@@ -3,53 +3,56 @@
 //! area, access time and power, plus constraint-driven regions of
 //! interest.
 
-use hdp_synth::characterize::{region_of_interest, sweep, Constraints, SweepGrid};
-use hdp_synth::Xsb300e;
+use hdp_synth::characterize::{sweep, to_csv, SweepGrid};
+use hdp_synth::{CharRecord, Query, Xsb300e};
 
 fn main() {
     let board = Xsb300e::new();
-    let points = sweep(&board, &SweepGrid::default()).expect("sweep runs");
+    let records = sweep(&board, &SweepGrid::default()).expect("sweep runs");
     if std::env::args().any(|a| a == "--csv") {
-        print!("{}", hdp_synth::characterize::to_csv(&points));
+        print!("{}", to_csv(&records));
         return;
     }
     println!(
         "design-space characterisation on the {} ({} points)",
         board.device.name,
-        points.len()
+        records.len()
     );
     println!();
-    for p in &points {
-        println!("{p}");
+    // Open-form labels omit the depth of the external core, so every
+    // row leads with its grid point.
+    let row = |r: &CharRecord| format!("{:>2}b x{:<4} {r}", r.spec.data_width, r.spec.depth);
+    for r in &records {
+        println!("{}", row(r));
     }
     println!();
-    for (label, constraints) in [
+    for (label, query) in [
         (
             "cost-driven (no block RAM)",
-            Constraints {
+            Query {
                 max_brams: Some(0),
-                ..Constraints::default()
+                ..Query::default()
             },
         ),
         (
             "performance-driven (1 cycle/access)",
-            Constraints {
+            Query {
                 max_access_cycles: Some(1),
-                ..Constraints::default()
+                ..Query::default()
             },
         ),
         (
             "power budget (<= 18 mW)",
-            Constraints {
-                max_power_mw: Some(18.0),
-                ..Constraints::default()
+            Query {
+                max_power_uw: Some(18_000),
+                ..Query::default()
             },
         ),
     ] {
-        let roi = region_of_interest(&points, constraints);
-        println!("region of interest: {label} — {} points", roi.len());
-        for p in roi {
-            println!("  {p}");
+        let region: Vec<_> = records.iter().filter(|r| query.matches(r)).collect();
+        println!("region of interest: {label} — {} points", region.len());
+        for r in region {
+            println!("  {}", row(r));
         }
         println!();
     }

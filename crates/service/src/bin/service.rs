@@ -29,7 +29,7 @@ use hdp_conform::Json;
 use hdp_service::job::SELECT_SCHEMA;
 use hdp_service::metrics::{MetricsSnapshot, ObsMode};
 use hdp_service::{serve, submit, Service};
-use hdp_synth::{auto_select, CharDb, SelectConstraints};
+use hdp_synth::{auto_select, CharDb, Query};
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -116,16 +116,12 @@ fn cmd_submit(mut it: impl Iterator<Item = String>) -> Result<(), String> {
 fn cmd_select(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     let mut addr = "127.0.0.1:7501".to_owned();
     let mut catalog: Option<String> = None;
-    let mut constraints = SelectConstraints::default();
-    let mut have_kind = false;
+    let mut constraints = Query::default();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--addr" => addr = value(&mut it, "--addr")?,
             "--catalog" => catalog = Some(value(&mut it, "--catalog")?),
-            "--kind" => {
-                constraints.kind = value(&mut it, "--kind")?;
-                have_kind = true;
-            }
+            "--kind" => constraints.kind = Some(value(&mut it, "--kind")?),
             "--min-width" => {
                 constraints.min_data_width = num(&mut it, "--min-width")? as usize;
             }
@@ -143,7 +139,7 @@ fn cmd_select(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             other => return Err(format!("select: unknown argument `{other}`")),
         }
     }
-    if !have_kind {
+    if constraints.kind.is_none() {
         return Err("select: --kind is required (e.g. --kind queue)".to_owned());
     }
     match catalog {
@@ -163,9 +159,11 @@ fn cmd_select(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         }
         // Wire mode: ask a running server's catalog.
         None => {
-            let line = format!("{{\"verb\":\"select\",\"constraints\":{}}}", {
-                constraints.to_json()
-            });
+            let line = Json::obj([
+                ("verb", Json::Str("select".into())),
+                ("constraints", constraints.to_json()),
+            ])
+            .to_string();
             let responses = submit(addr.as_str(), &[line]).map_err(|e| format!("{addr}: {e}"))?;
             let response = responses
                 .first()

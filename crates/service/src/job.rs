@@ -46,7 +46,7 @@ use crate::obs::Stage;
 use hdp_conform::wire::{self, WireError};
 use hdp_conform::{Case, Json};
 use hdp_sim::{SchedMode, SimStats};
-use hdp_synth::{auto_select, SelectConstraints, Selection};
+use hdp_synth::{auto_select, Query, Selection};
 use std::time::Instant;
 
 /// The schema identifier of every response document.
@@ -295,7 +295,7 @@ fn answer_select(service: &crate::exec::Service, doc: &Json) -> String {
     let Some(constraints_doc) = doc.get("constraints") else {
         return bad("constraints", "missing constraints object".into());
     };
-    let constraints = match SelectConstraints::from_json(constraints_doc) {
+    let constraints = match Query::from_json(constraints_doc) {
         Ok(c) => c,
         Err(detail) => return bad("constraints", detail),
     };
@@ -310,11 +310,11 @@ fn answer_select(service: &crate::exec::Service, doc: &Json) -> String {
         Selection::Target { .. } => Counter::SelectHits,
         Selection::NoTarget(_) => Counter::SelectNoTarget,
     });
-    Json::Obj(vec![
-        ("schema".to_owned(), Json::Str(SELECT_SCHEMA.into())),
-        ("catalog_points".to_owned(), Json::Num(catalog.len() as u64)),
-        ("constraints".to_owned(), constraints.to_json()),
-        ("result".to_owned(), selection.to_json()),
+    Json::obj([
+        ("schema", Json::Str(SELECT_SCHEMA.into())),
+        ("catalog_points", Json::Num(catalog.len() as u64)),
+        ("constraints", constraints.to_json()),
+        ("result", selection.to_json()),
     ])
     .to_string()
 }
@@ -460,10 +460,36 @@ mod tests {
             miss_doc.get("result").and_then(|r| r.get("selected")),
             Some(&Json::Bool(false))
         );
+        assert_eq!(
+            miss_doc
+                .get("result")
+                .and_then(|r| r.get("rejected"))
+                .and_then(|r| r.get("too_many_brams"))
+                .and_then(Json::as_u64),
+            Some(0),
+            "the clock floor is tested before the block-RAM cap"
+        );
+
+        // The optional block-RAM cap is echoed and honoured.
+        let capped = handle_line(
+            &service,
+            "{\"verb\":\"select\",\"constraints\":{\"kind\":\"queue\",\"max_brams\":0}}",
+        );
+        let capped_doc = Json::parse(&capped).unwrap();
+        assert_eq!(
+            capped_doc
+                .get("constraints")
+                .and_then(|c| c.get("max_brams"))
+                .and_then(Json::as_u64),
+            Some(0)
+        );
+        let capped_result = capped_doc.get("result").unwrap();
+        assert_eq!(capped_result.get("selected"), Some(&Json::Bool(true)));
+        assert_eq!(capped_result.get("brams").and_then(Json::as_u64), Some(0));
 
         let m = service.metrics();
-        assert_eq!(m.get(Counter::SelectRequests), 2);
-        assert_eq!(m.get(Counter::SelectHits), 1);
+        assert_eq!(m.get(Counter::SelectRequests), 3);
+        assert_eq!(m.get(Counter::SelectHits), 2);
         assert_eq!(m.get(Counter::SelectNoTarget), 1);
         assert_eq!(m.get(Counter::JobsTotal), 0, "control verbs are not jobs");
         let snap = Json::parse(&service.metrics_snapshot().to_json()).unwrap();
@@ -482,6 +508,8 @@ mod tests {
             "{\"verb\":\"select\",\"constraints\":{\"kind\":\"queue\"}}",
             // Missing constraints object.
             "{\"verb\":\"select\"}",
+            // A non-numeric block-RAM cap.
+            "{\"verb\":\"select\",\"constraints\":{\"kind\":\"queue\",\"max_brams\":\"none\"}}",
         ] {
             let response = handle_line(&service, line);
             let doc = Json::parse(&response).unwrap();
@@ -494,7 +522,7 @@ mod tests {
             );
         }
         let m = service.metrics();
-        assert_eq!(m.get(Counter::SelectRequests), 2);
+        assert_eq!(m.get(Counter::SelectRequests), 3);
         assert_eq!(
             m.get(Counter::SelectHits) + m.get(Counter::SelectNoTarget),
             0,

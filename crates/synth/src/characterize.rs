@@ -6,68 +6,25 @@
 //! space would delimit the region of interest given a certain set of
 //! constraints."
 //!
-//! [`sweep`] is the small in-memory demonstration of that idea: it
-//! invokes the metaprogramming generator for a read/write-buffer
-//! container×target×parameter grid, synthesizes each variant, and
-//! records area, access time and power; [`region_of_interest`] then
-//! filters the table by constraints.
-//!
-//! The production form of the same sweep lives in [`crate::chardb`]:
-//! [`crate::chardb::characterize_spec`] characterises *any* sampled
-//! [`DesignSpec`](hdp_metagen::sampler::DesignSpec) (all families,
-//! every physical target) into a persistent, versioned
-//! `hdp-chardb-v1` database with constraint queries, a Pareto
-//! frontier, and the [`crate::select::auto_select`] optimiser on
-//! top — see `docs/CHARACTERIZATION.md` and the `chardb_sweep`
-//! bench driver. Prefer the database for anything beyond a quick
-//! table; this module remains the paper-shaped CSV exhibit.
+//! [`sweep`] is the small, paper-shaped exhibit of that idea: a
+//! read/write-buffer, stack and vector container×target grid over
+//! widths and depths, each point costed by
+//! [`characterize_spec`] — the same per-family cost model the
+//! `hdp-chardb-v1` database and the `chardb_sweep` driver use. A
+//! [`Query`](crate::chardb::Query) then delimits the region of
+//! interest, and [`to_csv`] exports the table for plotting. For
+//! anything beyond a quick table, the persistent database in
+//! [`crate::chardb`] and the [`crate::select::auto_select`] optimiser
+//! answer the same questions over thousands of sampled points — see
+//! `docs/CHARACTERIZATION.md`.
 
 use crate::board::Xsb300e;
-use crate::power::estimate_mw;
+use crate::chardb::{characterize_spec, CharRecord};
 use crate::{synthesize, SynthReport};
 use hdp_hdl::HdlError;
-use hdp_metagen::container_gen::{rbuffer_fifo, rbuffer_sram, wbuffer_fifo, ContainerParams};
 use hdp_metagen::design;
 use hdp_metagen::ops::{MethodOp, OpSet};
-use std::fmt;
-
-/// One point of the characterised design space.
-#[derive(Debug, Clone)]
-pub struct CharPoint {
-    /// Container family (`"rbuffer"`, `"wbuffer"`).
-    pub container: &'static str,
-    /// Physical target (`"fifo core"`, `"external sram"`).
-    pub target: &'static str,
-    /// Element width in bits.
-    pub data_width: usize,
-    /// Capacity in elements.
-    pub depth: usize,
-    /// On-chip cost and clock, device macro included.
-    pub report: SynthReport,
-    /// Cycles for one element access in steady state.
-    pub access_cycles: u32,
-    /// Estimated power at the achievable clock, in mW.
-    pub power_mw: f64,
-}
-
-impl fmt::Display for CharPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<8} over {:<13} {:>2}b x{:<4} | {:>4} FF {:>4} LUT {:>2} BRAM | {:>3.0} MHz | {:>2} cyc/access | {:>5.1} mW",
-            self.container,
-            self.target,
-            self.data_width,
-            self.depth,
-            self.report.ffs,
-            self.report.luts,
-            self.report.brams,
-            self.report.clk_mhz,
-            self.access_cycles,
-            self.power_mw
-        )
-    }
-}
+use hdp_metagen::sampler::DesignSpec;
 
 /// The parameter grid of a sweep.
 #[derive(Debug, Clone)]
@@ -87,237 +44,72 @@ impl Default for SweepGrid {
     }
 }
 
-/// Runs the full characterisation sweep on the given board.
+/// The sampler families the sweep covers, each with the operation set
+/// it is generated with: read buffer over a FIFO core and over
+/// external SRAM (the Figure 4 set), write buffer over a FIFO core,
+/// stack over a LIFO core, vector over block RAM.
+fn sweep_families() -> [(usize, OpSet); 5] {
+    use MethodOp::{Dec, Empty, Full, Inc, Index, Pop, Push, Read, Write};
+    [
+        (0, OpSet::figure4()),
+        (1, OpSet::figure4()),
+        (2, OpSet::of(&[Push, Full])),
+        (3, OpSet::of(&[Push, Pop, Empty, Full])),
+        (6, OpSet::of(&[Read, Write, Inc, Dec, Index])),
+    ]
+}
+
+/// Runs the characterisation sweep on the given board: one
+/// [`characterize_spec`] record per grid point and family, widths
+/// outermost.
 ///
 /// # Errors
 ///
 /// Propagates generator and synthesis failures.
-pub fn sweep(board: &Xsb300e, grid: &SweepGrid) -> Result<Vec<CharPoint>, HdlError> {
-    let mut points = Vec::new();
-    let activity = 0.125;
+pub fn sweep(board: &Xsb300e, grid: &SweepGrid) -> Result<Vec<CharRecord>, HdlError> {
+    let mut records = Vec::new();
     for &data_width in &grid.data_widths {
         for &depth in &grid.depths {
-            let params = ContainerParams {
-                data_width,
-                depth,
-                addr_width: 16,
-            };
-            // Read buffer over a FIFO core: container wrapper plus the
-            // dual-clock core macro.
-            {
-                let wrapper = synthesize(&rbuffer_fifo(params, OpSet::figure4())?)?;
-                let core = crate::map::prim_cost(&hdp_hdl::prim::Prim::FifoMacro {
+            for (family, ops) in sweep_families() {
+                let spec = DesignSpec {
+                    family,
+                    data_width,
                     depth,
-                    width: data_width,
-                });
-                let report = SynthReport {
-                    ffs: wrapper.ffs + core.ffs,
-                    luts: wrapper.luts + core.luts,
-                    brams: wrapper.brams + core.brams,
-                    clk_mhz: wrapper.clk_mhz.min(125.0),
+                    addr_width: 16,
+                    key_width: 0,
+                    wide: 0,
+                    write_side: false,
+                    ops,
+                    wr_period: 1,
+                    rd_period: 1,
                 };
-                points.push(CharPoint {
-                    container: "rbuffer",
-                    target: "fifo core",
-                    data_width,
-                    depth,
-                    report,
-                    access_cycles: 1,
-                    power_mw: estimate_mw(
-                        crate::map::ResourceReport {
-                            ffs: report.ffs,
-                            luts: report.luts,
-                            brams: report.brams,
-                        },
-                        report.clk_mhz,
-                        activity,
-                    ),
-                });
-            }
-            // Read buffer over external SRAM: the generated FSM; the
-            // storage is off-chip.
-            {
-                let report = synthesize(&rbuffer_sram(params, OpSet::figure4())?)?;
-                let access = 2 * board.sram_latency_cycles + 2;
-                points.push(CharPoint {
-                    container: "rbuffer",
-                    target: "external sram",
-                    data_width,
-                    depth,
-                    report,
-                    access_cycles: access,
-                    power_mw: estimate_mw(
-                        crate::map::ResourceReport {
-                            ffs: report.ffs,
-                            luts: report.luts,
-                            brams: report.brams,
-                        },
-                        report.clk_mhz,
-                        activity,
-                    ),
-                });
-            }
-            // Write buffer over a FIFO core.
-            {
-                let wrapper = synthesize(&wbuffer_fifo(
-                    params,
-                    OpSet::of(&[MethodOp::Push, MethodOp::Full]),
-                )?)?;
-                let core = crate::map::prim_cost(&hdp_hdl::prim::Prim::FifoMacro {
-                    depth,
-                    width: data_width,
-                });
-                let report = SynthReport {
-                    ffs: wrapper.ffs + core.ffs,
-                    luts: wrapper.luts + core.luts,
-                    brams: wrapper.brams + core.brams,
-                    clk_mhz: wrapper.clk_mhz.min(125.0),
-                };
-                points.push(CharPoint {
-                    container: "wbuffer",
-                    target: "fifo core",
-                    data_width,
-                    depth,
-                    report,
-                    access_cycles: 1,
-                    power_mw: estimate_mw(
-                        crate::map::ResourceReport {
-                            ffs: report.ffs,
-                            luts: report.luts,
-                            brams: report.brams,
-                        },
-                        report.clk_mhz,
-                        activity,
-                    ),
-                });
-            }
-            // Stack over a LIFO core.
-            {
-                let wrapper = synthesize(&hdp_metagen::stack_gen::stack_lifo(
-                    params,
-                    OpSet::of(&[
-                        MethodOp::Push,
-                        MethodOp::Pop,
-                        MethodOp::Empty,
-                        MethodOp::Full,
-                    ]),
-                )?)?;
-                let core = crate::map::prim_cost(&hdp_hdl::prim::Prim::LifoMacro {
-                    depth,
-                    width: data_width,
-                });
-                let report = SynthReport {
-                    ffs: wrapper.ffs + core.ffs,
-                    luts: wrapper.luts + core.luts,
-                    brams: wrapper.brams + core.brams,
-                    clk_mhz: wrapper.clk_mhz.min(150.0),
-                };
-                points.push(CharPoint {
-                    container: "stack",
-                    target: "lifo core",
-                    data_width,
-                    depth,
-                    report,
-                    access_cycles: 1,
-                    power_mw: estimate_mw(
-                        crate::map::ResourceReport {
-                            ffs: report.ffs,
-                            luts: report.luts,
-                            brams: report.brams,
-                        },
-                        report.clk_mhz,
-                        activity,
-                    ),
-                });
-            }
-            // Vector over on-chip block RAM (random iterator).
-            {
-                let report = synthesize(&hdp_metagen::stack_gen::vector_bram(
-                    params,
-                    OpSet::of(&[
-                        MethodOp::Read,
-                        MethodOp::Write,
-                        MethodOp::Inc,
-                        MethodOp::Dec,
-                        MethodOp::Index,
-                    ]),
-                )?)?;
-                points.push(CharPoint {
-                    container: "vector",
-                    target: "block ram",
-                    data_width,
-                    depth,
-                    report,
-                    access_cycles: 2, // synchronous read: issue + data
-                    power_mw: estimate_mw(
-                        crate::map::ResourceReport {
-                            ffs: report.ffs,
-                            luts: report.luts,
-                            brams: report.brams,
-                        },
-                        report.clk_mhz,
-                        activity,
-                    ),
-                });
+                records.push(characterize_spec(&spec, board)?);
             }
         }
     }
-    Ok(points)
+    Ok(records)
 }
 
-/// Constraints delimiting the region of interest.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Constraints {
-    /// Maximum block RAMs the container may consume.
-    pub max_brams: Option<usize>,
-    /// Maximum LUTs.
-    pub max_luts: Option<usize>,
-    /// Maximum flip-flops.
-    pub max_ffs: Option<usize>,
-    /// Maximum cycles per element access.
-    pub max_access_cycles: Option<u32>,
-    /// Maximum power in mW.
-    pub max_power_mw: Option<f64>,
-}
-
-/// Filters a sweep down to the points meeting every constraint — the
-/// paper's "region of interest given a certain set of constraints".
-#[must_use]
-pub fn region_of_interest(points: &[CharPoint], constraints: Constraints) -> Vec<&CharPoint> {
-    points
-        .iter()
-        .filter(|p| {
-            constraints.max_brams.is_none_or(|m| p.report.brams <= m)
-                && constraints.max_luts.is_none_or(|m| p.report.luts <= m)
-                && constraints.max_ffs.is_none_or(|m| p.report.ffs <= m)
-                && constraints
-                    .max_access_cycles
-                    .is_none_or(|m| p.access_cycles <= m)
-                && constraints.max_power_mw.is_none_or(|m| p.power_mw <= m)
-        })
-        .collect()
-}
-
-/// Serialises a sweep as CSV (header plus one row per point), for
+/// Serialises records as CSV (header plus one row per record), for
 /// external plotting of the design space.
 #[must_use]
-pub fn to_csv(points: &[CharPoint]) -> String {
+pub fn to_csv(records: &[CharRecord]) -> String {
     let mut out = String::from(
-        "container,target,data_width,depth,ffs,luts,brams,clk_mhz,access_cycles,power_mw\n",
+        "kind,target,data_width,depth,ffs,luts,brams,clk_mhz,access_cycles,power_mw\n",
     );
-    for p in points {
+    for r in records {
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{:.1},{},{:.2}\n",
-            p.container,
-            p.target,
-            p.data_width,
-            p.depth,
-            p.report.ffs,
-            p.report.luts,
-            p.report.brams,
-            p.report.clk_mhz,
-            p.access_cycles,
-            p.power_mw
+            r.spec.kind(),
+            r.spec.target(),
+            r.spec.data_width,
+            r.spec.depth,
+            r.ffs,
+            r.luts,
+            r.brams,
+            r.clk_mhz(),
+            r.access_cycles,
+            r.power_mw()
         ));
     }
     out
@@ -344,84 +136,74 @@ pub fn table3_rows() -> Result<Vec<(design::DesignKind, design::Style, SynthRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chardb::Query;
     use hdp_metagen::design::{DesignKind, Style};
+
+    fn one_width(depths: Vec<usize>) -> Vec<CharRecord> {
+        let grid = SweepGrid {
+            data_widths: vec![8],
+            depths,
+        };
+        sweep(&Xsb300e::new(), &grid).unwrap()
+    }
+
+    fn find<'a>(records: &'a [CharRecord], kind: &str, target: &str) -> &'a CharRecord {
+        records
+            .iter()
+            .find(|r| r.spec.kind() == kind && r.spec.target() == target)
+            .unwrap()
+    }
 
     #[test]
     fn sweep_covers_the_grid() {
-        let grid = SweepGrid {
-            data_widths: vec![8],
-            depths: vec![64, 512],
-        };
-        let points = sweep(&Xsb300e::new(), &grid).unwrap();
+        let records = one_width(vec![64, 512]);
         // 5 container/target combinations x 2 depths.
-        assert_eq!(points.len(), 10);
-        assert!(points.iter().all(|p| p.report.clk_mhz > 0.0));
+        assert_eq!(records.len(), 10);
+        assert!(records.iter().all(|r| r.clk_khz > 0));
     }
 
     #[test]
     fn sram_container_uses_no_bram_fifo_does() {
-        let grid = SweepGrid {
-            data_widths: vec![8],
-            depths: vec![512],
-        };
-        let points = sweep(&Xsb300e::new(), &grid).unwrap();
-        let fifo = points
-            .iter()
-            .find(|p| p.container == "rbuffer" && p.target == "fifo core")
-            .unwrap();
-        let sram = points
-            .iter()
-            .find(|p| p.container == "rbuffer" && p.target == "external sram")
-            .unwrap();
-        assert!(fifo.report.brams > 0);
-        assert_eq!(sram.report.brams, 0);
+        let records = one_width(vec![512]);
+        let fifo = find(&records, "read_buffer", "fifo_core");
+        let sram = find(&records, "read_buffer", "sram");
+        assert!(fifo.brams > 0);
+        assert_eq!(sram.brams, 0);
         // The paper's trade-off: the FIFO is the fast point, the SRAM
         // the cheap point.
         assert!(fifo.access_cycles < sram.access_cycles);
-        assert!(fifo.report.ffs > sram.report.ffs);
+        assert!(fifo.ffs > sram.ffs);
     }
 
     #[test]
     fn csv_export_has_header_and_rows() {
-        let grid = SweepGrid {
-            data_widths: vec![8],
-            depths: vec![64],
-        };
-        let points = sweep(&Xsb300e::new(), &grid).unwrap();
-        let csv = to_csv(&points);
+        let records = one_width(vec![64]);
+        let csv = to_csv(&records);
         let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("container,target"));
-        assert_eq!(lines.count(), points.len());
-        assert!(csv.contains("fifo core"));
+        assert!(lines.next().unwrap().starts_with("kind,target"));
+        assert_eq!(lines.count(), records.len());
+        assert!(csv.contains("read_buffer,fifo_core,8,64,"));
     }
 
     #[test]
-    fn region_of_interest_filters() {
-        let grid = SweepGrid {
-            data_widths: vec![8],
-            depths: vec![512],
-        };
-        let points = sweep(&Xsb300e::new(), &grid).unwrap();
-        let no_bram = region_of_interest(
-            &points,
-            Constraints {
-                max_brams: Some(0),
-                ..Constraints::default()
-            },
-        );
+    fn queries_delimit_regions_of_interest() {
+        let records = one_width(vec![512]);
+        let region =
+            |q: &Query| -> Vec<&CharRecord> { records.iter().filter(|r| q.matches(r)).collect() };
+        let no_bram = region(&Query {
+            max_brams: Some(0),
+            ..Query::default()
+        });
         assert!(!no_bram.is_empty());
-        assert!(no_bram.iter().all(|p| p.report.brams == 0));
-        let fast = region_of_interest(
-            &points,
-            Constraints {
-                max_access_cycles: Some(1),
-                ..Constraints::default()
-            },
-        );
+        assert!(no_bram.iter().all(|r| r.brams == 0));
+        let fast = region(&Query {
+            max_access_cycles: Some(1),
+            ..Query::default()
+        });
         // Single-cycle access points are the stream cores.
         assert!(fast
             .iter()
-            .all(|p| p.target == "fifo core" || p.target == "lifo core"));
+            .all(|r| r.spec.target() == "fifo_core" || r.spec.target() == "lifo_core"));
         assert!(!fast.is_empty());
     }
 

@@ -3,8 +3,8 @@
 //! §3.4 of the paper argues that because components are generated
 //! automatically, *every* container×target×parameter point can be
 //! characterised — area, access time, power — and that table should
-//! drive the implementation decision. [`characterize`](crate::characterize)
-//! computes such points in memory; this module makes them a
+//! drive the implementation decision. [`characterize_spec`] costs one
+//! point; this module makes such points a
 //! **persistent, schema-validated, queryable database** so a sweep
 //! run once (see the `chardb_sweep` bench driver) can answer
 //! constraint queries forever after, including over the `hdp-service`
@@ -260,26 +260,77 @@ impl fmt::Display for CharRecord {
     }
 }
 
-/// A constraint filter over the database, every axis optional — the
-/// paper's "region of interest given a certain set of constraints",
-/// now against persistent data.
+/// One constraint axis of a [`Query`]. [`Axis::ALL`] is the order a
+/// record is tested in, and a rejected record is charged to the first
+/// axis it fails. Variants are declared in that order, so
+/// `axis as usize` is the axis's index in [`Axis::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Container kind.
+    Kind,
+    /// Minimum element width.
+    Width,
+    /// Minimum capacity.
+    Depth,
+    /// Minimum achievable clock.
+    Clock,
+    /// Maximum scalar area.
+    Area,
+    /// Maximum block RAM count.
+    Brams,
+    /// Maximum power.
+    Power,
+    /// Maximum cycles per access.
+    Access,
+}
+
+impl Axis {
+    /// Every axis, in test order.
+    pub const ALL: [Axis; 8] = [
+        Axis::Kind,
+        Axis::Width,
+        Axis::Depth,
+        Axis::Clock,
+        Axis::Area,
+        Axis::Brams,
+        Axis::Power,
+        Axis::Access,
+    ];
+
+    /// The name of the rejection count charged to this axis, as the
+    /// `select` verb reports it.
+    #[must_use]
+    pub fn rejection(self) -> &'static str {
+        match self {
+            Axis::Kind => "wrong_kind",
+            Axis::Width => "too_narrow",
+            Axis::Depth => "too_shallow",
+            Axis::Clock => "too_slow",
+            Axis::Area => "too_big",
+            Axis::Brams => "too_many_brams",
+            Axis::Power => "too_hungry",
+            Axis::Access => "over_budget",
+        }
+    }
+}
+
+/// A constraint set over characterised points — the paper's "region
+/// of interest given a certain set of constraints". Minima of 0 and
+/// absent kinds or maxima leave their axis unconstrained.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Query {
     /// Container kind (`"queue"`, `"stack"`, …) the point must have.
     pub kind: Option<String>,
-    /// Physical target (`"fifo_core"`, `"sram"`, …) the point must
-    /// map to.
-    pub target: Option<String>,
-    /// Board the point must be characterised for.
-    pub board: Option<String>,
     /// Minimum element width in bits.
-    pub min_data_width: Option<usize>,
+    pub min_data_width: usize,
     /// Minimum capacity in elements.
-    pub min_depth: Option<usize>,
+    pub min_depth: usize,
     /// Minimum achievable clock in kHz.
-    pub min_clk_khz: Option<u64>,
+    pub min_clk_khz: u64,
     /// Maximum scalar area ([`CharRecord::area_cells`]).
     pub max_area_cells: Option<u64>,
+    /// Maximum Block SelectRAM count.
+    pub max_brams: Option<usize>,
     /// Maximum power in µW.
     pub max_power_uw: Option<u64>,
     /// Maximum cycles per element access.
@@ -287,18 +338,97 @@ pub struct Query {
 }
 
 impl Query {
-    /// Whether a record satisfies every present constraint.
+    /// Whether a record satisfies the constraint on one axis.
+    fn passes(&self, axis: Axis, r: &CharRecord) -> bool {
+        match axis {
+            Axis::Kind => self.kind.as_deref().is_none_or(|k| r.spec.kind() == k),
+            Axis::Width => r.spec.data_width >= self.min_data_width,
+            Axis::Depth => r.spec.depth >= self.min_depth,
+            Axis::Clock => r.clk_khz >= self.min_clk_khz,
+            Axis::Area => self.max_area_cells.is_none_or(|m| r.area_cells() <= m),
+            Axis::Brams => self.max_brams.is_none_or(|m| r.brams <= m),
+            Axis::Power => self.max_power_uw.is_none_or(|m| r.power_uw <= m),
+            Axis::Access => self.max_access_cycles.is_none_or(|m| r.access_cycles <= m),
+        }
+    }
+
+    /// The first axis, in [`Axis::ALL`] order, that a record fails.
+    pub(crate) fn first_failure(&self, r: &CharRecord) -> Option<Axis> {
+        Axis::ALL.into_iter().find(|&axis| !self.passes(axis, r))
+    }
+
+    /// Whether a record satisfies every constraint.
     #[must_use]
     pub fn matches(&self, r: &CharRecord) -> bool {
-        self.kind.as_deref().is_none_or(|k| r.spec.kind() == k)
-            && self.target.as_deref().is_none_or(|t| r.spec.target() == t)
-            && self.board.as_deref().is_none_or(|b| r.board == b)
-            && self.min_data_width.is_none_or(|m| r.spec.data_width >= m)
-            && self.min_depth.is_none_or(|m| r.spec.depth >= m)
-            && self.min_clk_khz.is_none_or(|m| r.clk_khz >= m)
-            && self.max_area_cells.is_none_or(|m| r.area_cells() <= m)
-            && self.max_power_uw.is_none_or(|m| r.power_uw <= m)
-            && self.max_access_cycles.is_none_or(|m| r.access_cycles <= m)
+        self.first_failure(r).is_none()
+    }
+
+    /// Serialises the query as a wire JSON object: the kind when
+    /// present, every minimum, and the maxima that are present.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let num = |v: usize| Json::Num(v as u64);
+        let mut fields = Vec::new();
+        if let Some(kind) = &self.kind {
+            fields.push(("kind", Json::Str(kind.clone())));
+        }
+        fields.extend([
+            ("min_data_width", num(self.min_data_width)),
+            ("min_depth", num(self.min_depth)),
+            ("min_clk_khz", Json::Num(self.min_clk_khz)),
+        ]);
+        let maxima = [
+            ("max_area_cells", self.max_area_cells),
+            ("max_brams", self.max_brams.map(|m| m as u64)),
+            ("max_power_uw", self.max_power_uw),
+            ("max_access_cycles", self.max_access_cycles.map(u64::from)),
+        ];
+        fields.extend(
+            maxima
+                .into_iter()
+                .filter_map(|(key, m)| Some((key, Json::Num(m?)))),
+        );
+        Json::obj(fields)
+    }
+
+    /// Parses the `constraints` object of a `select` request: `kind`
+    /// is required, minima default to 0 and absent maxima stay
+    /// unconstrained.
+    ///
+    /// # Errors
+    ///
+    /// A `constraints.field: problem` description of the first bad
+    /// field.
+    pub fn from_json(obj: &Json) -> Result<Self, String> {
+        let kind = obj
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or("constraints.kind: missing or non-string")?
+            .to_owned();
+        let opt = |key: &str| -> Result<Option<u64>, String> {
+            match obj.get(key) {
+                None | Some(Json::Null) => Ok(None),
+                Some(v) => v
+                    .as_u64()
+                    .map(Some)
+                    .ok_or_else(|| format!("constraints.{key}: non-numeric")),
+            }
+        };
+        Ok(Self {
+            kind: Some(kind),
+            min_data_width: opt("min_data_width")?.unwrap_or(0) as usize,
+            min_depth: opt("min_depth")?.unwrap_or(0) as usize,
+            min_clk_khz: opt("min_clk_khz")?.unwrap_or(0),
+            max_area_cells: opt("max_area_cells")?,
+            max_brams: opt("max_brams")?.map(|m| m as usize),
+            max_power_uw: opt("max_power_uw")?,
+            max_access_cycles: opt("max_access_cycles")?
+                .map(|v| {
+                    u32::try_from(v)
+                        .map_err(|_| "constraints.max_access_cycles: out of range".to_owned())
+                })
+                .transpose()?,
+        })
     }
 }
 
@@ -610,11 +740,10 @@ impl CharDb {
 }
 
 /// Cycles for one element access in steady state, per family — the
-/// access-time axis of the §3.4 triple. Mirrors the per-target
-/// figures of [`characterize`](crate::characterize): stream cores
-/// answer in one cycle, on-chip block RAM needs issue + data, the
-/// external SRAM pays the req/ack round trip, and the Gray-code CDC
-/// queue pays the two-flop synchroniser.
+/// access-time axis of the §3.4 triple, and the only place it is
+/// defined: stream cores answer in one cycle, on-chip block RAM needs
+/// issue + data, the external SRAM pays the req/ack round trip, and
+/// the Gray-code CDC queue pays the two-flop synchroniser.
 #[must_use]
 pub fn access_cycles_for(spec: &DesignSpec, board: &Xsb300e) -> u32 {
     match spec.family {
@@ -631,9 +760,11 @@ pub fn access_cycles_for(spec: &DesignSpec, board: &Xsb300e) -> u32 {
 ///
 /// Open-form wrappers (the Figure 4 `rbuffer_fifo`/`wbuffer_fifo`
 /// and the open `stack_lifo`) talk to their core over a `p_*`
-/// interface, so the macro is costed separately here exactly as the
-/// [`characterize`](crate::characterize) sweep does; the closed
+/// interface, so the macro is costed separately here; the closed
 /// families embed the macro in the netlist and need no correction.
+/// This is the one per-family cost model: the
+/// [`characterize`](crate::characterize) sweep and the `chardb_sweep`
+/// driver both run through it.
 ///
 /// # Errors
 ///
@@ -830,10 +961,16 @@ mod tests {
         });
         assert!(fast.iter().all(|r| r.access_cycles == 1));
         let none = db.query(&Query {
-            min_clk_khz: Some(10_000_000),
+            min_clk_khz: 10_000_000,
             ..Query::default()
         });
         assert!(none.is_empty());
+        let no_bram = db.query(&Query {
+            max_brams: Some(0),
+            ..Query::default()
+        });
+        assert!(no_bram.iter().all(|r| r.brams == 0));
+        assert!(no_bram.len() < db.len(), "some family needs a block RAM");
     }
 
     #[test]

@@ -19,17 +19,20 @@
 //!   an achievable clock estimate.
 //! * [`power`] — an activity-based dynamic-power estimate, part of
 //!   the §3.4 design-space characterisation.
-//! * [`characterize`] — the §3.4 sweep: "we characterized all the
-//!   physical devices available in the target platform ... we
+//! * [`chardb`] — the §3.4 characterisation: "we characterized all
+//!   the physical devices available in the target platform ... we
 //!   obtained information about data access times for every
-//!   container, area, power consumption"; generates every
-//!   container×target×parameter implementation and tabulates it.
-//! * [`chardb`] — the persistent form of that sweep: the versioned
-//!   `hdp-chardb-v1` characterisation database with append/merge/load,
-//!   integrity checks, constraint queries and a Pareto frontier.
+//!   container, area, power consumption". [`characterize_spec`] is
+//!   the one per-family cost model; the versioned `hdp-chardb-v1`
+//!   database persists its records with append/merge/load, integrity
+//!   checks, a Pareto frontier and [`Query`], the one constraint
+//!   type.
+//! * [`characterize`] — the paper-shaped exhibit: a
+//!   container×target×width×depth grid run through
+//!   [`characterize_spec`], with CSV export.
 //! * [`select`] — [`select::auto_select`]: the §3.4 implementation
 //!   decision automated — the cheapest database record satisfying a
-//!   constraint set, served by `hdp-service` as the `select` verb.
+//!   [`Query`], served by `hdp-service` as the `select` verb.
 //! * [`board`] — the XSB-300E device limits.
 //!
 //! The absolute numbers of a model never equal a vendor tool's; the
@@ -49,10 +52,10 @@ pub mod select;
 pub mod timing;
 
 pub use board::{Xsb300e, XC2S300E};
-pub use chardb::{characterize_spec, CharDb, CharDbError, CharRecord, Query, CHARDB_SCHEMA};
+pub use chardb::{characterize_spec, Axis, CharDb, CharDbError, CharRecord, Query, CHARDB_SCHEMA};
 pub use map::{map_resources, ResourceReport};
 pub use optimize::dissolve_wrappers;
-pub use select::{auto_select, SelectConstraints, Selection};
+pub use select::{auto_select, Selection};
 pub use timing::{critical_path_ns, fmax_mhz};
 
 use hdp_hdl::{HdlError, Netlist};

@@ -4,128 +4,69 @@
 //! characterised, the implementation decision the paper made by hand
 //! — "which physical target should this container use, given my
 //! constraints?" — becomes a database query. [`auto_select`] is that
-//! query: given a [`SelectConstraints`] (container kind, minimum
-//! width/depth/clock, maxima for area, power and access cycles), it
-//! scans a [`CharDb`] and returns the *cheapest* satisfying record,
-//! with cost ordered lexicographically by (area, power, access
-//! cycles) and ties broken deterministically by record key.
+//! query: given a [`Query`] (container kind, minimum
+//! width/depth/clock, maxima for area, block RAMs, power and access
+//! cycles), it scans a [`CharDb`] and returns the *cheapest*
+//! satisfying record, with cost ordered lexicographically by (area,
+//! power, access cycles) and ties broken deterministically by record
+//! key.
 //!
 //! An unsatisfiable constraint set is a structured answer, not a
 //! failure: [`Selection::NoTarget`] reports how many candidates each
-//! constraint eliminated, which is exactly what a user needs to relax
-//! the right one. The JSON round-trip on both types carries the
-//! `hdp-service` `{"verb":"select"}` wire verb.
+//! constraint axis eliminated, which is exactly what a user needs to
+//! relax the right one. [`Query::to_json`]/[`Query::from_json`] and
+//! [`Selection::to_json`] carry the `hdp-service`
+//! `{"verb":"select"}` wire verb.
 
-use crate::chardb::{CharDb, CharRecord};
+use crate::chardb::{Axis, CharDb, CharRecord, Query};
 use hdp_conform::json::Json;
+use std::cmp::Ordering;
 use std::fmt;
 
-/// The constraint set of one selection request.
-///
-/// `kind` is mandatory — selection picks a *target for* a container
-/// kind; the remaining axes default to unconstrained.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SelectConstraints {
-    /// Container kind to implement (`"queue"`, `"stack"`, …).
-    pub kind: String,
-    /// Minimum element width in bits (0 = unconstrained).
-    pub min_data_width: usize,
-    /// Minimum capacity in elements (0 = unconstrained).
-    pub min_depth: usize,
-    /// Minimum achievable clock in kHz (0 = unconstrained).
-    pub min_clk_khz: u64,
-    /// Maximum scalar area in cells ([`CharRecord::area_cells`]).
-    pub max_area_cells: Option<u64>,
-    /// Maximum power in µW.
-    pub max_power_uw: Option<u64>,
-    /// Maximum cycles per element access.
-    pub max_access_cycles: Option<u32>,
-}
-
-impl SelectConstraints {
-    /// Serialises the constraints as a wire JSON object (`None`
-    /// maxima are omitted).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("kind".to_owned(), Json::Str(self.kind.clone())),
-            (
-                "min_data_width".to_owned(),
-                Json::Num(self.min_data_width as u64),
-            ),
-            ("min_depth".to_owned(), Json::Num(self.min_depth as u64)),
-            ("min_clk_khz".to_owned(), Json::Num(self.min_clk_khz)),
-        ];
-        if let Some(m) = self.max_area_cells {
-            fields.push(("max_area_cells".to_owned(), Json::Num(m)));
-        }
-        if let Some(m) = self.max_power_uw {
-            fields.push(("max_power_uw".to_owned(), Json::Num(m)));
-        }
-        if let Some(m) = self.max_access_cycles {
-            fields.push(("max_access_cycles".to_owned(), Json::Num(u64::from(m))));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Parses a constraints object: `kind` is required, minima
-    /// default to 0 and absent maxima stay unconstrained.
-    ///
-    /// # Errors
-    ///
-    /// A `field: problem` description of the first bad field.
-    pub fn from_json(obj: &Json) -> Result<Self, String> {
-        let kind = obj
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("constraints.kind: missing or non-string")?
-            .to_owned();
-        let opt = |key: &str| -> Result<Option<u64>, String> {
-            match obj.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("constraints.{key}: non-numeric")),
-            }
-        };
-        Ok(Self {
-            kind,
-            min_data_width: opt("min_data_width")?.unwrap_or(0) as usize,
-            min_depth: opt("min_depth")?.unwrap_or(0) as usize,
-            min_clk_khz: opt("min_clk_khz")?.unwrap_or(0),
-            max_area_cells: opt("max_area_cells")?,
-            max_power_uw: opt("max_power_uw")?,
-            max_access_cycles: opt("max_access_cycles")?
-                .map(|v| {
-                    u32::try_from(v)
-                        .map_err(|_| "constraints.max_access_cycles: out of range".to_owned())
-                })
-                .transpose()?,
-        })
-    }
-}
-
-/// Why the candidate pool drained: per-constraint elimination counts
-/// over the whole database, in the order constraints are applied.
+/// Why the candidate pool drained: per-axis elimination counts over
+/// the whole database, in [`Axis::ALL`] order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Rejections {
     /// Records inspected (the database size).
     pub considered: usize,
-    /// Eliminated: different container kind.
-    pub wrong_kind: usize,
-    /// Eliminated: element width below the minimum.
-    pub too_narrow: usize,
-    /// Eliminated: capacity below the minimum.
-    pub too_shallow: usize,
-    /// Eliminated: achievable clock below the minimum.
-    pub too_slow: usize,
-    /// Eliminated: area above the maximum.
-    pub too_big: usize,
-    /// Eliminated: power above the maximum.
-    pub too_hungry: usize,
-    /// Eliminated: access cycles above the budget.
-    pub over_budget: usize,
+    /// Records charged to each axis, indexed in [`Axis::ALL`] order.
+    pub by_axis: [usize; Axis::ALL.len()],
+}
+
+impl Rejections {
+    /// Records eliminated by one axis.
+    #[must_use]
+    pub fn count(&self, axis: Axis) -> usize {
+        self.by_axis[axis as usize]
+    }
+
+    /// `(rejection name, count)` for every axis, in test order.
+    fn named(&self) -> impl Iterator<Item = (&'static str, usize)> + '_ {
+        Axis::ALL
+            .into_iter()
+            .map(|axis| (axis.rejection(), self.count(axis)))
+    }
+
+    /// The `rejected` object of a no-target answer.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.named().map(|(name, n)| (name, Json::Num(n as u64))))
+    }
+}
+
+impl fmt::Display for Rejections {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "no satisfying target among {} records (",
+            self.considered
+        )?;
+        for (i, (name, n)) in self.named().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{} {n}", name.replace('_', " "))?;
+        }
+        write!(f, ")")
+    }
 }
 
 /// The outcome of [`auto_select`]: either the cheapest satisfying
@@ -150,42 +91,25 @@ impl Selection {
     #[must_use]
     pub fn to_json(&self) -> Json {
         match self {
-            Selection::Target { key, record } => Json::Obj(vec![
-                ("selected".to_owned(), Json::Bool(true)),
-                ("key".to_owned(), Json::Str(key.clone())),
-                ("kind".to_owned(), Json::Str(record.spec.kind().to_owned())),
-                (
-                    "target".to_owned(),
-                    Json::Str(record.spec.target().to_owned()),
-                ),
-                ("label".to_owned(), Json::Str(record.spec.label())),
-                ("board".to_owned(), Json::Str(record.board.clone())),
-                ("ffs".to_owned(), Json::Num(record.ffs as u64)),
-                ("luts".to_owned(), Json::Num(record.luts as u64)),
-                ("brams".to_owned(), Json::Num(record.brams as u64)),
-                ("area_cells".to_owned(), Json::Num(record.area_cells())),
-                ("clk_khz".to_owned(), Json::Num(record.clk_khz)),
-                (
-                    "access_cycles".to_owned(),
-                    Json::Num(u64::from(record.access_cycles)),
-                ),
-                ("power_uw".to_owned(), Json::Num(record.power_uw)),
+            Selection::Target { key, record } => Json::obj([
+                ("selected", Json::Bool(true)),
+                ("key", Json::Str(key.clone())),
+                ("kind", Json::Str(record.spec.kind().to_owned())),
+                ("target", Json::Str(record.spec.target().to_owned())),
+                ("label", Json::Str(record.spec.label())),
+                ("board", Json::Str(record.board.clone())),
+                ("ffs", Json::Num(record.ffs as u64)),
+                ("luts", Json::Num(record.luts as u64)),
+                ("brams", Json::Num(record.brams as u64)),
+                ("area_cells", Json::Num(record.area_cells())),
+                ("clk_khz", Json::Num(record.clk_khz)),
+                ("access_cycles", Json::Num(u64::from(record.access_cycles))),
+                ("power_uw", Json::Num(record.power_uw)),
             ]),
-            Selection::NoTarget(r) => Json::Obj(vec![
-                ("selected".to_owned(), Json::Bool(false)),
-                ("considered".to_owned(), Json::Num(r.considered as u64)),
-                (
-                    "rejected".to_owned(),
-                    Json::Obj(vec![
-                        ("wrong_kind".to_owned(), Json::Num(r.wrong_kind as u64)),
-                        ("too_narrow".to_owned(), Json::Num(r.too_narrow as u64)),
-                        ("too_shallow".to_owned(), Json::Num(r.too_shallow as u64)),
-                        ("too_slow".to_owned(), Json::Num(r.too_slow as u64)),
-                        ("too_big".to_owned(), Json::Num(r.too_big as u64)),
-                        ("too_hungry".to_owned(), Json::Num(r.too_hungry as u64)),
-                        ("over_budget".to_owned(), Json::Num(r.over_budget as u64)),
-                    ]),
-                ),
+            Selection::NoTarget(r) => Json::obj([
+                ("selected", Json::Bool(false)),
+                ("considered", Json::Num(r.considered as u64)),
+                ("rejected", r.to_json()),
             ]),
         }
     }
@@ -197,40 +121,33 @@ impl fmt::Display for Selection {
             Selection::Target { key, record } => {
                 write!(f, "selected {} [{key}]\n  {record}", record.spec.target())
             }
-            Selection::NoTarget(r) => write!(
-                f,
-                "no satisfying target among {} records (wrong kind {}, too narrow {}, \
-                 too shallow {}, too slow {}, too big {}, too hungry {}, over budget {})",
-                r.considered,
-                r.wrong_kind,
-                r.too_narrow,
-                r.too_shallow,
-                r.too_slow,
-                r.too_big,
-                r.too_hungry,
-                r.over_budget
-            ),
+            Selection::NoTarget(r) => write!(f, "{r}"),
         }
     }
+}
+
+/// The selection cost of a record: (area, power, access cycles).
+fn cost(r: &CharRecord) -> (u64, u64, u32) {
+    (r.area_cells(), r.power_uw, r.access_cycles)
 }
 
 /// Picks the cheapest database record satisfying the constraints —
 /// the paper's manual implementation decision, automated.
 ///
-/// Constraints are applied in a fixed order (kind, width, depth,
-/// clock, area, power, access budget) and each record's elimination
-/// is attributed to the *first* constraint it fails, so the
+/// Each record is tested on the axes of [`Axis::ALL`] in order and a
+/// rejection is charged to the *first* axis it fails, so the
 /// [`Rejections`] counts sum to `considered` on a miss. Among the
 /// survivors, cost is compared lexicographically by
 /// (area, power, access cycles); exact ties fall back to the record
 /// key, so the result is deterministic regardless of database order.
+/// Keys are only built to break such a tie.
 ///
 /// # Example
 ///
 /// ```
 /// use hdp_synth::board::Xsb300e;
-/// use hdp_synth::chardb::{characterize_spec, CharDb};
-/// use hdp_synth::select::{auto_select, SelectConstraints, Selection};
+/// use hdp_synth::chardb::{characterize_spec, Axis, CharDb, Query};
+/// use hdp_synth::select::{auto_select, Selection};
 /// use hdp_metagen::sampler::DesignSpec;
 /// use hdp_metagen::{MethodOp, OpSet};
 ///
@@ -253,10 +170,10 @@ impl fmt::Display for Selection {
 ///     db.append(characterize_spec(&spec, &board)?)?;
 /// }
 /// // A single-cycle access budget forces the FIFO-core target.
-/// let fast = auto_select(&db, &SelectConstraints {
-///     kind: "read_buffer".into(),
+/// let fast = auto_select(&db, &Query {
+///     kind: Some("read_buffer".into()),
 ///     max_access_cycles: Some(1),
-///     ..SelectConstraints::default()
+///     ..Query::default()
 /// });
 /// match fast {
 ///     Selection::Target { record, .. } => {
@@ -265,67 +182,39 @@ impl fmt::Display for Selection {
 ///     Selection::NoTarget(_) => unreachable!(),
 /// }
 /// // An impossible clock floor is a structured miss, not a panic.
-/// let miss = auto_select(&db, &SelectConstraints {
-///     kind: "read_buffer".into(),
+/// let miss = auto_select(&db, &Query {
+///     kind: Some("read_buffer".into()),
 ///     min_clk_khz: 10_000_000,
-///     ..SelectConstraints::default()
+///     ..Query::default()
 /// });
-/// assert!(matches!(miss, Selection::NoTarget(r) if r.too_slow == 2));
+/// assert!(matches!(miss, Selection::NoTarget(r) if r.count(Axis::Clock) == 2));
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn auto_select(db: &CharDb, c: &SelectConstraints) -> Selection {
+pub fn auto_select(db: &CharDb, q: &Query) -> Selection {
     let mut rej = Rejections {
         considered: db.len(),
         ..Rejections::default()
     };
-    let mut best: Option<(u64, u64, u64, String, &CharRecord)> = None;
+    let mut best: Option<&CharRecord> = None;
     for r in db.records() {
-        if r.spec.kind() != c.kind {
-            rej.wrong_kind += 1;
+        if let Some(axis) = q.first_failure(r) {
+            rej.by_axis[axis as usize] += 1;
             continue;
         }
-        if r.spec.data_width < c.min_data_width {
-            rej.too_narrow += 1;
-            continue;
-        }
-        if r.spec.depth < c.min_depth {
-            rej.too_shallow += 1;
-            continue;
-        }
-        if r.clk_khz < c.min_clk_khz {
-            rej.too_slow += 1;
-            continue;
-        }
-        if c.max_area_cells.is_some_and(|m| r.area_cells() > m) {
-            rej.too_big += 1;
-            continue;
-        }
-        if c.max_power_uw.is_some_and(|m| r.power_uw > m) {
-            rej.too_hungry += 1;
-            continue;
-        }
-        if c.max_access_cycles.is_some_and(|m| r.access_cycles > m) {
-            rej.over_budget += 1;
-            continue;
-        }
-        let cost = (
-            r.area_cells(),
-            r.power_uw,
-            u64::from(r.access_cycles),
-            r.key(),
-        );
-        if best
-            .as_ref()
-            .is_none_or(|(a, p, t, k, _)| cost < (*a, *p, *t, k.clone()))
-        {
-            best = Some((cost.0, cost.1, cost.2, cost.3, r));
+        let cheaper = best.is_none_or(|b| match cost(r).cmp(&cost(b)) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => r.key() < b.key(),
+        });
+        if cheaper {
+            best = Some(r);
         }
     }
     match best {
-        Some((_, _, _, key, record)) => Selection::Target {
-            key,
+        Some(record) => Selection::Target {
+            key: record.key(),
             record: record.clone(),
         },
         None => Selection::NoTarget(rej),
@@ -340,11 +229,11 @@ mod tests {
     use hdp_metagen::sampler::DesignSpec;
     use hdp_metagen::{MethodOp, OpSet};
 
-    fn rbuffer_spec(family: usize, addr_width: usize) -> DesignSpec {
+    fn rbuffer_spec(family: usize, addr_width: usize, depth: usize) -> DesignSpec {
         DesignSpec {
             family,
             data_width: 8,
-            depth: 4,
+            depth,
             addr_width,
             key_width: 4,
             wide: 0,
@@ -355,26 +244,40 @@ mod tests {
         }
     }
 
-    fn two_target_db() -> CharDb {
+    /// Read buffers over the FIFO core and over SRAM at one depth.
+    fn two_target_db(depth: usize) -> CharDb {
         let board = Xsb300e::new();
         let mut db = CharDb::new();
         for family in [0, 1] {
-            db.append(characterize_spec(&rbuffer_spec(family, 16), &board).unwrap())
+            db.append(characterize_spec(&rbuffer_spec(family, 16, depth), &board).unwrap())
                 .unwrap();
         }
         db
     }
 
+    fn read_buffers() -> Query {
+        Query {
+            kind: Some("read_buffer".into()),
+            ..Query::default()
+        }
+    }
+
+    fn rejections(db: &CharDb, q: &Query) -> Rejections {
+        match auto_select(db, q) {
+            Selection::NoTarget(r) => r,
+            Selection::Target { key, .. } => panic!("expected no target, got {key}"),
+        }
+    }
+
     #[test]
     fn exactly_one_satisfying_target_wins() {
-        let db = two_target_db();
+        let db = two_target_db(4);
         // The access budget leaves only the FIFO core.
         let sel = auto_select(
             &db,
-            &SelectConstraints {
-                kind: "read_buffer".into(),
+            &Query {
                 max_access_cycles: Some(1),
-                ..SelectConstraints::default()
+                ..read_buffers()
             },
         );
         match sel {
@@ -390,14 +293,7 @@ mod tests {
             .min_by_key(|r| (r.area_cells(), r.power_uw, r.access_cycles))
             .unwrap()
             .key();
-        let sel = auto_select(
-            &db,
-            &SelectConstraints {
-                kind: "read_buffer".into(),
-                ..SelectConstraints::default()
-            },
-        );
-        match sel {
+        match auto_select(&db, &read_buffers()) {
             Selection::Target { ref key, .. } => assert_eq!(*key, cheapest),
             Selection::NoTarget(r) => panic!("no target: {r:?}"),
         }
@@ -405,39 +301,96 @@ mod tests {
 
     #[test]
     fn unsatisfiable_is_structured_and_counts_sum() {
-        let db = two_target_db();
-        let sel = auto_select(
+        let db = two_target_db(4);
+        let r = rejections(
             &db,
-            &SelectConstraints {
-                kind: "read_buffer".into(),
+            &Query {
                 min_clk_khz: 10_000_000,
-                ..SelectConstraints::default()
+                ..read_buffers()
             },
         );
-        let Selection::NoTarget(r) = sel else {
-            panic!("expected NoTarget");
-        };
         assert_eq!(r.considered, 2);
-        assert_eq!(
-            r.wrong_kind
-                + r.too_narrow
-                + r.too_shallow
-                + r.too_slow
-                + r.too_big
-                + r.too_hungry
-                + r.over_budget,
-            r.considered
-        );
-        assert_eq!(r.too_slow, 2);
+        assert_eq!(r.by_axis.iter().sum::<usize>(), r.considered);
+        assert_eq!(r.count(Axis::Clock), 2);
         // A kind nothing in the db has.
-        let sel = auto_select(
+        let r = rejections(
             &db,
-            &SelectConstraints {
-                kind: "assoc_array".into(),
-                ..SelectConstraints::default()
+            &Query {
+                kind: Some("assoc_array".into()),
+                ..Query::default()
             },
         );
-        assert!(matches!(sel, Selection::NoTarget(r) if r.wrong_kind == 2));
+        assert_eq!(r.count(Axis::Kind), 2);
+    }
+
+    #[test]
+    fn brams_are_charged_after_area_and_before_power() {
+        // At depth 512 the FIFO core needs a block RAM; the SRAM
+        // target needs none.
+        let db = two_target_db(512);
+        let [fifo, sram] = db.records() else {
+            panic!("two records expected");
+        };
+        assert!(fifo.brams > 0 && sram.brams == 0);
+        let no_bram = Query {
+            max_brams: Some(0),
+            ..read_buffers()
+        };
+        match auto_select(&db, &no_bram) {
+            Selection::Target { record, .. } => assert_eq!(record.spec.target(), "sram"),
+            Selection::NoTarget(r) => panic!("no target: {r:?}"),
+        }
+        // Over the area cap too: charged to area, which comes first.
+        let r = rejections(
+            &db,
+            &Query {
+                max_area_cells: Some(sram.area_cells() - 1),
+                ..no_bram.clone()
+            },
+        );
+        assert_eq!(r.count(Axis::Area), 2);
+        assert_eq!(r.count(Axis::Brams), 0);
+        // Over the power cap too: charged to brams, which comes first;
+        // the SRAM point fails on power alone.
+        let r = rejections(
+            &db,
+            &Query {
+                max_power_uw: Some(1),
+                ..no_bram
+            },
+        );
+        assert_eq!(r.count(Axis::Brams), 1);
+        assert_eq!(r.count(Axis::Power), 1);
+        for (i, axis) in Axis::ALL.into_iter().enumerate() {
+            assert_eq!(axis as usize, i, "{axis:?} indexes by_axis");
+        }
+        let rejected = r.to_json();
+        assert_eq!(
+            rejected.get("too_many_brams").and_then(Json::as_u64),
+            Some(1)
+        );
+        let names: Vec<&str> = match &rejected {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        };
+        assert_eq!(
+            names,
+            [
+                "wrong_kind",
+                "too_narrow",
+                "too_shallow",
+                "too_slow",
+                "too_big",
+                "too_many_brams",
+                "too_hungry",
+                "over_budget"
+            ]
+        );
+        assert!(
+            r.to_string()
+                .contains("too big 0, too many brams 1, too hungry 1"),
+            "{r}"
+        );
     }
 
     #[test]
@@ -445,20 +398,16 @@ mod tests {
         // Two SRAM rbuffers differing only in the (cost-irrelevant)
         // external address width: identical metrics, different keys.
         let board = Xsb300e::new();
-        let a = characterize_spec(&rbuffer_spec(1, 12), &board).unwrap();
-        let b = characterize_spec(&rbuffer_spec(1, 13), &board).unwrap();
+        let a = characterize_spec(&rbuffer_spec(1, 12, 4), &board).unwrap();
+        let b = characterize_spec(&rbuffer_spec(1, 13, 4), &board).unwrap();
         assert_eq!((a.ffs, a.luts, a.power_uw), (b.ffs, b.luts, b.power_uw));
         let expect = a.key().min(b.key());
-        let constraints = SelectConstraints {
-            kind: "read_buffer".into(),
-            ..SelectConstraints::default()
-        };
         for order in [[&a, &b], [&b, &a]] {
             let mut db = CharDb::new();
             for r in order {
                 db.append(r.clone()).unwrap();
             }
-            match auto_select(&db, &constraints) {
+            match auto_select(&db, &read_buffers()) {
                 Selection::Target { key, .. } => assert_eq!(key, expect),
                 Selection::NoTarget(r) => panic!("no target: {r:?}"),
             }
@@ -467,47 +416,61 @@ mod tests {
 
     #[test]
     fn constraints_round_trip_through_json() {
-        let full = SelectConstraints {
-            kind: "queue".into(),
+        let full = Query {
+            kind: Some("queue".into()),
             min_data_width: 8,
             min_depth: 4,
             min_clk_khz: 50_000,
             max_area_cells: Some(500),
+            max_brams: Some(1),
             max_power_uw: Some(20_000),
             max_access_cycles: Some(2),
         };
-        let back = SelectConstraints::from_json(&full.to_json()).unwrap();
+        let back = Query::from_json(&full.to_json()).unwrap();
         assert_eq!(back, full);
-        let sparse = SelectConstraints {
-            kind: "stack".into(),
-            ..SelectConstraints::default()
+        let sparse = Query {
+            kind: Some("stack".into()),
+            ..Query::default()
         };
-        let back = SelectConstraints::from_json(&sparse.to_json()).unwrap();
+        let back = Query::from_json(&sparse.to_json()).unwrap();
         assert_eq!(back, sparse);
-        // kind is mandatory.
-        let err = SelectConstraints::from_json(&Json::Obj(vec![])).unwrap_err();
-        assert!(err.contains("constraints.kind"), "{err}");
+        // The echo of a request without `max_brams` is unchanged.
+        assert_eq!(
+            Query {
+                max_access_cycles: Some(1),
+                ..sparse
+            }
+            .to_json()
+            .to_string(),
+            "{\"kind\":\"stack\",\"min_data_width\":0,\"min_depth\":0,\
+             \"min_clk_khz\":0,\"max_access_cycles\":1}"
+        );
+        // kind is mandatory, numbers must be numbers, and the access
+        // budget must fit a u32.
+        let err = |text: &str| Query::from_json(&Json::parse(text).unwrap()).unwrap_err();
+        assert_eq!(err("{}"), "constraints.kind: missing or non-string");
+        assert_eq!(
+            err("{\"kind\":\"queue\",\"max_brams\":\"none\"}"),
+            "constraints.max_brams: non-numeric"
+        );
+        assert_eq!(
+            err("{\"kind\":\"queue\",\"max_access_cycles\":4294967296}"),
+            "constraints.max_access_cycles: out of range"
+        );
     }
 
     #[test]
     fn selection_json_carries_the_outcome() {
-        let db = two_target_db();
-        let hit = auto_select(
-            &db,
-            &SelectConstraints {
-                kind: "read_buffer".into(),
-                ..SelectConstraints::default()
-            },
-        );
-        let doc = hit.to_json();
+        let db = two_target_db(4);
+        let doc = auto_select(&db, &read_buffers()).to_json();
         assert_eq!(doc.get("selected").and_then(Json::as_bool), Some(true));
         assert!(doc.get("key").and_then(Json::as_str).is_some());
         assert!(doc.get("area_cells").and_then(Json::as_u64).is_some());
         let miss = auto_select(
             &db,
-            &SelectConstraints {
-                kind: "vector".into(),
-                ..SelectConstraints::default()
+            &Query {
+                kind: Some("vector".into()),
+                ..Query::default()
             },
         );
         let doc = miss.to_json();

@@ -11,8 +11,8 @@
 
 use hdp_conform::Json;
 use hdp_synth::board::Xsb300e;
-use hdp_synth::chardb::{characterize_spec, CharDb, CharDbError, CHARDB_SCHEMA};
-use hdp_synth::select::{auto_select, SelectConstraints, Selection};
+use hdp_synth::chardb::{characterize_spec, Axis, CharDb, CharDbError, Query, CHARDB_SCHEMA};
+use hdp_synth::select::{auto_select, Selection};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/chardb_v1.json");
 /// The committed 1200-point catalog and its sweep summary, at the
@@ -96,10 +96,10 @@ fn append_save_load_query_round_trip() {
 
     assert_eq!(reloaded.len(), db.len());
     // Query results survive the disk round-trip exactly.
-    let q = hdp_synth::Query {
+    let q = Query {
         kind: Some("read_buffer".to_owned()),
-        min_data_width: Some(8),
-        ..hdp_synth::Query::default()
+        min_data_width: 8,
+        ..Query::default()
     };
     let before: Vec<String> = db.query(&q).iter().map(|r| r.key()).collect();
     let after: Vec<String> = reloaded.query(&q).iter().map(|r| r.key()).collect();
@@ -172,10 +172,10 @@ fn auto_select_answers_over_reloaded_data() {
     let db = fixture_db();
     // Only one queue in the fixture is at least 8 bits wide: the
     // async FIFO.
-    let c = SelectConstraints {
-        kind: "queue".to_owned(),
+    let c = Query {
+        kind: Some("queue".to_owned()),
         min_data_width: 8,
-        ..SelectConstraints::default()
+        ..Query::default()
     };
     match auto_select(&db, &c) {
         Selection::Target { record, .. } => {
@@ -186,18 +186,60 @@ fn auto_select_answers_over_reloaded_data() {
     }
     // Unsatisfiable depth: every rejection is attributed and the
     // counts cover the whole catalog.
-    let impossible = SelectConstraints {
-        kind: "queue".to_owned(),
+    let impossible = Query {
+        kind: Some("queue".to_owned()),
         min_depth: 1000,
-        ..SelectConstraints::default()
+        ..Query::default()
     };
     match auto_select(&db, &impossible) {
         Selection::NoTarget(rej) => {
             assert_eq!(rej.considered, 12);
-            assert_eq!(rej.wrong_kind, 10);
-            assert_eq!(rej.too_shallow, 2);
+            assert_eq!(rej.count(Axis::Kind), 10);
+            assert_eq!(rej.count(Axis::Depth), 2);
         }
         Selection::Target { key, .. } => panic!("depth 1000 cannot be satisfied, got {key}"),
+    }
+
+    // The two transcripts of docs/CHARACTERIZATION.md §3, answered
+    // from the committed catalog.
+    let catalog = CharDb::load(CATALOG).expect("committed catalog must load");
+    let queues = Query {
+        kind: Some("queue".to_owned()),
+        min_data_width: 8,
+        min_depth: 8,
+        max_access_cycles: Some(1),
+        ..Query::default()
+    };
+    match auto_select(&catalog, &queues) {
+        Selection::Target { key, record } => {
+            assert_eq!(key, "3e37b31e32bf95827f1b9835710a6ecb@xsb300e");
+            assert_eq!(record.spec.label(), "queue_fifo w=9 d=8 ops=empty");
+        }
+        Selection::NoTarget(rej) => panic!("expected a target, got rejections {rej:?}"),
+    }
+    let deep = Query {
+        min_depth: 16,
+        ..queues
+    };
+    match auto_select(&catalog, &deep) {
+        Selection::NoTarget(rej) => {
+            assert_eq!(rej.considered, 1200);
+            let expect = [
+                ("wrong_kind", 1000),
+                ("too_narrow", 91),
+                ("too_shallow", 109),
+                ("too_slow", 0),
+                ("too_big", 0),
+                ("too_many_brams", 0),
+                ("too_hungry", 0),
+                ("over_budget", 0),
+            ];
+            let doc = rej.to_json();
+            for (name, n) in expect {
+                assert_eq!(doc.get(name).and_then(Json::as_u64), Some(n), "{name}");
+            }
+        }
+        Selection::Target { key, .. } => panic!("no queue is 16 deep, got {key}"),
     }
 }
 

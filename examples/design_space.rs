@@ -6,46 +6,47 @@
 //! cargo run --example design_space
 //! ```
 
-use hdp::synth::characterize::{region_of_interest, sweep, Constraints, SweepGrid};
-use hdp::synth::Xsb300e;
+use hdp::synth::characterize::{sweep, SweepGrid};
+use hdp::synth::{CharRecord, Query, Xsb300e};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let board = Xsb300e::new();
-    let grid = SweepGrid::default();
-    let points = sweep(&board, &grid)?;
+    let records = sweep(&board, &SweepGrid::default())?;
 
     println!(
         "characterised {} implementations on the {}:",
-        points.len(),
+        records.len(),
         board.device.name
     );
     println!();
-    for p in &points {
-        println!("  {p}");
+    // Open-form labels omit the depth of the external core, so every
+    // row leads with its grid point.
+    let row = |r: &CharRecord| format!("{:>2}b x{:<4} {r}", r.spec.data_width, r.spec.depth);
+    for r in &records {
+        println!("  {}", row(r));
     }
 
-    println!();
-    println!("region of interest: no block RAM (cost-driven)");
-    for p in region_of_interest(
-        &points,
-        Constraints {
-            max_brams: Some(0),
-            ..Constraints::default()
-        },
-    ) {
-        println!("  {p}");
-    }
-
-    println!();
-    println!("region of interest: one access per cycle (performance-driven)");
-    for p in region_of_interest(
-        &points,
-        Constraints {
-            max_access_cycles: Some(1),
-            ..Constraints::default()
-        },
-    ) {
-        println!("  {p}");
+    for (label, query) in [
+        (
+            "no block RAM (cost-driven)",
+            Query {
+                max_brams: Some(0),
+                ..Query::default()
+            },
+        ),
+        (
+            "one access per cycle (performance-driven)",
+            Query {
+                max_access_cycles: Some(1),
+                ..Query::default()
+            },
+        ),
+    ] {
+        println!();
+        println!("region of interest: {label}");
+        for r in records.iter().filter(|r| query.matches(r)) {
+            println!("  {}", row(r));
+        }
     }
     Ok(())
 }

@@ -165,3 +165,54 @@ fn synthesis_is_deterministic() {
     .unwrap();
     assert_eq!(a, b);
 }
+
+#[test]
+fn design_space_sweep_is_pinned() {
+    use hdp::synth::characterize::{sweep, to_csv, SweepGrid};
+    use hdp::synth::{CharRecord, Query, Xsb300e};
+
+    // The §3.4 exhibit: five container/target families over three
+    // widths and four depths.
+    let records = sweep(&Xsb300e::new(), &SweepGrid::default()).unwrap();
+    assert_eq!(records.len(), 60);
+    // `design_space`'s three regions of interest.
+    let region = |q: Query| records.iter().filter(|r| q.matches(r)).count();
+    let no_bram = Query {
+        max_brams: Some(0),
+        ..Query::default()
+    };
+    let one_cycle = Query {
+        max_access_cycles: Some(1),
+        ..Query::default()
+    };
+    let power_budget = Query {
+        max_power_uw: Some(18_000),
+        ..Query::default()
+    };
+    assert_eq!(region(no_bram), 18);
+    assert_eq!(region(one_cycle), 36);
+    assert_eq!(region(power_budget), 57);
+    // The EXPERIMENTS.md sample rows, 8 bits x 512, with the clock
+    // in whole MHz and the power in tenths of a mW as printed.
+    let row = |target: &str| -> &CharRecord {
+        records
+            .iter()
+            .find(|r| {
+                r.spec.kind() == "read_buffer"
+                    && r.spec.target() == target
+                    && (r.spec.data_width, r.spec.depth) == (8, 512)
+            })
+            .unwrap()
+    };
+    let fifo = row("fifo_core");
+    assert_eq!((fifo.ffs, fifo.luts, fifo.brams), (78, 94, 1));
+    assert_eq!(fifo.clk_mhz().round(), 105.0);
+    assert_eq!(fifo.access_cycles, 1);
+    assert_eq!((fifo.power_mw() * 10.0).round(), 170.0);
+    let sram = row("sram");
+    assert_eq!((sram.ffs, sram.luts, sram.brams), (47, 86, 0));
+    assert_eq!(sram.clk_mhz().round(), 69.0);
+    assert_eq!(sram.access_cycles, 6);
+    // `design_space --csv`: a header and one line per point.
+    assert_eq!(to_csv(&records).lines().count(), 61);
+}
