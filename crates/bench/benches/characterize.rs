@@ -1,7 +1,8 @@
-//! Criterion bench over the §3.4 characterisation sweep and the
-//! component generators it drives.
+//! Times the §3.4 characterisation sweep and the component
+//! generators it drives. Run with `cargo bench -p hdp-bench --bench
+//! characterize`; each line is the median and IQR per iteration.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hdp_bench::timing::{report, sample, SAMPLES};
 use hdp_metagen::arbiter_gen::{arbiter, Policy};
 use hdp_metagen::container_gen::{rbuffer_fifo, rbuffer_sram, ContainerParams};
 use hdp_metagen::iterator_gen::read_width_adapter;
@@ -10,30 +11,38 @@ use hdp_synth::characterize::{sweep, SweepGrid};
 use hdp_synth::Xsb300e;
 use std::hint::black_box;
 
-fn bench_sweep(c: &mut Criterion) {
+fn main() {
     let board = Xsb300e::new();
-    c.bench_function("characterize/default_grid", |b| {
-        b.iter(|| sweep(black_box(&board), &SweepGrid::default()).unwrap())
-    });
-}
+    report(
+        "characterize/default_grid",
+        &sample(SAMPLES, || {
+            sweep(black_box(&board), &SweepGrid::default()).unwrap()
+        }),
+    );
 
-fn bench_generators(c: &mut Criterion) {
     let params = ContainerParams::paper_default();
-    let mut group = c.benchmark_group("component_gen");
-    group.bench_function("rbuffer_fifo", |b| {
-        b.iter(|| rbuffer_fifo(black_box(params), OpSet::figure4()).unwrap())
-    });
-    group.bench_function("rbuffer_sram", |b| {
-        b.iter(|| rbuffer_sram(black_box(params), OpSet::figure4()).unwrap())
-    });
-    group.bench_function("read_width_adapter_24_8", |b| {
-        b.iter(|| read_width_adapter("it", black_box(24), 8).unwrap())
-    });
-    group.bench_function("arbiter_rr_4", |b| {
-        b.iter(|| arbiter("arb", black_box(4), 16, 8, Policy::RoundRobin).unwrap())
-    });
-    group.finish();
+    report(
+        "component_gen/rbuffer_fifo",
+        &sample(SAMPLES, || {
+            rbuffer_fifo(black_box(params), OpSet::figure4()).unwrap()
+        }),
+    );
+    report(
+        "component_gen/rbuffer_sram",
+        &sample(SAMPLES, || {
+            rbuffer_sram(black_box(params), OpSet::figure4()).unwrap()
+        }),
+    );
+    report(
+        "component_gen/read_width_adapter_24_8",
+        &sample(SAMPLES, || {
+            read_width_adapter("it", black_box(24), 8).unwrap()
+        }),
+    );
+    report(
+        "component_gen/arbiter_rr_4",
+        &sample(SAMPLES, || {
+            arbiter("arb", black_box(4), 16, 8, Policy::RoundRobin).unwrap()
+        }),
+    );
 }
-
-criterion_group!(benches, bench_sweep, bench_generators);
-criterion_main!(benches);

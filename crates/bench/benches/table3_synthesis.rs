@@ -1,59 +1,47 @@
-//! Criterion bench over the Table 3 flow: generating and synthesizing
-//! each design in both styles. One benchmark per table row and style,
-//! so regressions in the generator or the mapper show per design.
+//! Times the Table 3 flow: generating and synthesizing each design in
+//! both styles, one line per table row and style, so regressions in
+//! the generator or the mapper show per design. Run with `cargo bench
+//! -p hdp-bench --bench table3_synthesis`; each line is the median and
+//! IQR per iteration.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use hdp_bench::timing::{report, sample, SAMPLES};
 use hdp_metagen::design::{generate, DesignKind, DesignParams, Style};
 use hdp_synth::synthesize;
 use std::hint::black_box;
 
-fn bench_generate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("generate");
+fn main() {
     for kind in DesignKind::ALL {
         for style in [Style::Pattern, Style::Custom] {
-            group.bench_function(
-                format!("{}_{:?}", kind.label().replace(' ', ""), style),
-                |b| {
-                    b.iter(|| {
-                        generate(
-                            black_box(kind),
-                            black_box(style),
-                            DesignParams::paper_default(),
-                        )
-                        .unwrap()
-                    })
-                },
+            let name = format!("{}_{:?}", kind.label().replace(' ', ""), style);
+            report(
+                &format!("generate/{name}"),
+                &sample(SAMPLES, || {
+                    generate(
+                        black_box(kind),
+                        black_box(style),
+                        DesignParams::paper_default(),
+                    )
+                    .unwrap()
+                }),
             );
-        }
-    }
-    group.finish();
-}
-
-fn bench_synthesize(c: &mut Criterion) {
-    let mut group = c.benchmark_group("synthesize");
-    for kind in DesignKind::ALL {
-        for style in [Style::Pattern, Style::Custom] {
             let design = generate(kind, style, DesignParams::paper_default()).unwrap();
-            group.bench_function(
-                format!("{}_{:?}", kind.label().replace(' ', ""), style),
-                |b| b.iter(|| synthesize(black_box(&design.netlist)).unwrap()),
+            report(
+                &format!("synthesize/{name}"),
+                &sample(SAMPLES, || synthesize(black_box(&design.netlist)).unwrap()),
             );
         }
     }
-    group.finish();
-}
 
-fn bench_dissolution(c: &mut Criterion) {
     let design = generate(
         DesignKind::Saa2vga2,
         Style::Pattern,
         DesignParams::paper_default(),
     )
     .unwrap();
-    c.bench_function("dissolve_wrappers/saa2vga2", |b| {
-        b.iter(|| hdp_synth::dissolve_wrappers(black_box(&design.netlist)).unwrap())
-    });
+    report(
+        "dissolve_wrappers/saa2vga2",
+        &sample(SAMPLES, || {
+            hdp_synth::dissolve_wrappers(black_box(&design.netlist)).unwrap()
+        }),
+    );
 }
-
-criterion_group!(benches, bench_generate, bench_synthesize, bench_dissolution);
-criterion_main!(benches);

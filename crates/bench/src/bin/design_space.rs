@@ -4,7 +4,7 @@
 //! interest.
 
 use hdp_synth::characterize::{sweep, to_csv, SweepGrid};
-use hdp_synth::{CharRecord, Query, Xsb300e};
+use hdp_synth::{Query, Xsb300e};
 
 fn main() {
     let board = Xsb300e::new();
@@ -19,11 +19,8 @@ fn main() {
         records.len()
     );
     println!();
-    // Open-form labels omit the depth of the external core, so every
-    // row leads with its grid point.
-    let row = |r: &CharRecord| format!("{:>2}b x{:<4} {r}", r.spec.data_width, r.spec.depth);
     for r in &records {
-        println!("{}", row(r));
+        println!("{r}");
     }
     println!();
     for (label, query) in [
@@ -52,7 +49,7 @@ fn main() {
         let region: Vec<_> = records.iter().filter(|r| query.matches(r)).collect();
         println!("region of interest: {label} — {} points", region.len());
         for r in region {
-            println!("  {}", row(r));
+            println!("  {r}");
         }
         println!();
     }

@@ -8,10 +8,13 @@
 //! Every configuration is asserted bit-identical against the
 //! full-sweep reference before any time is measured; every lane of
 //! the packed run is asserted bit-identical against its own scalar
-//! event-driven run. The process exits non-zero when the lane
-//! engine's per-lane speedup over the scalar event-driven run falls
+//! event-driven run. Every figure is a [`hdp_bench::timing`] sample
+//! (median and quartiles); the packed and scalar lane runs are timed
+//! in alternating pairs. The process exits non-zero when the median
+//! per-pair, per-lane speedup over the scalar event-driven run falls
 //! below `LOWERED_SPEEDUP_FLOOR` (8x).
 
+use hdp_bench::timing::{paired, sample, sample_with, Sample, SAMPLES};
 use hdp_bench::{build_design_sim, run_design_batch, run_design_sim, DesignSimSpec};
 use hdp_conform::Json;
 use hdp_core::pixel::{Frame, PixelFormat};
@@ -20,22 +23,20 @@ use hdp_hdl::{Entity, LogicVector, Netlist, PortDir};
 use hdp_metagen::design::{DesignKind, DesignParams, Style};
 use hdp_sim::{LaneBatch, NetlistComponent, SchedMode, Simulator, TelemetryLevel, LANES};
 use std::process::ExitCode;
-use std::time::Instant;
 
 const WIDTH: usize = 32;
 const HEIGHT: usize = 8;
 const GAP: u32 = 1;
 const BATCH: usize = 8;
-const REPS: usize = 20;
 /// Lane workload shape: a feed-forward add/xor pipeline.
 const LANE_STAGES: usize = 24;
 const LANE_WIDTH: usize = 16;
 const LANE_CYCLES: usize = 256;
 const SUMMARY_JSON: &str = "BENCH_sched_modes.json";
-/// Runs on a shared 2-vCPU host measure 45-84x per packed lane. The
-/// floor sits well below that, so a noisy shared runner cannot fail
-/// an honest run, while a real regression of the lowered/lane path
-/// cannot pass.
+/// Runs on a shared 2-vCPU host measure a median per-pair speedup of
+/// about 60x per packed lane. The floor sits well below that, so a
+/// noisy shared runner cannot fail an honest run, while a real
+/// regression of the lowered/lane path cannot pass.
 const LOWERED_SPEEDUP_FLOOR: f64 = 8.0;
 
 fn build(
@@ -164,15 +165,9 @@ fn packed_lane_run(nl: &Netlist, stims: &[Vec<u64>]) -> Vec<Vec<LogicVector>> {
     traces
 }
 
-/// Mean wall-clock milliseconds of `REPS` runs of `f`.
-fn time_ms(mut f: impl FnMut()) -> f64 {
-    // One warm-up run keeps first-touch page faults out of the mean.
-    f();
-    let start = Instant::now();
-    for _ in 0..REPS {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1000.0 / REPS as f64
+/// `median [q1, q3]` of a figure.
+fn fmt(s: &Sample) -> String {
+    format!("{:>8.3} [{:.3}, {:.3}]", s.median, s.q1, s.q3)
 }
 
 fn main() -> ExitCode {
@@ -198,7 +193,7 @@ fn main() -> ExitCode {
         );
     }
 
-    println!("Scheduling-mode matrix — blur 32x8, gap {GAP} ({REPS} reps)");
+    println!("Scheduling-mode matrix — blur 32x8, gap {GAP} (median [IQR] of {SAMPLES} samples)");
     println!();
     // Timed runs stay at TelemetryLevel::Off (the zero-cost default);
     // a separate instrumented run per mode records the activity shape
@@ -210,12 +205,13 @@ fn main() -> ExitCode {
     for mode in SchedMode::ALL {
         let label = mode.label();
         let incremental = mode != SchedMode::FullSweep;
-        let ms = time_ms(|| {
+        let ms = sample(SAMPLES, || {
             let (mut sim, sink) = build(&frame, mode, incremental);
-            std::hint::black_box(run_design_sim(&mut sim, sink, budget));
-        });
-        println!("  {label:<14} {ms:>8.3} ms/frame");
-        single.push((label, Json::Float(ms)));
+            run_design_sim(&mut sim, sink, budget)
+        })
+        .scaled(1e3);
+        println!("  {label:<14} {} ms/frame", fmt(&ms));
+        single.push((label, ms.to_json()));
         let (mut sim, sink) = build(&frame, mode, incremental);
         sim.set_telemetry(TelemetryLevel::Counters);
         std::hint::black_box(run_design_sim(&mut sim, sink, budget));
@@ -254,30 +250,23 @@ fn main() -> ExitCode {
     );
     println!();
     let mut batch = Vec::new();
-    // Simulations are consumed by a batch run; rebuild per rep but
-    // time only the run itself.
+    // Simulations are consumed by a batch run; they are rebuilt for
+    // every call, and only the run itself is timed.
     for t in [1usize, threads] {
-        let mut total = 0.0f64;
-        {
-            // Warm-up.
-            let sims: Vec<_> = (0..BATCH)
-                .map(|_| build(&frame, SchedMode::EventDriven, true))
-                .collect();
-            std::hint::black_box(run_design_batch(sims, budget, t));
-        }
-        for _ in 0..REPS {
-            let sims: Vec<_> = (0..BATCH)
-                .map(|_| build(&frame, SchedMode::EventDriven, true))
-                .collect();
-            let start = Instant::now();
-            std::hint::black_box(run_design_batch(sims, budget, t));
-            total += start.elapsed().as_secs_f64() * 1000.0;
-        }
-        let ms = total / REPS as f64;
-        println!("  batch x{BATCH}, {t:>2} thread(s) {ms:>8.3} ms");
+        let ms = sample_with(
+            SAMPLES,
+            || {
+                (0..BATCH)
+                    .map(|_| build(&frame, SchedMode::EventDriven, true))
+                    .collect::<Vec<_>>()
+            },
+            |sims| run_design_batch(sims, budget, t),
+        )
+        .scaled(1e3);
+        println!("  batch x{BATCH}, {t:>2} thread(s) {} ms", fmt(&ms));
         batch.push((t, ms));
     }
-    let speedup = batch[0].1 / batch[1].1;
+    let speedup = batch[0].1.median / batch[1].1.median;
     println!();
     if host == 1 {
         println!(
@@ -315,21 +304,25 @@ fn main() -> ExitCode {
             "lane {k} must match its scalar event-driven run bit for bit"
         );
     }
-    let packed64_ms = time_ms(|| {
-        std::hint::black_box(packed_lane_run(&pipe, &stims));
-    });
-    let scalar_event_ms = time_ms(|| {
-        std::hint::black_box(scalar_lane_run(&pipe, &stims[0]));
-    });
-    let per_lane_ms = packed64_ms / LANES as f64;
-    let lowered_speedup = scalar_event_ms / per_lane_ms;
+    let lanes = paired(
+        SAMPLES,
+        || packed_lane_run(&pipe, &stims),
+        || scalar_lane_run(&pipe, &stims[0]),
+    );
+    let (packed_ms, scalar_ms) = (lanes.a.scaled(1e3), lanes.b.scaled(1e3));
+    // One packed run does the work of `LANES` scalar runs.
+    let lowered_speedup = lanes.speedup.scaled(LANES as f64);
     println!();
     println!(
         "  lane64 pipeline ({LANE_STAGES} stages x {LANE_WIDTH} bits, {LANE_CYCLES} cycles): \
-         packed {packed64_ms:.3} ms for {LANES} lanes ({per_lane_ms:.4} ms/lane), \
-         scalar event-driven {scalar_event_ms:.3} ms/run"
+         packed {} ms for {LANES} lanes, scalar event-driven {} ms/run",
+        fmt(&packed_ms),
+        fmt(&scalar_ms)
     );
-    println!("  lowered speedup {lowered_speedup:.2}x vs event-driven (per packed lane)");
+    println!(
+        "  lowered speedup {}x vs event-driven (per packed lane, per pair)",
+        fmt(&lowered_speedup)
+    );
 
     let num = |n: usize| Json::Num(n as u64);
     let mut batch_json = vec![
@@ -339,10 +332,10 @@ fn main() -> ExitCode {
     batch_json.extend(
         batch
             .iter()
-            .map(|&(t, ms)| (format!("threads_{t}_ms"), Json::Float(ms))),
+            .map(|(t, ms)| (format!("threads_{t}_ms"), ms.to_json())),
     );
     let report = Json::obj([
-        ("schema", Json::Str("hdp-bench-sched-modes-v1".into())),
+        ("schema", Json::Str("hdp-bench-sched-modes-v2".into())),
         (
             "workload",
             Json::obj([
@@ -350,7 +343,7 @@ fn main() -> ExitCode {
                 ("width", num(WIDTH)),
                 ("height", num(HEIGHT)),
                 ("gap", Json::Num(GAP.into())),
-                ("reps", num(REPS)),
+                ("samples", num(SAMPLES)),
             ]),
         ),
         ("single_sim_ms_per_frame", Json::obj(single)),
@@ -363,12 +356,11 @@ fn main() -> ExitCode {
                 ("width", num(LANE_WIDTH)),
                 ("cycles", num(LANE_CYCLES)),
                 ("lanes", num(LANES)),
-                ("packed_ms", Json::Float(packed64_ms)),
-                ("per_lane_ms", Json::Float(per_lane_ms)),
-                ("scalar_event_ms", Json::Float(scalar_event_ms)),
+                ("packed_ms", packed_ms.to_json()),
+                ("scalar_event_ms", scalar_ms.to_json()),
             ]),
         ),
-        ("lowered_speedup_vs_event", Json::Float(lowered_speedup)),
+        ("lowered_speedup_vs_event", lowered_speedup.to_json()),
         // A one-worker host cannot measure thread scaling; a sub-1.0
         // "speedup" there is scheduling overhead, not a regression.
         (
@@ -384,6 +376,7 @@ fn main() -> ExitCode {
     ]);
     std::fs::write(SUMMARY_JSON, format!("{report:#}\n")).expect("write BENCH_sched_modes.json");
     println!("wrote {SUMMARY_JSON}");
+    let lowered_speedup = lowered_speedup.median;
     if lowered_speedup.is_nan() || lowered_speedup < LOWERED_SPEEDUP_FLOOR {
         eprintln!(
             "sched_modes: FAIL: lowered_speedup_vs_event {lowered_speedup:.2} below the floor {LOWERED_SPEEDUP_FLOOR}"

@@ -10,9 +10,12 @@
 //! | `figure4_5` | Figures 4 and 5 — generated VHDL components |
 //! | `design_space` | §3.4 — characterisation sweep and regions of interest |
 //!
-//! Criterion benches (`cargo bench`) measure the generator, the
-//! synthesis flow and cycle-accurate simulation throughput of the
-//! Table 3 designs.
+//! The benches (`cargo bench`) time the generator, the synthesis flow
+//! and cycle-accurate simulation throughput of the Table 3 designs.
+//! They, `sched_modes` and `service_bench` take every speed figure
+//! through [`timing`]: a median with its quartiles, never a mean.
+
+pub mod timing;
 
 use hdp_metagen::design::{generate, DesignKind, DesignParams, Style};
 use hdp_sim::devices::{Sram, VideoIn, VideoOut};

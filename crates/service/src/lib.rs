@@ -30,8 +30,6 @@
 //!   [`obs::JobSpan`] stage tracing (Chrome-trace renderable) and the
 //!   service-wide [`metrics::MetricsRegistry`] of counters, gauges and
 //!   log2 latency histograms, served live by the `stats` wire verb.
-//! - [`bench`](mod@bench) — the cold-vs-warm self-benchmark behind
-//!   `BENCH_service.json`.
 //!
 //! ```no_run
 //! use hdp_service::{serve, Service};
@@ -45,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod exec;
 pub mod job;

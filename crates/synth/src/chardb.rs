@@ -243,19 +243,24 @@ impl CharRecord {
     }
 }
 
+/// One table row: the width x depth grid point and the fixed-width
+/// cost columns first, the label last, so rows line up whatever the
+/// label's length (labels of families 0, 2 and 3 leave depth out).
 impl fmt::Display for CharRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<40} on {:<8} | {:>4} FF {:>4} LUT {:>2} BRAM | {:>5.1} MHz | {:>2} cyc | {:>6.1} mW",
-            self.spec.label(),
+            "{:>2}b x{:<4} on {:<8} | {:>4} FF {:>4} LUT {:>2} BRAM | {:>5.1} MHz | {:>2} cyc | {:>6.1} mW | {}",
+            self.spec.data_width,
+            self.spec.depth,
             self.board,
             self.ffs,
             self.luts,
             self.brams,
             self.clk_mhz(),
             self.access_cycles,
-            self.power_mw()
+            self.power_mw(),
+            self.spec.label()
         )
     }
 }

@@ -214,6 +214,11 @@ fn auto_select_answers_over_reloaded_data() {
         Selection::Target { key, record } => {
             assert_eq!(key, "3e37b31e32bf95827f1b9835710a6ecb@xsb300e");
             assert_eq!(record.spec.label(), "queue_fifo w=9 d=8 ops=empty");
+            // The stderr row of the transcript.
+            assert_eq!(
+                record.to_string(),
+                " 9b x8    on xsb300e  |   10 FF   21 LUT  0 BRAM | 100.0 MHz |  1 cyc |   15.3 mW | queue_fifo w=9 d=8 ops=empty"
+            );
         }
         Selection::NoTarget(rej) => panic!("expected a target, got rejections {rej:?}"),
     }

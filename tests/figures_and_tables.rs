@@ -178,12 +178,38 @@ fn pruned_variants_shrink_the_interface() {
 #[test]
 fn committed_bench_artifacts_parse_and_name_their_schema() {
     use hdp::prelude::Json;
-    for (file, schema) in [
-        ("BENCH_sched_modes.json", "hdp-bench-sched-modes-v1"),
-        ("BENCH_profile.json", "hdp-bench-profile-v1"),
-        ("BENCH_conform.json", "hdp-bench-conform-v1"),
-        ("BENCH_service.json", "hdp-service-bench-v1"),
-        ("BENCH_chardb.json", "hdp-bench-chardb-v1"),
+
+    /// Checks every timed figure (`{median, q1, q3, n}`) under `doc`
+    /// for `q1 <= median <= q3` and returns how many there are.
+    fn timed_figures(doc: &Json, at: &str) -> usize {
+        match doc {
+            Json::Obj(members) if doc.get("median").is_some() => {
+                let stat = |key: &str| {
+                    doc.get(key)
+                        .and_then(Json::as_f64)
+                        .unwrap_or_else(|| panic!("{at}.{key}"))
+                };
+                let (q1, median, q3) = (stat("q1"), stat("median"), stat("q3"));
+                assert!(q1 <= median && median <= q3, "{at}: {q1} {median} {q3}");
+                assert!(doc.get("n").and_then(Json::as_u64).is_some_and(|n| n > 0));
+                assert_eq!(members.len(), 4, "{at}");
+                1
+            }
+            Json::Obj(members) => members
+                .iter()
+                .map(|(key, value)| timed_figures(value, &format!("{at}.{key}")))
+                .sum(),
+            Json::Arr(items) => items.iter().map(|item| timed_figures(item, at)).sum(),
+            _ => 0,
+        }
+    }
+
+    for (file, schema, figures) in [
+        ("BENCH_sched_modes.json", "hdp-bench-sched-modes-v2", 8),
+        ("BENCH_profile.json", "hdp-bench-profile-v1", 0),
+        ("BENCH_conform.json", "hdp-bench-conform-v1", 0),
+        ("BENCH_service.json", "hdp-service-bench-v2", 4),
+        ("BENCH_chardb.json", "hdp-bench-chardb-v1", 0),
     ] {
         let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -193,5 +219,6 @@ fn committed_bench_artifacts_parse_and_name_their_schema() {
             Some(schema),
             "{file}"
         );
+        assert_eq!(timed_figures(&doc, file), figures, "{file}");
     }
 }

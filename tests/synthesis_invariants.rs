@@ -213,6 +213,16 @@ fn design_space_sweep_is_pinned() {
     assert_eq!((sram.ffs, sram.luts, sram.brams), (47, 86, 0));
     assert_eq!(sram.clk_mhz().round(), 69.0);
     assert_eq!(sram.access_cycles, 6);
+    // The two rows as `design_space` prints them: grid point and cost
+    // columns at fixed widths, the label last.
+    assert_eq!(
+        fifo.to_string(),
+        " 8b x512  on xsb300e  |   78 FF   94 LUT  1 BRAM | 105.3 MHz |  1 cyc |   17.0 mW | rbuffer_fifo w=8 ops=empty+size+pop"
+    );
+    assert_eq!(
+        sram.to_string(),
+        " 8b x512  on xsb300e  |   47 FF   86 LUT  0 BRAM |  69.4 MHz |  6 cyc |   15.9 mW | rbuffer_sram w=8 d=512 aw=16 ops=empty+size+pop"
+    );
     // `design_space --csv`: a header and one line per point.
     assert_eq!(to_csv(&records).lines().count(), 61);
 }
