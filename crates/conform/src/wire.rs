@@ -91,6 +91,12 @@ pub enum WireError {
         /// What was wrong with it.
         detail: String,
     },
+    /// A submission line ran past the reader's length cap before its
+    /// newline; the rest of it was never read.
+    LineTooLong {
+        /// The cap, in bytes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -104,6 +110,9 @@ impl fmt::Display for WireError {
                 write!(f, "not an `{SCHEMA}` document (no `schema` field)")
             }
             WireError::Field { path, detail } => write!(f, "bad field `{path}`: {detail}"),
+            WireError::LineTooLong { limit } => {
+                write!(f, "line is longer than the {limit}-byte limit")
+            }
         }
     }
 }
@@ -349,8 +358,9 @@ fn opt_num_field(obj: &Json, parent: &str, key: &str, default: u64) -> Result<u6
 ///
 /// This is the inverse of [`spec_to_json`]: redundant `label`/`kind`/
 /// `target` strings are ignored, the clock-domain periods default to
-/// 1 when absent, and the family index is range-checked against
-/// [`FAMILIES`]. Exposed so other consumers of the canonical design
+/// 1 when absent, the family index is range-checked against
+/// [`FAMILIES`], and every size axis is held to its family's bounds
+/// ([`DesignSpec::validate`]) before anything is sized from it. Exposed so other consumers of the canonical design
 /// encoding (the characterisation database in `hdp-synth`) parse it
 /// identically to the conformance stack.
 ///
@@ -380,7 +390,7 @@ pub fn parse_spec(obj: &Json) -> Result<DesignSpec, WireError> {
             format!("{family} out of range (< {})", FAMILIES.len()),
         ));
     }
-    Ok(DesignSpec {
+    let spec = DesignSpec {
         family,
         data_width: num_field(obj, "design", "data_width")? as usize,
         depth: num_field(obj, "design", "depth")? as usize,
@@ -394,7 +404,10 @@ pub fn parse_spec(obj: &Json) -> Result<DesignSpec, WireError> {
         ops,
         wr_period: opt_num_field(obj, "design", "wr_period", 1)?,
         rd_period: opt_num_field(obj, "design", "rd_period", 1)?,
-    })
+    };
+    spec.validate()
+        .map_err(|e| bad(format!("design.{}", e.axis), e.to_string()))?;
+    Ok(spec)
 }
 
 fn parse_stimulus(obj: &Json) -> Result<Stimulus, WireError> {
@@ -598,7 +611,9 @@ mod tests {
         let good = job_to_json(&case);
         let depth = format!("\"depth\":{}", case.spec.depth);
         assert!(good.contains(&depth));
-        for value in ["1.5", "-1"] {
+        // 2^40 is numeric but over every family's depth bound: it is
+        // rejected before any generator sizes a memory from it.
+        for value in ["1.5", "-1", "1099511627776"] {
             let text = good.replace(&depth, &format!("\"depth\":{value}"));
             match parse_case(&text) {
                 Err(WireError::Field { path, .. }) => assert_eq!(path, "design.depth"),

@@ -334,11 +334,15 @@ impl<'a> Rtl<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates netlist errors.
+    /// [`HdlError::InvalidWidth`] when `width` is narrower than the
+    /// net; propagates netlist errors.
     pub fn zext(&mut self, a: NetId, width: usize) -> Result<NetId, HdlError> {
         let aw = self.width(a);
         if aw == width {
             return Ok(a);
+        }
+        if width < aw {
+            return Err(HdlError::InvalidWidth { width });
         }
         let zeros = self.constant(0, width - aw)?;
         self.concat(&[zeros, a])

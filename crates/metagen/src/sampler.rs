@@ -188,6 +188,51 @@ pub const FAMILIES: [(&str, &str); 12] = [
 /// distinguishes.
 pub const RATIOS: [(u64, u64); 7] = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)];
 
+/// How far past the largest generated value [`DesignSpec::validate`]
+/// lets an axis reach: a spec may be `HEADROOM` times larger than
+/// anything [`sample_spec_in`] or the §3.4 characterisation sweep
+/// (`SweepGrid::default` in hdp-synth) produces for its family.
+const HEADROOM: usize = 4;
+
+/// The deepest design [`sample_spec_in`] draws.
+const SAMPLED_MAX_DEPTH: usize = 8;
+
+/// The families the characterisation sweep covers, and the deepest
+/// design it generates for them.
+const SWEPT_FAMILIES: [usize; 5] = [0, 1, 2, 3, 6];
+const SWEPT_MAX_DEPTH: usize = 1024;
+
+/// The widest narrow side [`sample_spec_in`] draws for the width
+/// adapters (family 10).
+const SAMPLED_MAX_NARROW: usize = 8;
+
+/// The longest period [`RATIOS`] draws.
+const SAMPLED_MAX_PERIOD: u64 = 3;
+
+/// A [`DesignSpec`] axis over its family's bound (see
+/// [`DesignSpec::validate`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// The offending field, as named in the wire `design` object.
+    pub axis: &'static str,
+    /// Its value.
+    pub value: u64,
+    /// The largest value the family accepts.
+    pub max: u64,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} = {} exceeds this family's limit of {}",
+            self.axis, self.value, self.max
+        )
+    }
+}
+
+impl std::error::Error for SpecError {}
+
 /// A point of the design space as parameters, separate from the
 /// netlist it instantiates — so the conformance shrinker can mutate
 /// depth/width and re-generate, and so reproducers can be stored as
@@ -259,6 +304,56 @@ impl DesignSpec {
                 self.wr_period, self.rd_period
             ),
         }
+    }
+
+    /// Checks every size axis against its family's upper bound, so a
+    /// spec read from outside the process is rejected before
+    /// [`DesignSpec::instantiate`] sizes any memory from it. A bound is
+    /// four times the largest value the sampler or the §3.4 sweep
+    /// generates for the family. Every width axis stops at the HDL's
+    /// net limit ([`hdp_hdl::MAX_WIDTH`], also four times the
+    /// sampler's 16 bits); width adapters draw their narrow side from
+    /// 1–8 bits. Only upper bounds are checked: a zero width or an
+    /// inconsistent key width is a generator error, and the committed
+    /// reproducers pin such specs as findings.
+    ///
+    /// # Errors
+    ///
+    /// The first axis over its bound, `family` first.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if self.family >= FAMILIES.len() {
+            return Err(SpecError {
+                axis: "family",
+                value: self.family as u64,
+                max: FAMILIES.len() as u64 - 1,
+            });
+        }
+        let deepest = if SWEPT_FAMILIES.contains(&self.family) {
+            SWEPT_MAX_DEPTH
+        } else {
+            SAMPLED_MAX_DEPTH
+        };
+        let widest = hdp_hdl::MAX_WIDTH as u64;
+        let data_width = if self.family == 10 {
+            (SAMPLED_MAX_NARROW * HEADROOM) as u64
+        } else {
+            widest
+        };
+        let period = SAMPLED_MAX_PERIOD * HEADROOM as u64;
+        for (axis, value, max) in [
+            ("data_width", self.data_width as u64, data_width),
+            ("depth", self.depth as u64, (deepest * HEADROOM) as u64),
+            ("addr_width", self.addr_width as u64, widest),
+            ("key_width", self.key_width as u64, widest),
+            ("wide", self.wide as u64, widest),
+            ("wr_period", self.wr_period, period),
+            ("rd_period", self.rd_period, period),
+        ] {
+            if value > max {
+                return Err(SpecError { axis, value, max });
+            }
+        }
+        Ok(())
     }
 
     /// Generates the netlist for this specification.
@@ -448,6 +543,27 @@ mod tests {
             assert_eq!(da.label, db.label);
             assert_eq!(da.netlist.cells().len(), db.netlist.cells().len());
         }
+    }
+
+    #[test]
+    fn sampled_specs_are_within_bounds_and_oversized_ones_are_not() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..500 {
+            let spec = sample_spec(&mut rng);
+            assert_eq!(spec.validate(), Ok(()), "{}", spec.label());
+        }
+        let mut deep = sample_spec_in(&mut rng, 6);
+        deep.depth = 1 << 40;
+        assert_eq!(
+            deep.validate(),
+            Err(SpecError {
+                axis: "depth",
+                value: 1 << 40,
+                max: 4096
+            })
+        );
+        deep.family = FAMILIES.len();
+        assert_eq!(deep.validate().unwrap_err().axis, "family");
     }
 
     #[test]

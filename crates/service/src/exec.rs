@@ -38,7 +38,7 @@ use hdp_sim::{
 };
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A failure while accepting or running a job.
 #[derive(Debug)]
@@ -58,6 +58,11 @@ pub enum ServiceError {
         /// The simulator's error.
         source: SimError,
     },
+    /// The handler panicked; the server caught it at the job boundary.
+    Panic {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -68,6 +73,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Sim { cycle, source } => {
                 write!(f, "simulation failed at cycle #{cycle}: {source}")
             }
+            ServiceError::Panic { message } => write!(f, "job handler panicked: {message}"),
         }
     }
 }
@@ -77,7 +83,7 @@ impl Error for ServiceError {
         match self {
             ServiceError::Wire(e) => Some(e),
             ServiceError::Sim { source, .. } => Some(source),
-            ServiceError::Build { .. } => None,
+            ServiceError::Build { .. } | ServiceError::Panic { .. } => None,
         }
     }
 }
@@ -297,24 +303,29 @@ impl Service {
     /// wire verb. Replaces any previously installed catalog; the
     /// `Arc` lets every in-flight query keep a consistent snapshot
     /// while a newer catalog is swapped in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous catalog user panicked while holding the
-    /// lock.
     pub fn set_catalog(&self, catalog: Arc<hdp_synth::CharDb>) {
-        *self.catalog.lock().expect("catalog lock poisoned") = Some(catalog);
+        *self.lock_catalog() = Some(catalog);
     }
 
     /// The installed characterisation catalog, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous catalog user panicked while holding the
-    /// lock.
     #[must_use]
     pub fn catalog(&self) -> Option<Arc<hdp_synth::CharDb>> {
-        self.catalog.lock().expect("catalog lock poisoned").clone()
+        self.lock_catalog().clone()
+    }
+
+    /// The catalog slot. A panic while it was held cannot leave it
+    /// half-written (it is one `Option<Arc>` store), so a poisoned
+    /// lock is taken over, not propagated.
+    pub(crate) fn lock_catalog(&self) -> MutexGuard<'_, Option<Arc<hdp_synth::CharDb>>> {
+        self.catalog.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan cache. It is locked only around [`PlanCache`] calls,
+    /// none of which panics midway through an update, so a lock
+    /// poisoned by a panicking job still guards a consistent cache
+    /// and is taken over: the next job is answered as usual.
+    pub(crate) fn lock_cache(&self) -> MutexGuard<'_, PlanCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The live metrics plane.
@@ -324,37 +335,25 @@ impl Service {
     }
 
     /// Cache counters since construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous cache user panicked while holding the lock.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache lock poisoned").stats()
+        self.lock_cache().stats()
     }
 
     /// Number of designs currently cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous cache user panicked while holding the lock.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().expect("cache lock poisoned").len()
+        self.lock_cache().len()
     }
 
     /// A complete metrics snapshot: the registry's counters, gauges
     /// and histograms with the cache section stitched in from
     /// [`PlanCache::stats`]. This is the document behind the `stats`
     /// wire verb and the `hdp-service metrics` CLI.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous cache user panicked while holding the lock.
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        let cache = self.cache.lock().expect("cache lock poisoned");
+        let cache = self.lock_cache();
         let stats = cache.stats();
         snap.cache = Some(CacheSection {
             hits: stats.hits,
@@ -455,11 +454,7 @@ impl Service {
         let (hash, cached) = timed(span, Stage::CacheLookup, || {
             let hash = design_hash(&case.spec);
             self.metrics.inc(Counter::JobsTotal);
-            let cached = self
-                .cache
-                .lock()
-                .expect("cache lock poisoned")
-                .lookup(&hash);
+            let cached = self.lock_cache().lookup(&hash);
             (hash, cached)
         });
         let cache_hit = cached.is_some();
@@ -524,7 +519,7 @@ impl Service {
                         built.sim.export_plan()
                     }
                 };
-                let mut cache = self.cache.lock().expect("cache lock poisoned");
+                let mut cache = self.lock_cache();
                 if cache_hit {
                     if let Some(plan) = exported {
                         cache.attach_plan(&hash, plan);
@@ -540,7 +535,7 @@ impl Service {
                     );
                 }
             } else if !cache_hit {
-                self.cache.lock().expect("cache lock poisoned").insert(
+                self.lock_cache().insert(
                     hash.clone(),
                     CachedDesign {
                         netlist: Arc::clone(&netlist),

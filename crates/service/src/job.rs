@@ -22,7 +22,7 @@
 //! Besides job submissions, the layer answers two control verbs:
 //!
 //! * `{"verb": "stats"}` returns the service's live
-//!   [`hdp-service-metrics-v2`](crate::metrics::METRICS_SCHEMA)
+//!   [`hdp-service-metrics-v3`](crate::metrics::METRICS_SCHEMA)
 //!   snapshot — counters, cache state and latency histograms — as a
 //!   single-line document.
 //! * `{"verb": "select", "constraints": {…}}` answers a §3.4
@@ -38,7 +38,8 @@
 //! output `ports`, the per-cycle `trace` of bit-strings, and the
 //! optional `telemetry` / `vcd` / `verified` sections. Failures
 //! produce `{"schema": "hdp-service-result-v1", "error": {…}}` with
-//! the failing `stage` (`wire`, `build` or `sim`).
+//! the failing `stage` (`wire`, `build` or `sim`, or `panic` when the
+//! server caught a panicking handler).
 
 use crate::exec::{JobOptions, JobOutcome, ServiceError};
 use crate::metrics::Counter;
@@ -201,6 +202,7 @@ pub fn error_to_json(err: &ServiceError) -> String {
         ServiceError::Wire(_) => "wire",
         ServiceError::Build { .. } => "build",
         ServiceError::Sim { .. } => "sim",
+        ServiceError::Panic { .. } => "panic",
     };
     Json::Obj(vec![
         ("schema".to_owned(), Json::Str(RESULT_SCHEMA.into())),

@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The schema identifier of every metrics snapshot document.
-pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v2";
+pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v3";
 
 /// Log2 buckets per latency histogram. Bucket `i` holds durations in
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket absorbs everything
@@ -118,6 +118,9 @@ pub enum Counter {
     ErrorsSim,
     /// Submissions that failed wire parsing (never became jobs).
     ErrorsWire,
+    /// Lines whose handler panicked. Each is answered with an error
+    /// document; a job that panicked has no outcome or mode counter.
+    ErrorsPanic,
     /// Jobs that installed a cached [`hdp_sim::CompiledPlan`].
     PlansInstalled,
     /// Jobs that requested a VCD waveform.
@@ -158,7 +161,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 24;
+    pub const COUNT: usize = 25;
 
     /// Every counter, in table order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -168,6 +171,7 @@ impl Counter {
         Counter::ErrorsBuild,
         Counter::ErrorsSim,
         Counter::ErrorsWire,
+        Counter::ErrorsPanic,
         Counter::PlansInstalled,
         Counter::JobsVcd,
         Counter::JobsVerify,
@@ -198,6 +202,7 @@ impl Counter {
             Counter::ErrorsBuild => "errors_build",
             Counter::ErrorsSim => "errors_sim",
             Counter::ErrorsWire => "errors_wire",
+            Counter::ErrorsPanic => "errors_panic",
             Counter::PlansInstalled => "plans_installed",
             Counter::JobsVcd => "jobs_vcd",
             Counter::JobsVerify => "jobs_verify",
@@ -900,6 +905,12 @@ pub fn validate_snapshot(doc: &Json) -> Vec<String> {
         Err(e) => return vec![e],
     };
     let jobs = snap.counter(Counter::JobsTotal);
+    // A job that panicked after its cache lookup left no outcome, mode
+    // or total-stage record, so each of those counts may fall short of
+    // `jobs_total` by at most `errors_panic` (and matches it exactly
+    // when nothing panicked).
+    let panics = snap.counter(Counter::ErrorsPanic);
+    let reconciles = |counted: u64| counted <= jobs && jobs - counted <= panics;
     if let Some(cache) = &snap.cache {
         if cache.hits + cache.misses != jobs {
             problems.push(format!(
@@ -923,17 +934,20 @@ pub fn validate_snapshot(doc: &Json) -> Vec<String> {
     let outcomes = snap.counter(Counter::JobsOk)
         + snap.counter(Counter::ErrorsBuild)
         + snap.counter(Counter::ErrorsSim);
-    if outcomes != jobs {
+    if !reconciles(outcomes) {
         problems.push(format!(
-            "job outcomes {outcomes} (ok + build errors + sim errors) != jobs_total {jobs}"
+            "job outcomes {outcomes} (ok + build errors + sim errors) != jobs_total {jobs} \
+             (errors_panic {panics})"
         ));
     }
     let by_mode: u64 = SchedMode::ALL
         .into_iter()
         .map(|m| snap.counter(Counter::for_mode(m)))
         .sum();
-    if by_mode != jobs {
-        problems.push(format!("jobs by mode {by_mode} != jobs_total {jobs}"));
+    if !reconciles(by_mode) {
+        problems.push(format!(
+            "jobs by mode {by_mode} != jobs_total {jobs} (errors_panic {panics})"
+        ));
     }
     if snap.counter(Counter::VerifyFailures) > 0 {
         problems.push("verify_failures is nonzero: cached execution diverged".to_owned());
@@ -961,9 +975,10 @@ pub fn validate_snapshot(doc: &Json) -> Vec<String> {
     }
     if snap.mode == ObsMode::Sampled.label() {
         if let Some(total) = snap.stage(Stage::Total) {
-            if total.count() != jobs {
+            if !reconciles(total.count()) {
                 problems.push(format!(
-                    "sampled mode: total-stage histogram count {} != jobs_total {jobs}",
+                    "sampled mode: total-stage histogram count {} != jobs_total {jobs} \
+                     (errors_panic {panics})",
                     total.count()
                 ));
             }
@@ -1091,6 +1106,39 @@ mod tests {
         assert!(
             problems.iter().any(|p| p.contains("jobs_total")),
             "unreconciled counters must be reported: {problems:?}"
+        );
+    }
+
+    #[test]
+    fn a_panicked_job_excuses_one_missing_outcome_and_no_more() {
+        let reg = MetricsRegistry::new(ObsMode::Counters);
+        // Two jobs looked up; one finished, one panicked mid-run.
+        reg.add(Counter::JobsTotal, 2);
+        reg.inc(Counter::JobsOk);
+        reg.inc(Counter::ModeLowered);
+        reg.inc(Counter::ErrorsPanic);
+        let mut snap = reg.snapshot();
+        snap.cache = Some(CacheSection {
+            hits: 1,
+            misses: 1,
+            capacity: 8,
+            ..CacheSection::default()
+        });
+        let doc = Json::parse(&snap.to_json()).unwrap();
+        assert_eq!(validate_snapshot(&doc), Vec::<String>::new());
+
+        reg.inc(Counter::JobsTotal); // a third job with no outcome
+        let mut snap = reg.snapshot();
+        snap.cache = Some(CacheSection {
+            hits: 2,
+            misses: 1,
+            capacity: 8,
+            ..CacheSection::default()
+        });
+        let problems = validate_snapshot(&Json::parse(&snap.to_json()).unwrap());
+        assert!(
+            problems.iter().any(|p| p.starts_with("job outcomes")),
+            "{problems:?}"
         );
     }
 

@@ -8,17 +8,64 @@
 //! cache, so a design compiled for any client is warm for every
 //! client.
 //!
+//! Every response, and every line [`submit`] sends, leaves in one
+//! `write` on a socket with `TCP_NODELAY` set (`send_line`). A
+//! message split over two writes lets Nagle's algorithm hold its tail
+//! until the peer's delayed ACK, about 40 ms on Linux.
+//!
+//! No single connection can take the server down or keep a worker
+//! forever:
+//!
+//! - a request line may be at most [`MAX_LINE_BYTES`] long; a longer
+//!   one is answered with a [`WireError::LineTooLong`] document and
+//!   the connection is closed, without reading the rest of the line;
+//! - a read or a write that waits longer than [`IO_TIMEOUT`] drops
+//!   the connection, freeing its worker from an idle or non-reading
+//!   client;
+//! - each line is answered under `catch_unwind`: a panicking handler
+//!   becomes a `panic` error document and an `errors_panic` count,
+//!   and the connection carries on.
+//!
 //! Everything here is `std`: `std::net` sockets, `std::thread`
 //! workers and an `mpsc` hand-off channel. No async runtime.
 
-use crate::exec::Service;
+use crate::exec::{Service, ServiceError};
 use crate::job;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use crate::metrics::Counter;
+use hdp_conform::wire::WireError;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The longest request line the server reads, in bytes, newline
+/// excluded: fifty times the ~20 KB line of a 1024-cycle job.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long one read or one write on a connection may wait before
+/// the server drops the connection.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// The per-connection limits. [`serve`] uses the constants; the tests
+/// shorten them.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    max_line: usize,
+    timeout: Duration,
+}
+
+impl Limits {
+    const DEFAULT: Limits = Limits {
+        max_line: MAX_LINE_BYTES,
+        timeout: IO_TIMEOUT,
+    };
+}
+
+/// Answers one request line: [`job::handle_line`], except in tests.
+type Handler = fn(&Service, &str) -> String;
 
 /// A running server: the bound address plus the machinery to stop it.
 #[derive(Debug)]
@@ -71,20 +118,103 @@ impl Drop for ServerHandle {
     }
 }
 
-fn handle_connection(service: &Service, stream: &TcpStream) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = job::handle_line(service, &line);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+/// Appends the newline to `msg` and writes both with one `write_all`
+/// on one buffer, so the message is never split over two writes.
+fn send_line(w: &mut impl Write, mut msg: String) -> io::Result<()> {
+    msg.push('\n');
+    w.write_all(msg.as_bytes())
+}
+
+/// What [`read_line`] found.
+enum Line {
+    Eof,
+    Complete,
+    TooLong,
+}
+
+/// Reads one line into `buf` (cleared first) and strips its line
+/// ending. Stops with [`Line::TooLong`] once more than `max` bytes
+/// arrived without a newline, so nothing past that is buffered.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>, max: usize) -> io::Result<Line> {
+    buf.clear();
+    let limit = u64::try_from(max).map_or(u64::MAX, |m| m.saturating_add(1));
+    if Read::take(&mut *reader, limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Line::Eof);
     }
-    Ok(())
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > max {
+        return Ok(Line::TooLong);
+    }
+    Ok(Line::Complete)
+}
+
+/// Runs `handler` on one line with panics caught: a panic is
+/// answered with a `panic` error document and counted in
+/// `errors_panic`. Unwinding out of a job leaves the service usable —
+/// its metrics are atomics, and its cache and catalog locks are taken
+/// over when poisoned ([`Service::lock_cache`]) — hence the
+/// `AssertUnwindSafe`.
+fn answer(service: &Service, handler: Handler, line: &str) -> String {
+    panic::catch_unwind(AssertUnwindSafe(|| handler(service, line))).unwrap_or_else(|payload| {
+        service.metrics().inc(Counter::ErrorsPanic);
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        job::error_to_json(&ServiceError::Panic { message })
+    })
+}
+
+fn wire_error(service: &Service, error: WireError) -> String {
+    service.metrics().inc(Counter::ErrorsWire);
+    job::error_to_json(&ServiceError::Wire(error))
+}
+
+/// Serves one connection until EOF, an I/O error (a timeout among
+/// them) or an oversized line, reusing one line buffer throughout.
+fn handle_connection(
+    service: &Service,
+    reader: impl Read,
+    mut writer: impl Write,
+    limits: Limits,
+    handler: Handler,
+) -> io::Result<()> {
+    let mut reader = BufReader::new(reader);
+    let mut line = Vec::new();
+    loop {
+        let response = match read_line(&mut reader, &mut line, limits.max_line)? {
+            Line::Eof => return Ok(()),
+            Line::TooLong => {
+                let limit = limits.max_line;
+                let refusal = wire_error(service, WireError::LineTooLong { limit });
+                return send_line(&mut writer, refusal);
+            }
+            Line::Complete => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => answer(service, handler, text),
+                Err(e) => wire_error(
+                    service,
+                    WireError::Syntax {
+                        detail: format!("line is not UTF-8: {e}"),
+                    },
+                ),
+            },
+        };
+        send_line(&mut writer, response)?;
+    }
+}
+
+/// Sets `TCP_NODELAY` and the read and write timeouts on an accepted
+/// or connected stream.
+fn configure(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))
 }
 
 /// Binds `addr` and serves jobs on `threads` workers until
@@ -96,12 +226,22 @@ fn handle_connection(service: &Service, stream: &TcpStream) -> std::io::Result<(
 ///
 /// # Errors
 ///
-/// An [`std::io::Error`] when the listener cannot bind.
+/// An [`io::Error`] when the listener cannot bind.
 pub fn serve(
     addr: impl ToSocketAddrs,
     service: Arc<Service>,
     threads: usize,
-) -> std::io::Result<ServerHandle> {
+) -> io::Result<ServerHandle> {
+    serve_with(addr, service, threads, Limits::DEFAULT, job::handle_line)
+}
+
+fn serve_with(
+    addr: impl ToSocketAddrs,
+    service: Arc<Service>,
+    threads: usize,
+    limits: Limits,
+    handler: Handler,
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -124,7 +264,9 @@ pub fn serve(
                             .metrics()
                             .connection_claimed(sampled.then(|| elapsed_ns(accepted)));
                         let claimed = sampled.then(Instant::now);
-                        let _ = handle_connection(&service, &stream);
+                        let _ = configure(&stream, limits.timeout).and_then(|()| {
+                            handle_connection(&service, &stream, &stream, limits, handler)
+                        });
                         service
                             .metrics()
                             .connection_closed(worker_index, claimed.map(elapsed_ns));
@@ -167,25 +309,34 @@ pub fn serve(
 }
 
 /// Submits job lines over one connection and returns the response
-/// lines, in order.
+/// lines, in order. Each line leaves in one write on a `TCP_NODELAY`
+/// socket.
 ///
 /// # Errors
 ///
-/// An [`std::io::Error`] for connect/read/write failures, including a
+/// An [`io::Error`] for connect/read/write failures, including a
 /// server that closes the connection before answering every line.
-pub fn submit(addr: impl ToSocketAddrs, lines: &[String]) -> std::io::Result<Vec<String>> {
+pub fn submit(addr: impl ToSocketAddrs, lines: &[String]) -> io::Result<Vec<String>> {
     let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    stream.set_nodelay(true)?;
+    exchange(BufReader::new(&stream), &stream, lines)
+}
+
+/// The client half of [`submit`]: sends each line, then reads its
+/// response line.
+fn exchange(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    lines: &[String],
+) -> io::Result<Vec<String>> {
     let mut responses = Vec::with_capacity(lines.len());
+    let mut response = String::new();
     for line in lines {
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut response = String::new();
+        send_line(&mut writer, line.clone())?;
+        response.clear();
         if reader.read_line(&mut response)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
                 "server closed the connection mid-batch",
             ));
         }
@@ -213,6 +364,169 @@ mod tests {
         let netlist = spec.instantiate().unwrap();
         let stimulus = Stimulus::sample(&netlist, cycles, &mut rng);
         job_to_json(&Case { spec, stimulus })
+    }
+
+    /// A sink that records how many `write` calls it received.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A message one byte over the old 8 KiB `BufWriter`, the ~29 KB
+    /// response of a 1024-cycle job, and a 100 KB one.
+    const MESSAGE_SIZES: [usize; 3] = [8 * 1024 + 1, 29_000, 100_000];
+
+    #[test]
+    fn send_line_is_one_write_per_message() {
+        for size in MESSAGE_SIZES {
+            let mut sink = CountingWriter::default();
+            send_line(&mut sink, "x".repeat(size)).unwrap();
+            assert_eq!(sink.writes, 1, "{size}-byte message");
+            assert_eq!(sink.bytes.len(), size + 1);
+            assert_eq!(sink.bytes.last(), Some(&b'\n'));
+        }
+    }
+
+    #[test]
+    fn submit_sends_each_line_in_one_write() {
+        let lines: Vec<String> = MESSAGE_SIZES.iter().map(|&n| "y".repeat(n)).collect();
+        let replies = "{}\n{}\n{}\n".as_bytes();
+        let mut sink = CountingWriter::default();
+        let responses = exchange(replies, &mut sink, &lines).unwrap();
+        assert_eq!(responses, ["{}", "{}", "{}"]);
+        assert_eq!(sink.writes, lines.len());
+    }
+
+    #[test]
+    fn connection_loop_answers_each_line_in_one_write() {
+        let service = Service::new(8);
+        // 400 cycles makes a response several times the old 8 KiB
+        // buffer; the blank line is skipped without an answer.
+        let long = job_line(5, 400);
+        let input = format!("{long}\n\n{}\r\nnot json\n", job_line(6, 4));
+        let mut sink = CountingWriter::default();
+        handle_connection(
+            &service,
+            input.as_bytes(),
+            &mut sink,
+            Limits::DEFAULT,
+            job::handle_line,
+        )
+        .unwrap();
+        assert_eq!(sink.writes, 3);
+        let text = String::from_utf8(sink.bytes).unwrap();
+        let docs: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert!(text.lines().next().unwrap().len() > 8 * 1024);
+        assert!(docs[0].get("trace").is_some() && docs[1].get("trace").is_some());
+        assert!(docs[2].get("error").is_some());
+    }
+
+    fn error_stage(doc: &Json) -> Option<&str> {
+        doc.get("error")?.get("stage")?.as_str()
+    }
+
+    #[test]
+    fn oversized_lines_and_idle_sockets_do_not_stop_the_server() {
+        let limits = Limits {
+            max_line: 4096,
+            timeout: Duration::from_millis(300),
+        };
+        let handle = serve_with(
+            "127.0.0.1:0",
+            Arc::new(Service::new(8)),
+            1,
+            limits,
+            job::handle_line,
+        )
+        .unwrap();
+        let addr = handle.addr();
+        // Holds the only worker until its read times out.
+        let idle = TcpStream::connect(addr).unwrap();
+
+        // Exactly one byte over the cap and no newline: the server reads
+        // all of it, refuses it and closes the connection.
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        hostile.write_all(&[b'x'; 4097]).unwrap();
+        let mut reply = String::new();
+        hostile.read_to_string(&mut reply).unwrap();
+        let doc = Json::parse(reply.trim_end()).unwrap();
+        assert_eq!(error_stage(&doc), Some("wire"));
+        assert!(reply.contains("4096-byte limit"), "{reply}");
+
+        let responses = submit(addr, &[job_line(77, 6)]).unwrap();
+        let ok = Json::parse(&responses[0]).unwrap();
+        assert!(ok.get("trace").is_some(), "{}", responses[0]);
+        assert_eq!(
+            handle.service().metrics().get(Counter::ErrorsWire),
+            1,
+            "the refusal is counted"
+        );
+        drop(idle);
+        handle.shutdown();
+    }
+
+    /// Takes both service locks and panics while holding them on a
+    /// `boom` line; answers everything else as the server does.
+    fn panicking_handler(service: &Service, line: &str) -> String {
+        if line == "boom" {
+            let _cache = service.lock_cache();
+            let _catalog = service.lock_catalog();
+            panic!("injected panic");
+        }
+        job::handle_line(service, line)
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_and_poisons_nothing() {
+        let handle = serve_with(
+            "127.0.0.1:0",
+            Arc::new(Service::new(8)),
+            1,
+            Limits::DEFAULT,
+            panicking_handler,
+        )
+        .unwrap();
+        let lines = vec![
+            "boom".to_owned(),
+            job_line(77, 6),
+            "{\"verb\":\"stats\"}".to_owned(),
+        ];
+        let responses = submit(handle.addr(), &lines).unwrap();
+        let panicked = Json::parse(&responses[0]).unwrap();
+        assert_eq!(error_stage(&panicked), Some("panic"));
+        assert!(responses[0].contains("injected panic"));
+        let ok = Json::parse(&responses[1]).unwrap();
+        assert!(ok.get("trace").is_some(), "{}", responses[1]);
+        let snapshot = Json::parse(&responses[2]).unwrap();
+        assert_eq!(
+            crate::metrics::validate_snapshot(&snapshot),
+            Vec::<String>::new()
+        );
+
+        // The same worker serves the next connection; both locks work.
+        let again = submit(handle.addr(), &[job_line(77, 6)]).unwrap();
+        let warm = Json::parse(&again[0]).unwrap();
+        assert_eq!(warm.get("cache").and_then(Json::as_str), Some("hit"));
+        let service = handle.service();
+        assert!(service.catalog().is_none());
+        assert_eq!(service.metrics().get(Counter::ErrorsPanic), 1);
+        handle.shutdown();
     }
 
     #[test]

@@ -163,6 +163,18 @@ mod tests {
     }
 
     #[test]
+    fn the_grids_largest_points_pass_the_wire_bounds() {
+        let grid = SweepGrid::default();
+        let corner = SweepGrid {
+            data_widths: vec![*grid.data_widths.iter().max().unwrap()],
+            depths: vec![*grid.depths.iter().max().unwrap()],
+        };
+        for record in sweep(&Xsb300e::new(), &corner).unwrap() {
+            assert_eq!(record.spec.validate(), Ok(()), "{}", record.spec.label());
+        }
+    }
+
+    #[test]
     fn sram_container_uses_no_bram_fifo_does() {
         let records = one_width(vec![512]);
         let fifo = find(&records, "read_buffer", "fifo_core");

@@ -5,12 +5,17 @@
 //! content-hash stability across processes, bit-identity between
 //! cached and cold execution under every scheduling mode, and
 //! concurrent submissions of the same design racing to publish a
-//! plan.
+//! plan, and hostile input: out-of-range size fields and oversized
+//! lines come back as named errors while the server keeps answering.
 
-use hdp::metagen::sampler::sample_spec;
+use hdp::metagen::sampler::{sample_spec, sample_spec_in, FAMILIES};
 use hdp::prelude::*;
+use hdp::service::server::MAX_LINE_BYTES;
+use hdp::service::{handle_line, RESULT_SCHEMA};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 fn sample_case(seed: u64, cycles: usize) -> Case {
@@ -167,5 +172,118 @@ fn server_round_trip_shares_the_cache_between_clients() {
     assert_eq!(cold.get("cache").and_then(Json::as_str), Some("miss"));
     assert_eq!(warm.get("cache").and_then(Json::as_str), Some("hit"));
     assert_eq!(cold.get("trace"), warm.get("trace"));
+    handle.shutdown();
+}
+
+/// A job line for `family` whose design field `field` is set to
+/// `value` (added when the document omits it).
+fn job_with_design_field(family: usize, field: &str, value: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(family as u64);
+    let spec = sample_spec_in(&mut rng, family);
+    let netlist = spec.instantiate().expect("sampled design instantiates");
+    let stimulus = WireStimulus::sample(&netlist, 2, &mut rng);
+    let Json::Obj(mut doc) = Json::parse(&job_to_json(&Case { spec, stimulus })).unwrap() else {
+        unreachable!("a job is an object")
+    };
+    let (_, Json::Obj(design)) = doc.iter_mut().find(|(k, _)| k == "design").unwrap() else {
+        unreachable!("the design is an object")
+    };
+    match design.iter_mut().find(|(k, _)| k == field) {
+        Some((_, slot)) => *slot = Json::Num(value),
+        None => design.push((field.to_owned(), Json::Num(value))),
+    }
+    Json::Obj(doc).to_string()
+}
+
+fn error_path(doc: &Json) -> Option<&str> {
+    doc.get("error")?.get("message")?.as_str()
+}
+
+/// Every numeric design field of every family, at 0, 1, each power of
+/// two and `u64::MAX`, is answered with a result document — a trace
+/// or a named error — and never with a panic or an aborting
+/// allocation.
+#[test]
+fn every_size_field_at_every_extreme_is_answered_with_a_document() {
+    let service = Service::new(4);
+    let values: Vec<u64> = std::iter::once(0)
+        .chain((0..64).map(|k| 1u64 << k))
+        .chain(std::iter::once(u64::MAX))
+        .collect();
+    let fields = [
+        "family",
+        "data_width",
+        "depth",
+        "addr_width",
+        "key_width",
+        "wide",
+        "wr_period",
+        "rd_period",
+    ];
+    let (mut traces, mut errors) = (0, 0);
+    for family in 0..FAMILIES.len() {
+        for field in fields {
+            for &value in &values {
+                let line = job_with_design_field(family, field, value);
+                let response = handle_line(&service, &line);
+                let doc = Json::parse(&response)
+                    .unwrap_or_else(|e| panic!("family {family} {field}={value}: {e}"));
+                assert_eq!(
+                    doc.get("schema").and_then(Json::as_str),
+                    Some(RESULT_SCHEMA),
+                    "family {family} {field}={value}: {response}"
+                );
+                if doc.get("trace").is_some() {
+                    traces += 1;
+                } else {
+                    errors += 1;
+                }
+            }
+        }
+    }
+    // Both kinds of answer occur: in-bound values still run.
+    assert!(traces > 0 && errors > 0, "{traces} traces, {errors} errors");
+}
+
+/// Lines no job should survive — one past the line cap, and a
+/// vector whose depth (2^40) would once have aborted the process —
+/// leave a server with an idle client still answering.
+#[test]
+fn hostile_lines_and_an_idle_client_leave_the_server_answering() {
+    let handle = serve("127.0.0.1:0", Arc::new(Service::new(8)), 2).unwrap();
+    let addr = handle.addr();
+    // Holds one of the two workers for the whole test.
+    let idle = TcpStream::connect(addr).unwrap();
+
+    let mut hostile = TcpStream::connect(addr).unwrap();
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    hostile.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut reply = String::new();
+    hostile.read_to_string(&mut reply).unwrap();
+    let refused = Json::parse(reply.trim_end()).unwrap();
+    assert!(
+        error_path(&refused).is_some_and(|m| m.contains("byte limit")),
+        "{reply}"
+    );
+
+    let deep = job_with_design_field(6, "depth", 1 << 40);
+    let lines = vec![deep, job_to_json(&sample_case(7, 6))];
+    let responses = submit(addr, &lines).unwrap();
+    let rejected = Json::parse(&responses[0]).unwrap();
+    assert!(
+        error_path(&rejected).is_some_and(|m| m.contains("design.depth")),
+        "{}",
+        responses[0]
+    );
+    let ok = Json::parse(&responses[1]).unwrap();
+    let reference = sample_case(7, 6);
+    let cold = Service::new(1)
+        .run_case(&reference, &JobOptions::default())
+        .unwrap();
+    let expected = Json::parse(&hdp::service::job::outcome_to_json(&cold)).unwrap();
+    assert_eq!(ok.get("trace"), expected.get("trace"));
+    drop(idle);
     handle.shutdown();
 }
