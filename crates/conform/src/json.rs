@@ -1,4 +1,4 @@
-//! A minimal JSON value with writer and parser.
+//! A minimal JSON value, one streaming writer and one pull scanner.
 //!
 //! The workspace is built offline with no serde available, so it
 //! hand-rolls the small JSON surface its wire documents,
@@ -10,12 +10,19 @@
 //!
 //! `{}` renders a value on one line; `{:#}` renders it indented, two
 //! spaces per level, for committed artefacts.
+//!
+//! Every JSON text in the workspace is written by [`JsonWriter`] and
+//! read by one scanner. `Display` writes a [`Json`] through the
+//! writer; code on a hot path (the service's response, the design
+//! hash) calls the writer directly and builds no tree. [`Json::parse`]
+//! builds a tree from the scanner's tokens; the wire decoder pulls the
+//! same tokens and keeps stimulus rows as integers.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
-/// The parser recurses once per level, so the bound keeps a hostile
-/// line of brackets from overflowing the stack.
+/// Deepest nesting of arrays and objects the scanner accepts.
+/// Building a tree recurses once per level, so the bound keeps a
+/// hostile line of brackets from overflowing the stack.
 pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -109,279 +116,650 @@ impl Json {
     /// number out of range, and for nesting deeper than
     /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
+        let mut scanner = Scanner::new(text);
+        let value = scanner.tree()?;
+        scanner.finish()?;
         Ok(value)
     }
 }
 
-pub(crate) fn write_escaped<W: fmt::Write + ?Sized>(f: &mut W, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
-
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write(f, f.alternate().then_some(0))
+        let pretty = f.alternate();
+        JsonWriter::with_layout(f, pretty).value(self)
     }
 }
 
-impl Json {
-    /// Writes the value; `indent` is the nesting level in the `{:#}`
-    /// form and `None` in the one-line form.
-    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => write!(f, "{n}"),
-            Json::Float(x) if x.is_finite() => write!(f, "{x:?}"),
-            Json::Float(_) => f.write_str("null"),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => write_seq(f, indent, "[]", items.iter().map(|v| (None, v))),
-            Json::Obj(pairs) => write_seq(
-                f,
-                indent,
-                "{}",
-                pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
-            ),
-        }
-    }
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// A streaming JSON writer over any [`fmt::Write`] sink.
+///
+/// Values are written in document order with no tree in between:
+/// open a container, write its keys and values, close it. The writer
+/// places the commas (and, in the pretty layout, the newlines and
+/// two-space indents). Strings are escaped in runs: the bytes between
+/// two characters that need an escape go out in one `write_str`.
+///
+/// [`Json`]'s `Display` writes through it, so a value written here
+/// call by call and the same value built as a [`Json`] and printed
+/// give the same bytes. Every method returns the sink's error.
+///
+/// ```
+/// use hdp_conform::json::{Json, JsonWriter};
+///
+/// let mut w = JsonWriter::new(String::new());
+/// w.begin_obj().unwrap();
+/// w.key("rows").unwrap();
+/// w.begin_arr().unwrap();
+/// w.str("a\"b").unwrap();
+/// w.num(7).unwrap();
+/// w.end_arr().unwrap();
+/// w.end_obj().unwrap();
+/// let text = w.into_inner();
+/// assert_eq!(text, r#"{"rows":["a\"b",7]}"#);
+/// assert_eq!(Json::parse(&text).unwrap().to_string(), text);
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<W> {
+    out: W,
+    pretty: bool,
+    /// One entry per open array or object: whether it holds an item.
+    open: Vec<bool>,
+    /// A key was just written; the next value completes its member.
+    after_key: bool,
 }
 
-/// Writes an array (every key `None`) or an object between the two
-/// characters of `delims`.
-fn write_seq<'a>(
-    f: &mut fmt::Formatter<'_>,
-    indent: Option<usize>,
-    delims: &str,
-    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
-) -> fmt::Result {
-    let newline = |f: &mut fmt::Formatter<'_>, level: usize| write!(f, "\n{:1$}", "", 2 * level);
-    f.write_str(&delims[..1])?;
-    let mut empty = true;
-    for (key, value) in items {
-        if !empty {
-            f.write_char(',')?;
-        }
-        empty = false;
-        if let Some(level) = indent {
-            newline(f, level + 1)?;
-        }
-        if let Some(key) = key {
-            write_escaped(f, key)?;
-            f.write_str(if indent.is_some() { ": " } else { ":" })?;
-        }
-        value.write(f, indent.map(|level| level + 1))?;
+impl<W: fmt::Write> JsonWriter<W> {
+    /// A writer of the one-line form (`{}`). `Display` writes the
+    /// indented form (`{:#}`) through the same writer.
+    pub fn new(out: W) -> Self {
+        Self::with_layout(out, false)
     }
-    if let (Some(level), false) = (indent, empty) {
-        newline(f, level)?;
-    }
-    f.write_str(&delims[1..])
-}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+    fn with_layout(out: W, pretty: bool) -> Self {
+        Self {
+            out,
+            pretty,
+            open: Vec::new(),
+            after_key: false,
+        }
     }
-}
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
+    /// The sink, with everything written so far.
+    pub fn into_inner(self) -> W {
+        self.out
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) -> fmt::Result {
+        self.open_container('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> fmt::Result {
+        self.close_container('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) -> fmt::Result {
+        self.open_container('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> fmt::Result {
+        self.close_container(']')
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> fmt::Result {
+        self.item()?;
+        self.escaped(key)?;
+        self.out.write_str(if self.pretty { ": " } else { ":" })?;
+        self.after_key = true;
         Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".into());
+    /// Writes a string value.
+    pub fn str(&mut self, s: &str) -> fmt::Result {
+        self.item()?;
+        self.escaped(s)
+    }
+
+    /// Writes an exact integer value.
+    pub fn num(&mut self, n: u64) -> fmt::Result {
+        self.item()?;
+        write!(self.out, "{n}")
+    }
+
+    /// Writes a float value: `{:?}` when finite, `null` otherwise.
+    pub fn float(&mut self, x: f64) -> fmt::Result {
+        self.item()?;
+        if x.is_finite() {
+            write!(self.out, "{x:?}")
+        } else {
+            self.out.write_str("null")
+        }
+    }
+
+    /// Writes a boolean value.
+    pub fn bool(&mut self, b: bool) -> fmt::Result {
+        self.item()?;
+        self.out.write_str(if b { "true" } else { "false" })
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> fmt::Result {
+        self.item()?;
+        self.out.write_str("null")
+    }
+
+    /// Writes a whole [`Json`] value.
+    pub fn value(&mut self, value: &Json) -> fmt::Result {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(n) => self.num(*n),
+            Json::Float(x) => self.float(*x),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => {
+                self.begin_arr()?;
+                for item in items {
+                    self.value(item)?;
+                }
+                self.end_arr()
+            }
+            Json::Obj(pairs) => {
+                self.begin_obj()?;
+                for (key, item) in pairs {
+                    self.key(key)?;
+                    self.value(item)?;
+                }
+                self.end_obj()
+            }
+        }
+    }
+
+    /// Starts one item: the comma after its predecessor and, in the
+    /// pretty layout, its line. A value after a key is part of the
+    /// key's item.
+    fn item(&mut self) -> fmt::Result {
+        if std::mem::take(&mut self.after_key) {
+            return Ok(());
+        }
+        let Some(has_items) = self.open.last_mut() else {
+            return Ok(());
         };
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".into());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_owned())?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("unsupported escape `\\{}`", other as char)),
-                }
-            }
-            b => {
-                // Re-join multi-byte UTF-8 sequences.
-                let start = *pos - 1;
-                let len = match b {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = bytes
-                    .get(start..start + len)
-                    .and_then(|c| std::str::from_utf8(c).ok())
-                    .ok_or("invalid UTF-8 in string")?;
-                out.push_str(chunk);
-                *pos = start + len;
-            }
+        let comma = std::mem::replace(has_items, true);
+        if comma {
+            self.out.write_char(',')?;
         }
+        if self.pretty {
+            self.newline(self.open.len())?;
+        }
+        Ok(())
+    }
+
+    fn open_container(&mut self, opener: char) -> fmt::Result {
+        self.item()?;
+        self.open.push(false);
+        self.out.write_char(opener)
+    }
+
+    fn close_container(&mut self, closer: char) -> fmt::Result {
+        let had_items = self.open.pop().unwrap_or(false);
+        if self.pretty && had_items {
+            self.newline(self.open.len())?;
+        }
+        self.out.write_char(closer)
+    }
+
+    fn newline(&mut self, level: usize) -> fmt::Result {
+        write!(self.out, "\n{:1$}", "", 2 * level)
+    }
+
+    /// Writes `s` quoted, escaping `"`, `\\` and control characters.
+    fn escaped(&mut self, s: &str) -> fmt::Result {
+        self.out.write_char('"')?;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every byte that ends a run is ASCII, so each run is
+            // whole characters.
+            self.out.write_str(&s[run..i])?;
+            if escape.is_empty() {
+                write!(self.out, "\\u{b:04x}")?;
+            } else {
+                self.out.write_str(escape)?;
+            }
+            run = i + 1;
+        }
+        self.out.write_str(&s[run..])?;
+        self.out.write_char('"')
     }
 }
 
-/// Parses one value; `depth` counts the arrays and objects around it.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
-    }
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(&c) => Err(format!("unexpected byte `{}` at {pos}", c as char)),
-    }
+// ---------------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------------
+
+/// What [`Scanner::token`] read: a whole scalar, or the opening
+/// bracket of an array or object whose contents the caller then
+/// steps through with [`Scanner::elem`] or [`Scanner::key`].
+#[derive(Debug)]
+pub(crate) enum Token {
+    Null,
+    Bool(bool),
+    Num(u64),
+    Float(f64),
+    Str(String),
+    Arr,
+    Obj,
 }
 
-/// Reads `-? digits (. digits)? ([eE] [+-]? digits)?`. Plain digits
-/// stay an exact [`Json::Num`]; any other form is a [`Json::Float`].
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    let skip = |pos: &mut usize, set: &[u8]| {
-        let hit = bytes.get(*pos).is_some_and(|b| set.contains(b));
-        *pos += usize::from(hit);
+/// A pull scanner over one JSON text: the caller asks for the next
+/// token, element or key, and decides what to keep. [`Json::parse`]
+/// keeps everything as a tree; the wire decoder
+/// ([`crate::wire::parse_submission`]) reads stimulus rows straight
+/// into integers. Both get the same string and number rules, the same
+/// error messages at the same byte offsets, and the same
+/// [`MAX_DEPTH`] bound.
+pub(crate) struct Scanner<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects open around the position.
+    depth: usize,
+}
+
+impl<'a> Scanner<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Reads the next value's first token. An array or object is
+    /// opened (and counts against [`MAX_DEPTH`]) but not read.
+    pub(crate) fn token(&mut self) -> Result<Token, String> {
+        self.skip_ws();
+        let pos = self.pos;
+        let Some(&b) = self.bytes.get(pos) else {
+            return Err("unexpected end of input".into());
+        };
+        let rest = &self.bytes[pos..];
+        let (token, len) = match b {
+            b'[' | b'{' => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+                }
+                self.depth += 1;
+                (if b == b'[' { Token::Arr } else { Token::Obj }, 1)
+            }
+            b'"' => return Ok(Token::Str(self.string()?)),
+            b't' if rest.starts_with(b"true") => (Token::Bool(true), 4),
+            b'f' if rest.starts_with(b"false") => (Token::Bool(false), 5),
+            b'n' if rest.starts_with(b"null") => (Token::Null, 4),
+            b'0'..=b'9' | b'-' => return self.number(),
+            c => return Err(format!("unexpected byte `{}` at {pos}", c as char)),
+        };
+        self.pos += len;
+        Ok(token)
+    }
+
+    /// Steps into the next element of the innermost open array, of
+    /// which `index` elements were read: `true` when one follows
+    /// (read it with [`Scanner::token`]), `false` once the `]` is
+    /// consumed.
+    pub(crate) fn elem(&mut self, index: usize) -> Result<bool, String> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            Some(b']') => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ if index == 0 => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(format!("expected `,` or `]` at byte {}", self.pos)),
+        }
+    }
+
+    /// Reads the next key of the innermost open object, of which
+    /// `index` members were read, up to and including its `:`; `None`
+    /// once the `}` is consumed.
+    pub(crate) fn key(&mut self, index: usize) -> Result<Option<String>, String> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            Some(b'}') => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(None);
+            }
+            _ if index == 0 => {}
+            Some(b',') => self.pos += 1,
+            _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Reads the next value whole, as a tree.
+    pub(crate) fn tree(&mut self) -> Result<Json, String> {
+        let token = self.token()?;
+        self.tree_from(token)
+    }
+
+    /// Finishes reading a value whose first token was `token`.
+    pub(crate) fn tree_from(&mut self, token: Token) -> Result<Json, String> {
+        Ok(match token {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Num(n) => Json::Num(n),
+            Token::Float(x) => Json::Float(x),
+            Token::Str(s) => Json::Str(s),
+            Token::Arr => {
+                let mut items = Vec::new();
+                while self.elem(items.len())? {
+                    items.push(self.tree()?);
+                }
+                Json::Arr(items)
+            }
+            Token::Obj => {
+                let mut pairs = Vec::new();
+                while let Some(key) = self.key(pairs.len())? {
+                    let value = self.tree()?;
+                    pairs.push((key, value));
+                }
+                Json::Obj(pairs)
+            }
+        })
+    }
+
+    /// Checks that only whitespace follows the document's value.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.bytes.get(self.pos) == Some(&c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", c as char, self.pos))
+        }
+    }
+
+    /// Reads a string, copying the runs between escapes whole.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            while self
+                .bytes
+                .get(self.pos)
+                .is_some_and(|&b| b != b'"' && b != b'\\')
+            {
+                self.pos += 1;
+            }
+            // A run starts after an ASCII byte or a whole `\u`
+            // escape and ends before one, so it is whole characters.
+            out.push_str(&self.text[run..self.pos]);
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Err("unterminated string".into());
+            };
+            self.pos += 1;
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err("unterminated escape".into());
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("truncated \\u escape")?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_owned())?;
+                    self.pos += 4;
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                }
+                other => return Err(format!("unsupported escape `\\{}`", other as char)),
+            }
+        }
+    }
+
+    /// Reads `-? digits (. digits)? ([eE] [+-]? digits)?`. Plain
+    /// digits stay an exact [`Token::Num`], accumulated as they are
+    /// read; any other form is a [`Token::Float`].
+    fn number(&mut self) -> Result<Token, String> {
+        let start = self.pos;
+        let mut float = self.skip(b"-");
+        let first = self.pos;
+        let mut pos = first;
+        let mut exact = Some(0u64);
+        while let Some(d) = self
+            .bytes
+            .get(pos)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            exact = exact
+                .and_then(|n| n.checked_mul(10))
+                .and_then(|n| n.checked_add(u64::from(d)));
+            pos += 1;
+        }
+        self.pos = pos;
+        if pos == first {
+            return Err(format!("expected a digit at byte {pos}"));
+        }
+        if !float && !matches!(self.bytes.get(pos), Some(b'.' | b'e' | b'E')) {
+            return exact
+                .map(Token::Num)
+                .ok_or_else(|| format!("number out of range at byte {start}"));
+        }
+        if self.skip(b".") {
+            float = true;
+            self.digits()?;
+        }
+        if self.skip(b"eE") {
+            float = true;
+            self.skip(b"+-");
+            self.digits()?;
+        }
+        let out_of_range = || format!("number out of range at byte {start}");
+        if float {
+            let x: f64 = self.text[start..self.pos]
+                .parse()
+                .map_err(|_| out_of_range())?;
+            x.is_finite()
+                .then_some(Token::Float(x))
+                .ok_or_else(out_of_range)
+        } else {
+            exact.map(Token::Num).ok_or_else(out_of_range)
+        }
+    }
+
+    /// Consumes one byte of `set`, if the next byte is one.
+    fn skip(&mut self, set: &[u8]) -> bool {
+        let hit = self.bytes.get(self.pos).is_some_and(|b| set.contains(b));
+        self.pos += usize::from(hit);
         hit
-    };
-    let digits = |pos: &mut usize| {
-        let first = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
+    }
+
+    fn digits(&mut self) -> Result<(), String> {
+        let first = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
         }
-        (*pos > first)
-            .then_some(())
-            .ok_or_else(|| format!("expected a digit at byte {pos}"))
-    };
-    let mut float = skip(pos, b"-");
-    digits(pos)?;
-    if skip(pos, b".") {
-        float = true;
-        digits(pos)?;
-    }
-    if skip(pos, b"eE") {
-        float = true;
-        skip(pos, b"+-");
-        digits(pos)?;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("number bytes are ASCII");
-    let out_of_range = || format!("number out of range at byte {start}");
-    if float {
-        let x: f64 = text.parse().map_err(|_| out_of_range())?;
-        x.is_finite()
-            .then_some(Json::Float(x))
-            .ok_or_else(out_of_range)
-    } else {
-        text.parse().map(Json::Num).map_err(|_| out_of_range())
+        if self.pos > first {
+            Ok(())
+        } else {
+            Err(format!("expected a digit at byte {}", self.pos))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The writer `JsonWriter` replaced, frozen: a recursive walk that
+    /// escapes one character at a time.
+    mod tree_writer {
+        use super::super::Json;
+        use std::fmt::{self, Write};
+
+        fn escaped(f: &mut String, s: &str) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in s.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            f.write_str("\"")
+        }
+
+        pub fn write(f: &mut String, v: &Json, indent: Option<usize>) -> fmt::Result {
+            match v {
+                Json::Null => f.write_str("null"),
+                Json::Bool(b) => write!(f, "{b}"),
+                Json::Num(n) => write!(f, "{n}"),
+                Json::Float(x) if x.is_finite() => write!(f, "{x:?}"),
+                Json::Float(_) => f.write_str("null"),
+                Json::Str(s) => escaped(f, s),
+                Json::Arr(items) => seq(f, indent, "[]", items.iter().map(|v| (None, v))),
+                Json::Obj(pairs) => seq(
+                    f,
+                    indent,
+                    "{}",
+                    pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+                ),
+            }
+        }
+
+        fn seq<'a>(
+            f: &mut String,
+            indent: Option<usize>,
+            delims: &str,
+            items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+        ) -> fmt::Result {
+            let newline = |f: &mut String, level: usize| write!(f, "\n{:1$}", "", 2 * level);
+            f.write_str(&delims[..1])?;
+            let mut empty = true;
+            for (key, value) in items {
+                if !empty {
+                    f.write_char(',')?;
+                }
+                empty = false;
+                if let Some(level) = indent {
+                    newline(f, level + 1)?;
+                }
+                if let Some(key) = key {
+                    escaped(f, key)?;
+                    f.write_str(if indent.is_some() { ": " } else { ":" })?;
+                }
+                write(f, value, indent.map(|level| level + 1))?;
+            }
+            if let (Some(level), false) = (indent, empty) {
+                newline(f, level)?;
+            }
+            f.write_str(&delims[1..])
+        }
+    }
+
+    #[test]
+    fn streaming_writer_matches_the_tree_writer_byte_for_byte() {
+        let every_escape =
+            "q\"uote\\back\nnl\rcr\ttab\u{0}\u{1}\u{1f}\u{7f} caf\u{e9} \u{2713} \u{1f600}\"";
+        let doc = Json::obj([
+            (every_escape, Json::Str(every_escape.into())),
+            ("", Json::Str(String::new())),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            (
+                "mixed",
+                Json::Arr(vec![
+                    Json::Null,
+                    Json::Bool(true),
+                    Json::Bool(false),
+                    Json::Num(u64::MAX),
+                    Json::Float(-0.5),
+                    Json::Float(f64::NAN),
+                    Json::Arr(vec![Json::Arr(vec![]), Json::obj([("k", Json::Num(0))])]),
+                ]),
+            ),
+            (
+                "nested",
+                Json::obj([("a", Json::obj([("b", Json::Arr(vec![Json::Num(1)]))]))]),
+            ),
+        ]);
+        let values = [
+            doc.clone(),
+            Json::Arr(vec![doc.clone(), doc]),
+            Json::Str(every_escape.into()),
+            Json::Num(7),
+            Json::Arr(vec![]),
+        ];
+        for value in &values {
+            for indent in [None, Some(0)] {
+                let mut frozen = String::new();
+                tree_writer::write(&mut frozen, value, indent).unwrap();
+                let streamed = if indent.is_some() {
+                    format!("{value:#}")
+                } else {
+                    value.to_string()
+                };
+                assert_eq!(streamed, frozen);
+            }
+        }
+    }
 
     #[test]
     fn round_trips_nested_document() {

@@ -52,7 +52,7 @@
 //! [`DesignSpec`]: hdp_metagen::sampler::DesignSpec
 //! [`FAMILIES`]: hdp_metagen::sampler::FAMILIES
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter, Scanner, Token};
 use crate::oracle::{Divergence, Stimulus};
 use crate::shrink::Case;
 use hdp_metagen::sampler::{DesignSpec, FAMILIES};
@@ -287,34 +287,40 @@ impl fmt::Write for Fnv128Writer {
 /// serialisation is written straight into the hash sink; the
 /// `streamed_hash_matches_the_tree_serialisation` test pins the two
 /// forms together.
-fn write_spec_canonical<W: fmt::Write>(w: &mut W, spec: &DesignSpec) -> fmt::Result {
-    use crate::json::write_escaped;
-    w.write_str("{\"label\":")?;
-    write_escaped(w, &spec.label())?;
-    w.write_str(",\"kind\":")?;
-    write_escaped(w, spec.kind())?;
-    w.write_str(",\"target\":")?;
-    write_escaped(w, spec.target())?;
-    write!(
-        w,
-        ",\"family\":{},\"data_width\":{},\"depth\":{},\"addr_width\":{},\"key_width\":{},\"wide\":{},\"write_side\":{}",
-        spec.family, spec.data_width, spec.depth, spec.addr_width, spec.key_width, spec.wide, spec.write_side
-    )?;
+fn write_spec_canonical<W: fmt::Write>(w: &mut JsonWriter<W>, spec: &DesignSpec) -> fmt::Result {
+    w.begin_obj()?;
+    w.key("label")?;
+    w.str(&spec.label())?;
+    w.key("kind")?;
+    w.str(spec.kind())?;
+    w.key("target")?;
+    w.str(spec.target())?;
+    for (key, n) in [
+        ("family", spec.family),
+        ("data_width", spec.data_width),
+        ("depth", spec.depth),
+        ("addr_width", spec.addr_width),
+        ("key_width", spec.key_width),
+        ("wide", spec.wide),
+    ] {
+        w.key(key)?;
+        w.num(n as u64)?;
+    }
+    w.key("write_side")?;
+    w.bool(spec.write_side)?;
     if spec.wr_period != 1 || spec.rd_period != 1 {
-        write!(
-            w,
-            ",\"wr_period\":{},\"rd_period\":{}",
-            spec.wr_period, spec.rd_period
-        )?;
+        w.key("wr_period")?;
+        w.num(spec.wr_period)?;
+        w.key("rd_period")?;
+        w.num(spec.rd_period)?;
     }
-    w.write_str(",\"ops\":[")?;
-    for (i, op) in spec.ops.iter().enumerate() {
-        if i > 0 {
-            w.write_str(",")?;
-        }
-        write_escaped(w, op.port_name())?;
+    w.key("ops")?;
+    w.begin_arr()?;
+    for op in spec.ops.iter() {
+        w.str(op.port_name())?;
     }
-    w.write_str("]}")
+    w.end_arr()?;
+    w.end_obj()
 }
 
 /// The content address of a design-space point: 32 lowercase hex
@@ -328,9 +334,9 @@ fn write_spec_canonical<W: fmt::Write>(w: &mut W, spec: &DesignSpec) -> fmt::Res
 /// releases — see the pinned-literal test in this module.
 #[must_use]
 pub fn design_hash(spec: &DesignSpec) -> String {
-    let mut w = Fnv128Writer::new();
+    let mut w = JsonWriter::new(Fnv128Writer::new());
     write_spec_canonical(&mut w, spec).expect("hashing writer never fails");
-    format!("{:032x}", w.hash)
+    format!("{:032x}", w.into_inner().hash)
 }
 
 // ---------------------------------------------------------------------------
@@ -410,49 +416,177 @@ pub fn parse_spec(obj: &Json) -> Result<DesignSpec, WireError> {
     Ok(spec)
 }
 
-fn parse_stimulus(obj: &Json) -> Result<Stimulus, WireError> {
-    let inputs = obj
-        .get("inputs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("stimulus.inputs", "missing or not an array"))?
-        .iter()
-        .map(|item| {
-            let name = item
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("stimulus.inputs", "input without a string `name`"))?;
-            Ok((
-                name.to_owned(),
-                num_field(item, "stimulus.inputs", "width")? as usize,
-            ))
-        })
-        .collect::<Result<Vec<_>, WireError>>()?;
-    let cycles = obj
-        .get("cycles")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("stimulus.cycles", "missing or not an array"))?
-        .iter()
-        .map(|row| {
-            row.as_arr()
-                .ok_or_else(|| bad("stimulus.cycles", "non-array stimulus row"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| bad("stimulus.cycles", "non-numeric stimulus value"))
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if cycles.iter().any(|row| row.len() != inputs.len()) {
-        return Err(bad(
-            "stimulus.cycles",
-            format!(
-                "row length does not match the {} declared inputs",
-                inputs.len()
-            ),
-        ));
+/// The first `stimulus` member, as the one-pass decoder left it:
+/// `inputs` as a tree, `cycles` already read into rows (or the first
+/// problem found in them). A `stimulus` that is not an object leaves
+/// both `None`.
+#[derive(Default)]
+struct StimulusDraft {
+    inputs: Option<Json>,
+    cycles: Option<Result<Vec<Vec<u64>>, WireError>>,
+}
+
+impl StimulusDraft {
+    /// Reads a `stimulus` value; keys after the first of each name
+    /// are checked for syntax and dropped, as [`Json::get`] would
+    /// never see them.
+    fn read(sc: &mut Scanner<'_>) -> Result<Self, String> {
+        let mut draft = Self::default();
+        match sc.token()? {
+            Token::Obj => {
+                let mut n = 0;
+                while let Some(key) = sc.key(n)? {
+                    n += 1;
+                    match key.as_str() {
+                        "inputs" if draft.inputs.is_none() => draft.inputs = Some(sc.tree()?),
+                        "cycles" if draft.cycles.is_none() => {
+                            draft.cycles = Some(read_cycles(sc)?);
+                        }
+                        _ => drop(sc.tree()?),
+                    }
+                }
+            }
+            other => drop(sc.tree_from(other)?),
+        }
+        Ok(draft)
     }
-    Ok(Stimulus { inputs, cycles })
+
+    /// Checks the draft in the order a tree walk would: the inputs,
+    /// then the rows, then their lengths.
+    fn finish(self) -> Result<Stimulus, WireError> {
+        let inputs = self
+            .inputs
+            .as_ref()
+            .and_then(Json::as_arr)
+            .ok_or_else(|| bad("stimulus.inputs", "missing or not an array"))?
+            .iter()
+            .map(|item| {
+                let name = item
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| bad("stimulus.inputs", "input without a string `name`"))?;
+                Ok((
+                    name.to_owned(),
+                    num_field(item, "stimulus.inputs", "width")? as usize,
+                ))
+            })
+            .collect::<Result<Vec<_>, WireError>>()?;
+        let cycles = self
+            .cycles
+            .ok_or_else(|| bad("stimulus.cycles", "missing or not an array"))??;
+        if cycles.iter().any(|row| row.len() != inputs.len()) {
+            return Err(bad(
+                "stimulus.cycles",
+                format!(
+                    "row length does not match the {} declared inputs",
+                    inputs.len()
+                ),
+            ));
+        }
+        Ok(Stimulus { inputs, cycles })
+    }
+}
+
+/// Reads a `cycles` value straight into rows of integers. The outer
+/// error is a syntax error; the inner one is the first row or value
+/// that is not what a row holds, found while the rest of the value is
+/// still read for syntax.
+fn read_cycles(sc: &mut Scanner<'_>) -> Result<Result<Vec<Vec<u64>>, WireError>, String> {
+    let token = sc.token()?;
+    if !matches!(token, Token::Arr) {
+        sc.tree_from(token)?;
+        return Ok(Err(bad("stimulus.cycles", "missing or not an array")));
+    }
+    let mut rows: Vec<Vec<u64>> = Vec::new();
+    let mut problem = None;
+    let mut n = 0;
+    while sc.elem(n)? {
+        n += 1;
+        let token = sc.token()?;
+        if !matches!(token, Token::Arr) {
+            sc.tree_from(token)?;
+            problem.get_or_insert_with(|| bad("stimulus.cycles", "non-array stimulus row"));
+            continue;
+        }
+        let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
+        while sc.elem(row.len())? {
+            match sc.token()? {
+                Token::Num(v) => row.push(v),
+                other => {
+                    sc.tree_from(other)?;
+                    problem.get_or_insert_with(|| {
+                        bad("stimulus.cycles", "non-numeric stimulus value")
+                    });
+                    // Keep the element count for `elem`; the row is
+                    // dropped below.
+                    row.push(0);
+                }
+            }
+        }
+        if problem.is_none() {
+            rows.push(row);
+        }
+    }
+    Ok(problem.map_or(Ok(rows), Err))
+}
+
+/// Decodes a v1 document in one pass: the runnable [`Case`] plus the
+/// document's `options` member, if it has one (the job server's
+/// per-job options; [`parse_case`] drops it).
+///
+/// The scanner reads the text once. `stimulus.cycles` goes straight
+/// into the case's rows; only the small `schema`, `design`,
+/// `stimulus.inputs` and `options` members become [`Json`] trees.
+/// The result is the one a tree walk of the whole document gives:
+/// a syntax error anywhere wins, then the schema, the design and the
+/// stimulus are checked in that order, and of two members with one
+/// name the first counts.
+///
+/// # Errors
+///
+/// The first [`WireError`] in that order.
+pub fn parse_submission(text: &str) -> Result<(Case, Option<Json>), WireError> {
+    let syntax = |detail| WireError::Syntax { detail };
+    let mut sc = Scanner::new(text);
+    let (mut schema, mut design, mut stimulus, mut options) = (None, None, None, None);
+    match sc.token().map_err(syntax)? {
+        Token::Obj => {
+            let mut n = 0;
+            while let Some(key) = sc.key(n).map_err(syntax)? {
+                n += 1;
+                let slot = match key.as_str() {
+                    "schema" => &mut schema,
+                    "design" => &mut design,
+                    "options" => &mut options,
+                    "stimulus" if stimulus.is_none() => {
+                        stimulus = Some(StimulusDraft::read(&mut sc).map_err(syntax)?);
+                        continue;
+                    }
+                    _ => {
+                        sc.tree().map_err(syntax)?;
+                        continue;
+                    }
+                };
+                let value = sc.tree().map_err(syntax)?;
+                slot.get_or_insert(value);
+            }
+        }
+        other => drop(sc.tree_from(other).map_err(syntax)?),
+    }
+    sc.finish().map_err(syntax)?;
+    match schema.as_ref().and_then(Json::as_str) {
+        Some(s) if s == SCHEMA => {}
+        found => {
+            return Err(WireError::Schema {
+                found: found.map(str::to_owned),
+            })
+        }
+    }
+    let spec = parse_spec(design.as_ref().ok_or_else(|| bad("design", "missing"))?)?;
+    let stimulus = stimulus
+        .ok_or_else(|| bad("stimulus", "missing"))?
+        .finish()?;
+    Ok((Case { spec, stimulus }, options))
 }
 
 /// Parses a v1 document (reproducer or job) into a runnable [`Case`].
@@ -464,22 +598,7 @@ fn parse_stimulus(obj: &Json) -> Result<Stimulus, WireError> {
 ///
 /// The first [`WireError`] encountered, in document order.
 pub fn parse_case(text: &str) -> Result<Case, WireError> {
-    let doc = Json::parse(text).map_err(|detail| WireError::Syntax { detail })?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        found => {
-            return Err(WireError::Schema {
-                found: found.map(str::to_owned),
-            })
-        }
-    }
-    Ok(Case {
-        spec: parse_spec(doc.get("design").ok_or_else(|| bad("design", "missing"))?)?,
-        stimulus: parse_stimulus(
-            doc.get("stimulus")
-                .ok_or_else(|| bad("stimulus", "missing"))?,
-        )?,
-    })
+    parse_submission(text).map(|(case, _)| case)
 }
 
 /// Parses a document and returns the `seed` field, if present.
@@ -714,9 +833,13 @@ mod tests {
         // pins it to the `spec_to_json` tree it must mirror.
         for seed in 0..64 {
             let spec = sample_case(seed, 1).spec;
-            let mut streamed = String::new();
+            let mut streamed = JsonWriter::new(String::new());
             write_spec_canonical(&mut streamed, &spec).unwrap();
-            assert_eq!(streamed, spec_to_json(&spec).to_string(), "seed {seed}");
+            assert_eq!(
+                streamed.into_inner(),
+                spec_to_json(&spec).to_string(),
+                "seed {seed}"
+            );
         }
     }
 

@@ -377,25 +377,38 @@ impl LogicVector {
 impl LogicVector {
     /// Renders the bare bit-string, MSB first: exactly the characters
     /// [`fmt::Display`] prints between its quotes. One `String`
-    /// allocation, no formatter machinery — hot paths that render
-    /// traces (the simulation service renders every port every cycle)
-    /// use this instead of `to_string()` plus quote trimming.
+    /// allocation, no formatter machinery. To check a vector against
+    /// a rendered string, compare it with `==`, which allocates
+    /// nothing.
     #[must_use]
     pub fn to_bit_string(&self) -> String {
-        let mut s = String::with_capacity(self.width());
-        for i in (0..self.width()).rev() {
-            let m = 1u64 << i;
-            s.push(if self.highz & m != 0 {
-                'Z'
-            } else if self.unknown & m != 0 {
-                'X'
-            } else if self.value & m != 0 {
-                '1'
-            } else {
-                '0'
-            });
+        (0..self.width()).rev().map(|i| self.bit_char(i)).collect()
+    }
+
+    /// The character of bit `i`: `Z`, `X`, `1` or `0`.
+    fn bit_char(&self, i: usize) -> char {
+        let m = 1u64 << i;
+        if self.highz & m != 0 {
+            'Z'
+        } else if self.unknown & m != 0 {
+            'X'
+        } else if self.value & m != 0 {
+            '1'
+        } else {
+            '0'
         }
-        s
+    }
+}
+
+/// A vector equals the MSB-first bit-string it renders as
+/// ([`LogicVector::to_bit_string`]), compared without allocating.
+impl PartialEq<String> for LogicVector {
+    fn eq(&self, other: &String) -> bool {
+        other.len() == self.width()
+            && other
+                .bytes()
+                .zip((0..self.width()).rev())
+                .all(|(b, i)| char::from(b) == self.bit_char(i))
     }
 }
 
@@ -437,6 +450,37 @@ mod tests {
     fn full_width_values_work() {
         let v = LogicVector::from_u64(u64::MAX, 64).unwrap();
         assert_eq!(v.to_u64(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn equals_the_bit_string_it_renders_as() {
+        let bits = [Bit::Zero, Bit::One, Bit::X, Bit::Z];
+        for width in [1, 63, 64] {
+            for seed in 0..16u64 {
+                let mut v = LogicVector::zeros(width).unwrap();
+                for i in 0..width {
+                    let pick = (seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (i % 61)) as usize;
+                    v.set(i, bits[(pick + i) % 4]).unwrap();
+                }
+                let text = v.to_bit_string();
+                assert!(v == text, "{text}");
+                // One flipped character, one character short or long.
+                let flipped: String = text
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| match (i == seed as usize % width, c) {
+                        (true, '0') => '1',
+                        (true, _) => '0',
+                        (false, c) => c,
+                    })
+                    .collect();
+                assert!(v != flipped, "{flipped}");
+                assert!(v != text[1..].to_owned());
+                assert!(v != format!("{text}0"));
+            }
+        }
+        assert!(LogicVector::parse("10XZ").unwrap() == "10XZ".to_owned());
+        assert!(LogicVector::parse("10XZ").unwrap() != "10xz".to_owned());
     }
 
     #[test]

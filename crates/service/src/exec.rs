@@ -30,7 +30,7 @@ use crate::obs::{timed, JobSpan, SpanBuilder, Stage};
 use crate::pool::run_sharded_observed;
 use hdp_conform::wire::{design_hash, WireError};
 use hdp_conform::{Case, Stimulus};
-use hdp_hdl::{Netlist, PortDir};
+use hdp_hdl::{LogicVector, Netlist, PortDir};
 use hdp_metagen::sampler::FAMILIES;
 use hdp_sim::vcd::VcdRecorder;
 use hdp_sim::{
@@ -63,6 +63,12 @@ pub enum ServiceError {
         /// The panic payload, when it was a string.
         message: String,
     },
+    /// The server's accept queue was full; the connection was refused
+    /// before any line of it was read.
+    Busy {
+        /// The queue's capacity, in connections.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -74,6 +80,10 @@ impl fmt::Display for ServiceError {
                 write!(f, "simulation failed at cycle #{cycle}: {source}")
             }
             ServiceError::Panic { message } => write!(f, "job handler panicked: {message}"),
+            ServiceError::Busy { capacity } => write!(
+                f,
+                "server busy: all {capacity} places in the accept queue are taken"
+            ),
         }
     }
 }
@@ -83,7 +93,9 @@ impl Error for ServiceError {
         match self {
             ServiceError::Wire(e) => Some(e),
             ServiceError::Sim { source, .. } => Some(source),
-            ServiceError::Build { .. } | ServiceError::Panic { .. } => None,
+            ServiceError::Build { .. } | ServiceError::Panic { .. } | ServiceError::Busy { .. } => {
+                None
+            }
         }
     }
 }
@@ -144,8 +156,13 @@ pub struct JobOutcome {
     /// order — the columns of `trace`.
     pub ports: Vec<(String, usize)>,
     /// Settled four-state values, one row per stimulus cycle, one
-    /// bit-string per port (MSB first; `X` marks undefined bits).
-    pub trace: Vec<Vec<String>>,
+    /// vector per port, as the simulator left them. No bit-string is
+    /// made here: [`outcome_to_json`](crate::job::outcome_to_json)
+    /// renders each vector MSB first (`X` marks undefined bits, `Z`
+    /// undriven ones) as it writes the response, and a vector compares
+    /// equal to the `String` it renders as, so a trace can be checked
+    /// against rendered rows directly.
+    pub trace: Vec<Vec<LogicVector>>,
     /// Stimulus cycles executed.
     pub cycles: usize,
     /// Telemetry summary, when requested.
@@ -240,8 +257,8 @@ fn build_sim(
 }
 
 /// Drives the stimulus through a built simulator with the oracle
-/// protocol, returning the rendered output trace.
-fn drive(built: &mut BuiltSim, stim: &Stimulus) -> Result<Vec<Vec<String>>, ServiceError> {
+/// protocol, returning the settled output trace.
+fn drive(built: &mut BuiltSim, stim: &Stimulus) -> Result<Vec<Vec<LogicVector>>, ServiceError> {
     let mut trace = Vec::with_capacity(stim.cycles.len());
     for (cycle, row) in stim.cycles.iter().enumerate() {
         let at = |source: SimError| ServiceError::Sim { cycle, source };
@@ -253,11 +270,12 @@ fn drive(built: &mut BuiltSim, stim: &Stimulus) -> Result<Vec<Vec<String>>, Serv
         } else {
             built.sim.settle().map_err(at)?;
         }
-        let mut settled = Vec::with_capacity(built.outputs.len());
-        for &(_, id) in &built.outputs {
-            let v = built.sim.peek(id).map_err(at)?;
-            settled.push(v.to_bit_string());
-        }
+        let settled = built
+            .outputs
+            .iter()
+            .map(|&(_, id)| built.sim.peek(id))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(at)?;
         trace.push(settled);
         built.sim.step().map_err(at)?;
     }

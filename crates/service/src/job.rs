@@ -19,10 +19,17 @@
 //! | `verify`    | re-run cache-free under full sweep and compare  | `false`   |
 //! | `span`      | return the job's per-stage server-side timeline | `false`   |
 //!
+//! [`parse_job`] reads a line once: the wire decoder
+//! ([`wire::parse_submission`]) pulls tokens from one scanner, puts
+//! `stimulus.cycles` straight into the case's rows, and hands back the
+//! case and the `options` member together. Only the small `design`,
+//! `stimulus.inputs` and `options` members are built as [`Json`]
+//! trees.
+//!
 //! Besides job submissions, the layer answers two control verbs:
 //!
 //! * `{"verb": "stats"}` returns the service's live
-//!   [`hdp-service-metrics-v3`](crate::metrics::METRICS_SCHEMA)
+//!   [`hdp-service-metrics-v4`](crate::metrics::METRICS_SCHEMA)
 //!   snapshot — counters, cache state and latency histograms — as a
 //!   single-line document.
 //! * `{"verb": "select", "constraints": {…}}` answers a §3.4
@@ -36,18 +43,25 @@
 //! A response is one `hdp-service-result-v1` JSON document per line:
 //! `design_hash`, `cache` (`"hit"`/`"miss"`), `plan_installed`, the
 //! output `ports`, the per-cycle `trace` of bit-strings, and the
-//! optional `telemetry` / `vcd` / `verified` sections. Failures
-//! produce `{"schema": "hdp-service-result-v1", "error": {…}}` with
-//! the failing `stage` (`wire`, `build` or `sim`, or `panic` when the
-//! server caught a panicking handler).
+//! optional `telemetry` / `vcd` / `verified` sections.
+//! [`outcome_to_json`] streams it through one
+//! [`JsonWriter`] into a `String` sized up front; each trace vector's
+//! bit-string is made only there, as its characters are written.
+//! Failures produce `{"schema": "hdp-service-result-v1", "error":
+//! {…}}` with the failing `stage` (`wire`, `build` or `sim`; `panic`
+//! when the server caught a panicking handler; `busy` when the
+//! server's accept queue had no place for the connection).
 
 use crate::exec::{JobOptions, JobOutcome, ServiceError};
 use crate::metrics::Counter;
 use crate::obs::Stage;
+use hdp_conform::json::JsonWriter;
 use hdp_conform::wire::{self, WireError};
 use hdp_conform::{Case, Json};
+use hdp_hdl::{LogicVector, MAX_WIDTH};
 use hdp_sim::{SchedMode, SimStats};
 use hdp_synth::{auto_select, Query, Selection};
+use std::fmt;
 use std::time::Instant;
 
 /// The schema identifier of every response document.
@@ -57,16 +71,16 @@ pub const RESULT_SCHEMA: &str = "hdp-service-result-v1";
 pub const SELECT_SCHEMA: &str = "hdp-service-select-v1";
 
 /// Parses one submission line: the wire case plus the service
-/// options.
+/// options, in one pass over the line
+/// ([`wire::parse_submission`]).
 ///
 /// # Errors
 ///
 /// [`WireError`] for a malformed document or an unknown mode string.
 pub fn parse_job(text: &str) -> Result<(Case, JobOptions), WireError> {
-    let case = wire::parse_case(text)?;
-    let doc = Json::parse(text).map_err(|detail| WireError::Syntax { detail })?;
+    let (case, options) = wire::parse_submission(text)?;
     let mut opts = JobOptions::default();
-    if let Some(options) = doc.get("options") {
+    if let Some(options) = options {
         if let Some(mode) = options.get("mode") {
             opts.mode =
                 mode.as_str()
@@ -93,106 +107,143 @@ pub fn parse_job(text: &str) -> Result<(Case, JobOptions), WireError> {
     Ok((case, opts))
 }
 
-fn stats_to_json(stats: &SimStats) -> Json {
-    Json::Obj(vec![
-        ("steps".to_owned(), Json::Num(stats.steps)),
-        ("settles".to_owned(), Json::Num(stats.settles)),
-        ("delta_passes".to_owned(), Json::Num(stats.passes)),
-        ("total_evals".to_owned(), Json::Num(stats.total_evals())),
-        ("total_toggles".to_owned(), Json::Num(stats.total_toggles())),
-        (
-            "lowered_settles".to_owned(),
-            Json::Num(stats.lowered_settles),
-        ),
-        ("ops_executed".to_owned(), Json::Num(stats.ops_executed)),
-        (
-            "fallback_settles".to_owned(),
-            Json::Num(stats.fallback_settles),
-        ),
-        ("plan_installs".to_owned(), Json::Num(stats.plan_installs)),
-        (
-            "fallback_causes".to_owned(),
-            Json::Obj(
-                stats
-                    .fallback_cause_counts()
-                    .map(|(cause, n)| (cause.label().to_owned(), Json::Num(n)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Renders a completed job as a response document.
+/// Renders a completed job as a response document, streamed into one
+/// `String` sized for it up front.
 #[must_use]
 pub fn outcome_to_json(out: &JobOutcome) -> String {
-    let mut fields = vec![
-        ("schema".to_owned(), Json::Str(RESULT_SCHEMA.into())),
-        ("design_hash".to_owned(), Json::Str(out.design_hash.clone())),
-        ("label".to_owned(), Json::Str(out.label.clone())),
-        (
-            "cache".to_owned(),
-            Json::Str(if out.cache_hit { "hit" } else { "miss" }.into()),
-        ),
-        ("plan_installed".to_owned(), Json::Bool(out.plan_installed)),
-        ("cycles".to_owned(), Json::Num(out.cycles as u64)),
-        (
-            "ports".to_owned(),
-            Json::Arr(
-                out.ports
-                    .iter()
-                    .map(|(name, width)| {
-                        Json::Obj(vec![
-                            ("name".to_owned(), Json::Str(name.clone())),
-                            ("width".to_owned(), Json::Num(*width as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "trace".to_owned(),
-            Json::Arr(
-                out.trace
-                    .iter()
-                    .map(|row| Json::Arr(row.iter().map(|v| Json::Str(v.clone())).collect()))
-                    .collect(),
-            ),
-        ),
-    ];
+    let mut w = JsonWriter::new(String::with_capacity(response_bytes(out)));
+    write_outcome(&mut w, out).expect("writing to a String never fails");
+    w.into_inner()
+}
+
+/// A close upper estimate of a response's length: the fixed members,
+/// one `"bits",` per port per cycle and the optional sections.
+fn response_bytes(out: &JobOutcome) -> usize {
+    let ports: usize = out.ports.iter().map(|(name, _)| name.len() + 24).sum();
+    let row: usize = 2 + out.ports.iter().map(|&(_, width)| width + 3).sum::<usize>();
+    let vcd = out.vcd.as_ref().map_or(0, |v| v.len() + v.len() / 8);
+    let span = if out.span.is_some() { 4096 } else { 0 };
+    512 + out.label.len() + ports + out.trace.len() * row + vcd + span
+}
+
+fn write_outcome<W: fmt::Write>(w: &mut JsonWriter<W>, out: &JobOutcome) -> fmt::Result {
+    w.begin_obj()?;
+    w.key("schema")?;
+    w.str(RESULT_SCHEMA)?;
+    w.key("design_hash")?;
+    w.str(&out.design_hash)?;
+    w.key("label")?;
+    w.str(&out.label)?;
+    w.key("cache")?;
+    w.str(if out.cache_hit { "hit" } else { "miss" })?;
+    w.key("plan_installed")?;
+    w.bool(out.plan_installed)?;
+    w.key("cycles")?;
+    w.num(out.cycles as u64)?;
+    w.key("ports")?;
+    w.begin_arr()?;
+    for (name, width) in &out.ports {
+        w.begin_obj()?;
+        w.key("name")?;
+        w.str(name)?;
+        w.key("width")?;
+        w.num(*width as u64)?;
+        w.end_obj()?;
+    }
+    w.end_arr()?;
+    w.key("trace")?;
+    w.begin_arr()?;
+    let mut bits = [0; MAX_WIDTH];
+    for row in &out.trace {
+        w.begin_arr()?;
+        for v in row {
+            w.str(bit_string(v, &mut bits))?;
+        }
+        w.end_arr()?;
+    }
+    w.end_arr()?;
     if let Some(stats) = &out.stats {
-        fields.push(("telemetry".to_owned(), stats_to_json(stats)));
+        w.key("telemetry")?;
+        write_stats(w, stats)?;
     }
     if let Some(vcd) = &out.vcd {
-        fields.push(("vcd".to_owned(), Json::Str(vcd.clone())));
+        w.key("vcd")?;
+        w.str(vcd)?;
     }
     if let Some(verified) = out.verified {
-        fields.push(("verified".to_owned(), Json::Bool(verified)));
+        w.key("verified")?;
+        w.bool(verified)?;
     }
     if let Some(span) = &out.span {
-        fields.push((
-            "span".to_owned(),
-            Json::Obj(vec![
-                ("total_ns".to_owned(), Json::Num(span.total_ns())),
-                (
-                    "stages".to_owned(),
-                    Json::Arr(
-                        span.stages
-                            .iter()
-                            .map(|s| {
-                                Json::Obj(vec![
-                                    ("stage".to_owned(), Json::Str(s.stage.label().into())),
-                                    ("ts_ns".to_owned(), Json::Num(s.ts_ns)),
-                                    ("dur_ns".to_owned(), Json::Num(s.dur_ns)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("chrome_trace".to_owned(), Json::Str(span.chrome_trace())),
-            ]),
-        ));
+        w.key("span")?;
+        w.begin_obj()?;
+        w.key("total_ns")?;
+        w.num(span.total_ns())?;
+        w.key("stages")?;
+        w.begin_arr()?;
+        for s in &span.stages {
+            w.begin_obj()?;
+            w.key("stage")?;
+            w.str(s.stage.label())?;
+            w.key("ts_ns")?;
+            w.num(s.ts_ns)?;
+            w.key("dur_ns")?;
+            w.num(s.dur_ns)?;
+            w.end_obj()?;
+        }
+        w.end_arr()?;
+        w.key("chrome_trace")?;
+        w.str(&span.chrome_trace())?;
+        w.end_obj()?;
     }
-    Json::Obj(fields).to_string()
+    w.end_obj()
+}
+
+/// Renders `v` MSB first into `buf`, one `0`/`1`/`X`/`Z` per bit:
+/// the characters of [`LogicVector::to_bit_string`], with no
+/// allocation.
+fn bit_string<'b>(v: &LogicVector, buf: &'b mut [u8; MAX_WIDTH]) -> &'b str {
+    let (value, unknown, highz) = v.raw_masks();
+    let width = v.width();
+    for (slot, i) in buf.iter_mut().zip((0..width).rev()) {
+        let bit = |plane: u64| plane >> i & 1 != 0;
+        *slot = if bit(highz) {
+            b'Z'
+        } else if bit(unknown) {
+            b'X'
+        } else if bit(value) {
+            b'1'
+        } else {
+            b'0'
+        };
+    }
+    std::str::from_utf8(&buf[..width]).expect("bit characters are ASCII")
+}
+
+fn write_stats<W: fmt::Write>(w: &mut JsonWriter<W>, stats: &SimStats) -> fmt::Result {
+    w.begin_obj()?;
+    for (key, n) in [
+        ("steps", stats.steps),
+        ("settles", stats.settles),
+        ("delta_passes", stats.passes),
+        ("total_evals", stats.total_evals()),
+        ("total_toggles", stats.total_toggles()),
+        ("lowered_settles", stats.lowered_settles),
+        ("ops_executed", stats.ops_executed),
+        ("fallback_settles", stats.fallback_settles),
+        ("plan_installs", stats.plan_installs),
+    ] {
+        w.key(key)?;
+        w.num(n)?;
+    }
+    w.key("fallback_causes")?;
+    w.begin_obj()?;
+    for (cause, n) in stats.fallback_cause_counts() {
+        w.key(cause.label())?;
+        w.num(n)?;
+    }
+    w.end_obj()?;
+    w.end_obj()
 }
 
 /// Renders a failed job as a response document.
@@ -203,6 +254,7 @@ pub fn error_to_json(err: &ServiceError) -> String {
         ServiceError::Build { .. } => "build",
         ServiceError::Sim { .. } => "sim",
         ServiceError::Panic { .. } => "panic",
+        ServiceError::Busy { .. } => "busy",
     };
     Json::Obj(vec![
         ("schema".to_owned(), Json::Str(RESULT_SCHEMA.into())),
@@ -364,6 +416,151 @@ mod tests {
                 options
             )
         }
+    }
+
+    /// The renderer `outcome_to_json` replaced, frozen: it clones the
+    /// whole outcome into a `Json` tree and prints the tree.
+    fn tree_outcome_to_json(out: &JobOutcome) -> String {
+        let str_json = |s: &str| Json::Str(s.to_owned());
+        let mut fields = vec![
+            ("schema".to_owned(), str_json(RESULT_SCHEMA)),
+            ("design_hash".to_owned(), str_json(&out.design_hash)),
+            ("label".to_owned(), str_json(&out.label)),
+            (
+                "cache".to_owned(),
+                str_json(if out.cache_hit { "hit" } else { "miss" }),
+            ),
+            ("plan_installed".to_owned(), Json::Bool(out.plan_installed)),
+            ("cycles".to_owned(), Json::Num(out.cycles as u64)),
+            (
+                "ports".to_owned(),
+                Json::Arr(
+                    out.ports
+                        .iter()
+                        .map(|(name, width)| {
+                            Json::obj([
+                                ("name", str_json(name)),
+                                ("width", Json::Num(*width as u64)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "trace".to_owned(),
+                Json::Arr(
+                    out.trace
+                        .iter()
+                        .map(|row| {
+                            Json::Arr(row.iter().map(|v| Json::Str(v.to_bit_string())).collect())
+                        })
+                        .collect(),
+                ),
+            ),
+        ];
+        if let Some(stats) = &out.stats {
+            let causes = stats
+                .fallback_cause_counts()
+                .map(|(cause, n)| (cause.label().to_owned(), Json::Num(n)));
+            fields.push((
+                "telemetry".to_owned(),
+                Json::obj([
+                    ("steps", Json::Num(stats.steps)),
+                    ("settles", Json::Num(stats.settles)),
+                    ("delta_passes", Json::Num(stats.passes)),
+                    ("total_evals", Json::Num(stats.total_evals())),
+                    ("total_toggles", Json::Num(stats.total_toggles())),
+                    ("lowered_settles", Json::Num(stats.lowered_settles)),
+                    ("ops_executed", Json::Num(stats.ops_executed)),
+                    ("fallback_settles", Json::Num(stats.fallback_settles)),
+                    ("plan_installs", Json::Num(stats.plan_installs)),
+                    ("fallback_causes", Json::Obj(causes.collect())),
+                ]),
+            ));
+        }
+        if let Some(vcd) = &out.vcd {
+            fields.push(("vcd".to_owned(), str_json(vcd)));
+        }
+        if let Some(verified) = out.verified {
+            fields.push(("verified".to_owned(), Json::Bool(verified)));
+        }
+        if let Some(span) = &out.span {
+            let stages = span.stages.iter().map(|s| {
+                Json::obj([
+                    ("stage", str_json(s.stage.label())),
+                    ("ts_ns", Json::Num(s.ts_ns)),
+                    ("dur_ns", Json::Num(s.dur_ns)),
+                ])
+            });
+            fields.push((
+                "span".to_owned(),
+                Json::obj([
+                    ("total_ns", Json::Num(span.total_ns())),
+                    ("stages", Json::Arr(stages.collect())),
+                    ("chrome_trace", Json::Str(span.chrome_trace())),
+                ]),
+            ));
+        }
+        Json::Obj(fields).to_string()
+    }
+
+    #[test]
+    fn streamed_response_matches_the_tree_renderer_byte_for_byte() {
+        let service = Service::new(4);
+        let options = [
+            "",
+            "{\"telemetry\":true}",
+            "{\"vcd\":true}",
+            "{\"verify\":true,\"span\":true}",
+            "{\"mode\":\"event_driven\",\"telemetry\":true,\"vcd\":true,\"verify\":true,\"span\":true}",
+        ];
+        let mut sections = 0;
+        for seed in 0..24 {
+            let line = job_line(
+                seed,
+                1 + seed as usize % 9,
+                options[seed as usize % options.len()],
+            );
+            let (case, opts) = parse_job(&line).unwrap();
+            let out = service.run_case(&case, &opts).unwrap();
+            sections += usize::from(out.vcd.as_ref().is_some_and(|v| v.contains('\n')))
+                + usize::from(
+                    out.span
+                        .as_ref()
+                        .is_some_and(|s| s.chrome_trace().contains('"')),
+                );
+            assert_eq!(
+                outcome_to_json(&out),
+                tree_outcome_to_json(&out),
+                "seed {seed}"
+            );
+        }
+        assert!(sections > 0, "the VCD and span sections were rendered");
+
+        // Labels and port names that need every escape the writer has.
+        let (case, opts) = parse_job(&job_line(
+            5,
+            3,
+            "{\"telemetry\":true,\"span\":true,\"vcd\":true}",
+        ))
+        .unwrap();
+        let mut out = service.run_case(&case, &opts).unwrap();
+        let hostile =
+            "q\"uote\\back\nnl\rcr\ttab\u{0}\u{1}\u{1f}\u{7f} caf\u{e9} \u{2713} \u{1f600}";
+        out.label = hostile.to_owned();
+        out.design_hash = format!("{hostile}#");
+        for (i, (name, _)) in out.ports.iter_mut().enumerate() {
+            *name = format!("{hostile}{i}");
+        }
+        out.verified = Some(false);
+        assert_eq!(outcome_to_json(&out), tree_outcome_to_json(&out));
+        assert_eq!(
+            Json::parse(&outcome_to_json(&out))
+                .unwrap()
+                .get("label")
+                .and_then(Json::as_str),
+            Some(hostile)
+        );
     }
 
     #[test]

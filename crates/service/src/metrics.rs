@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The schema identifier of every metrics snapshot document.
-pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v3";
+pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v4";
 
 /// Log2 buckets per latency histogram. Bucket `i` holds durations in
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket absorbs everything
@@ -121,6 +121,10 @@ pub enum Counter {
     /// Lines whose handler panicked. Each is answered with an error
     /// document; a job that panicked has no outcome or mode counter.
     ErrorsPanic,
+    /// Connections refused with a `busy` document because the accept
+    /// queue was full. Each is also in `connections_total`; none is a
+    /// job.
+    ErrorsBusy,
     /// Jobs that installed a cached [`hdp_sim::CompiledPlan`].
     PlansInstalled,
     /// Jobs that requested a VCD waveform.
@@ -161,7 +165,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 26;
 
     /// Every counter, in table order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -172,6 +176,7 @@ impl Counter {
         Counter::ErrorsSim,
         Counter::ErrorsWire,
         Counter::ErrorsPanic,
+        Counter::ErrorsBusy,
         Counter::PlansInstalled,
         Counter::JobsVcd,
         Counter::JobsVerify,
@@ -203,6 +208,7 @@ impl Counter {
             Counter::ErrorsSim => "errors_sim",
             Counter::ErrorsWire => "errors_wire",
             Counter::ErrorsPanic => "errors_panic",
+            Counter::ErrorsBusy => "errors_busy",
             Counter::PlansInstalled => "plans_installed",
             Counter::JobsVcd => "jobs_vcd",
             Counter::JobsVerify => "jobs_verify",
@@ -443,6 +449,15 @@ impl MetricsRegistry {
         if self.mode.enabled() {
             self.inc(Counter::ConnectionsTotal);
             self.queue_depth.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A connection counted by [`MetricsRegistry::connection_queued`]
+    /// found the accept queue full and was refused.
+    pub fn connection_refused(&self) {
+        if self.mode.enabled() {
+            self.inc(Counter::ErrorsBusy);
+            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -949,6 +964,17 @@ pub fn validate_snapshot(doc: &Json) -> Vec<String> {
             "jobs by mode {by_mode} != jobs_total {jobs} (errors_panic {panics})"
         ));
     }
+    // A refused connection was accepted first, so it is counted in
+    // `connections_total` as well.
+    let (busy, connections) = (
+        snap.counter(Counter::ErrorsBusy),
+        snap.counter(Counter::ConnectionsTotal),
+    );
+    if busy > connections {
+        problems.push(format!(
+            "errors_busy {busy} exceeds connections_total {connections}"
+        ));
+    }
     if snap.counter(Counter::VerifyFailures) > 0 {
         problems.push("verify_failures is nonzero: cached execution diverged".to_owned());
     }
@@ -1138,6 +1164,32 @@ mod tests {
         let problems = validate_snapshot(&Json::parse(&snap.to_json()).unwrap());
         assert!(
             problems.iter().any(|p| p.starts_with("job outcomes")),
+            "{problems:?}"
+        );
+    }
+
+    #[test]
+    fn a_refused_connection_is_counted_once_and_leaves_the_queue() {
+        let reg = MetricsRegistry::new(ObsMode::Counters);
+        reg.connection_queued();
+        reg.connection_queued();
+        reg.connection_refused();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter(Counter::ConnectionsTotal), 2);
+        assert_eq!(snap.counter(Counter::ErrorsBusy), 1);
+        assert_eq!(snap.queue_depth, 1, "the refused connection left the queue");
+        assert_eq!(snap.counter(Counter::JobsTotal), 0, "a refusal is no job");
+        assert_eq!(
+            validate_snapshot(&Json::parse(&snap.to_json()).unwrap()),
+            Vec::<String>::new()
+        );
+
+        // More refusals than connections cannot happen.
+        reg.inc(Counter::ErrorsBusy);
+        reg.inc(Counter::ErrorsBusy);
+        let problems = validate_snapshot(&Json::parse(&reg.snapshot().to_json()).unwrap());
+        assert!(
+            problems.iter().any(|p| p.starts_with("errors_busy")),
             "{problems:?}"
         );
     }

@@ -26,15 +26,22 @@
 //!   becomes a `panic` error document and an `errors_panic` count,
 //!   and the connection carries on.
 //!
+//! Nor can a flood of connections queue without bound: the accept
+//! thread hands connections to the workers over a bounded queue of
+//! [`QUEUE_PER_WORKER`] places per worker. A connection that finds it
+//! full is answered at once with a `busy` error document, counted in
+//! `errors_busy`, and closed.
+//!
 //! Everything here is `std`: `std::net` sockets, `std::thread`
-//! workers and an `mpsc` hand-off channel. No async runtime.
+//! workers and an `mpsc::sync_channel` hand-off queue. No async
+//! runtime.
 
 use crate::exec::{Service, ServiceError};
 use crate::job;
 use crate::metrics::Counter;
 use hdp_conform::wire::WireError;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -48,6 +55,11 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// How long one read or one write on a connection may wait before
 /// the server drops the connection.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Places in the accept queue per worker thread: connections accepted
+/// but not yet claimed by a worker. The queue holds
+/// `QUEUE_PER_WORKER * threads` of them.
+pub const QUEUE_PER_WORKER: usize = 4;
 
 /// The per-connection limits. [`serve`] uses the constants; the tests
 /// shorten them.
@@ -175,6 +187,18 @@ fn wire_error(service: &Service, error: WireError) -> String {
     job::error_to_json(&ServiceError::Wire(error))
 }
 
+/// Answers a connection the full accept queue has no place for with
+/// a `busy` document and closes it, without reading from it. The
+/// document is one short write into an empty send buffer, so the
+/// accept thread does not wait on the client.
+fn refuse_busy(service: &Service, stream: &TcpStream, capacity: usize, timeout: Duration) {
+    service.metrics().connection_refused();
+    let busy = job::error_to_json(&ServiceError::Busy { capacity });
+    let _ = configure(stream, timeout)
+        .and_then(|()| send_line(&mut &*stream, busy))
+        .and_then(|()| stream.shutdown(Shutdown::Write));
+}
+
 /// Serves one connection until EOF, an I/O error (a timeout among
 /// them) or an oversized line, reusing one line buffer throughout.
 fn handle_connection(
@@ -222,7 +246,10 @@ fn configure(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
 /// worker pickup is reported to the service's metrics plane:
 /// `connections_total`, the `queue_depth` / `connections_active`
 /// gauges, per-worker busy time, and (when sampling) the
-/// [`Queue`](crate::obs::Stage::Queue) latency histogram.
+/// [`Queue`](crate::obs::Stage::Queue) latency histogram. A
+/// connection accepted while [`QUEUE_PER_WORKER`]` * threads`
+/// others wait for a worker is refused with a `busy` document and
+/// counted in `errors_busy`.
 ///
 /// # Errors
 ///
@@ -245,10 +272,12 @@ fn serve_with(
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<(TcpStream, Instant)>();
+    let threads = threads.max(1);
+    let capacity = QUEUE_PER_WORKER * threads;
+    let (tx, rx) = mpsc::sync_channel::<(TcpStream, Instant)>(capacity);
     let rx = Arc::new(Mutex::new(rx));
 
-    let workers: Vec<JoinHandle<()>> = (0..threads.max(1))
+    let workers: Vec<JoinHandle<()>> = (0..threads)
         .map(|worker_index| {
             let rx = Arc::clone(&rx);
             let service = Arc::clone(&service);
@@ -288,8 +317,12 @@ fn serve_with(
                 match stream {
                     Ok(stream) => {
                         service.metrics().connection_queued();
-                        if tx.send((stream, Instant::now())).is_err() {
-                            break;
+                        match tx.try_send((stream, Instant::now())) {
+                            Ok(()) => {}
+                            Err(mpsc::TrySendError::Full((stream, _))) => {
+                                refuse_busy(&service, &stream, capacity, limits.timeout);
+                            }
+                            Err(mpsc::TrySendError::Disconnected(_)) => break,
                         }
                     }
                     Err(_) => continue,
@@ -478,6 +511,79 @@ mod tests {
             "the refusal is counted"
         );
         drop(idle);
+        handle.shutdown();
+    }
+
+    /// Polls `ready` for up to 10 s.
+    fn wait_until(ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn connections_past_the_full_queue_get_busy_documents() {
+        let limits = Limits {
+            max_line: MAX_LINE_BYTES,
+            timeout: Duration::from_secs(5),
+        };
+        let handle = serve_with(
+            "127.0.0.1:0",
+            Arc::new(Service::new(8)),
+            1,
+            limits,
+            job::handle_line,
+        )
+        .unwrap();
+        let addr = handle.addr();
+        let metrics = || handle.service().metrics();
+        // An idle client holds the only worker.
+        let idle = TcpStream::connect(addr).unwrap();
+        wait_until(|| metrics().snapshot().connections_active == 1);
+
+        // These fill the queue's places, one worker's worth, in order.
+        let queued: Vec<TcpStream> = (0..QUEUE_PER_WORKER)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        wait_until(|| metrics().snapshot().queue_depth == QUEUE_PER_WORKER as u64);
+
+        // The queue is full: each further connection is refused at once.
+        for _ in 0..3 {
+            let mut refused = TcpStream::connect(addr).unwrap();
+            refused
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut reply = String::new();
+            refused.read_to_string(&mut reply).unwrap();
+            let doc = Json::parse(reply.trim_end()).unwrap();
+            assert_eq!(error_stage(&doc), Some("busy"), "{reply}");
+            assert_eq!(
+                doc.get("schema").and_then(Json::as_str),
+                Some(job::RESULT_SCHEMA)
+            );
+            assert!(reply.contains(&format!("all {QUEUE_PER_WORKER} places")));
+        }
+        assert_eq!(metrics().get(Counter::ErrorsBusy), 3);
+        assert_eq!(metrics().snapshot().queue_depth, QUEUE_PER_WORKER as u64);
+
+        // Once the worker is free, every queued connection is served.
+        drop(idle);
+        for stream in &queued {
+            let lines = [job_line(77, 6)];
+            let responses = exchange(BufReader::new(stream), stream, &lines).unwrap();
+            let ok = Json::parse(&responses[0]).unwrap();
+            assert!(ok.get("trace").is_some(), "{}", responses[0]);
+            stream.shutdown(Shutdown::Write).unwrap();
+        }
+        let stats = submit(addr, &["{\"verb\":\"stats\"}".to_owned()]).unwrap();
+        let snapshot = Json::parse(&stats[0]).unwrap();
+        assert_eq!(
+            crate::metrics::validate_snapshot(&snapshot),
+            Vec::<String>::new()
+        );
+        assert_eq!(metrics().get(Counter::JobsTotal), QUEUE_PER_WORKER as u64);
         handle.shutdown();
     }
 

@@ -8,6 +8,8 @@
 //! plan, and hostile input: out-of-range size fields and oversized
 //! lines come back as named errors while the server keeps answering.
 
+mod tree_decoder;
+
 use hdp::metagen::sampler::{sample_spec, sample_spec_in, FAMILIES};
 use hdp::prelude::*;
 use hdp::service::server::MAX_LINE_BYTES;
@@ -202,7 +204,8 @@ fn error_path(doc: &Json) -> Option<&str> {
 /// Every numeric design field of every family, at 0, 1, each power of
 /// two and `u64::MAX`, is answered with a result document — a trace
 /// or a named error — and never with a panic or an aborting
-/// allocation.
+/// allocation. Each line also decodes exactly as the frozen tree
+/// decoder decodes it.
 #[test]
 fn every_size_field_at_every_extreme_is_answered_with_a_document() {
     let service = Service::new(4);
@@ -225,6 +228,7 @@ fn every_size_field_at_every_extreme_is_answered_with_a_document() {
         for field in fields {
             for &value in &values {
                 let line = job_with_design_field(family, field, value);
+                tree_decoder::assert_same_decode(&line);
                 let response = handle_line(&service, &line);
                 let doc = Json::parse(&response)
                     .unwrap_or_else(|e| panic!("family {family} {field}={value}: {e}"));
