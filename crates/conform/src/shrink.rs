@@ -13,6 +13,10 @@
 //! 5. reduce `addr_width` / `key_width` towards their floors,
 //! 6. reduce the `wr`/`rd` clock periods towards the synchronous 1:1
 //!    ratio (multi-domain designs only).
+//!
+//! A structural candidate that leaves the `DesignSpec::validate`
+//! envelope is skipped, so every written reproducer is one the
+//! service's wire path accepts.
 
 use crate::oracle::{check, Divergence, Stimulus};
 use hdp_metagen::sampler::DesignSpec;
@@ -44,10 +48,13 @@ impl Case {
 
 /// Builds the candidate with `mutate` applied to the spec, rebinding
 /// the stimulus onto the regenerated netlist. `None` if the mutated
-/// spec no longer generates or the ports changed shape.
+/// spec leaves the [`DesignSpec::validate`] envelope (the service's
+/// wire path would reject the reproducer), no longer generates or the
+/// ports changed shape.
 fn mutated(case: &Case, mutate: impl FnOnce(&mut DesignSpec)) -> Option<Case> {
     let mut spec = case.spec.clone();
     mutate(&mut spec);
+    spec.validate().ok()?;
     let netlist = spec.instantiate().ok()?;
     let stimulus = case.stimulus.rebind(&netlist)?;
     Some(Case { spec, stimulus })
@@ -132,6 +139,25 @@ mod tests {
         let (shrunk, d) = shrink(&case);
         assert!(d.is_none());
         assert_eq!(shrunk.stimulus.cycles.len(), case.stimulus.cycles.len());
+    }
+
+    #[test]
+    fn a_reduction_outside_the_validate_envelope_is_skipped() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut spec = sample_spec(&mut rng);
+        spec.depth = spec.depth.max(3);
+        let netlist = spec.instantiate().unwrap();
+        let stimulus = Stimulus::sample(&netlist, 4, &mut rng);
+        let case = Case { spec, stimulus };
+        assert!(mutated(&case, |s| s.depth -= 1).is_some());
+        // A write period far past its bound stays past it after one
+        // step down, and so does the spec after a reduction of another
+        // axis: both candidates are dropped.
+        let mut outside = case;
+        outside.spec.wr_period = 1 << 40;
+        assert!(outside.spec.validate().is_err());
+        assert!(mutated(&outside, |s| s.wr_period -= 1).is_none());
+        assert!(mutated(&outside, |s| s.depth -= 1).is_none());
     }
 
     #[test]

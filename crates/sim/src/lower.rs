@@ -19,6 +19,11 @@
 //! semantics, including `Not`'s whole-word poisoning and the tri-state
 //! resolve fold).
 //!
+//! The sequential half has one model, the interpreter's: its
+//! `SeqState` is presented into the planes through the interpreter's
+//! own `seq_outputs`, and a clock edge reads cell inputs straight from
+//! the planes ([`Planes`]). Nothing is written back between the two.
+//!
 //! The second half, [`LaneBatch`], exploits the same translation for
 //! throughput: 64 independent stimulus runs are packed one-per-bit into
 //! u64 columns (bit `k` of every column belongs to lane `k`), so a
@@ -29,7 +34,7 @@
 //! are rejected at construction and fall back to scalar runs.
 
 use crate::error::SimError;
-use crate::netlist_sim::NetlistComponent;
+use crate::netlist_sim::{EdgeInputs, NetlistComponent};
 use crate::signal::{BusAccess, SignalId};
 use hdp_hdl::prim::{CmpKind, GateOp, Prim};
 use hdp_hdl::{LogicVector, Netlist, PortDir};
@@ -162,19 +167,6 @@ pub(crate) enum LoweredOp {
     },
 }
 
-/// Sequential cell metadata the executor needs around the op stream:
-/// which interpreter cell to present before the ops run and which
-/// settled input nets to write back so the interpreter's `tick` (which
-/// the lowered path delegates to, keeping protocol-error semantics
-/// exact) sees current values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LoweredSeq {
-    /// Cell index in the netlist.
-    pub(crate) cell: u32,
-    /// Input net indices of the cell (sampled by `tick`).
-    pub(crate) in_nets: Vec<u32>,
-}
-
 /// A frozen design lowered to a flat word-level op stream.
 ///
 /// Value-independent: the program captures net layout, masks and ops
@@ -194,16 +186,14 @@ pub(crate) struct LoweredProgram {
     pub(crate) in_ports: Vec<(u32, SignalId)>,
     /// `Out` ports as `(net, signal)`, in wiring order.
     pub(crate) out_ports: Vec<(u32, SignalId)>,
-    /// Sequential cells, in cell-index order.
-    pub(crate) seq: Vec<LoweredSeq>,
     /// Cell count of the source netlist, for install-time validation.
     pub(crate) n_cells: u32,
 }
 
 /// Per-simulator mutable state of one lowered component: the net
-/// planes (persisted across settles like the interpreter's net-value
-/// cache) plus the input memo that lets an unchanged wake skip the op
-/// walk entirely.
+/// planes (persisted across settles; after a lowered settle they, not
+/// the interpreter's net cache, hold the state the next edge samples)
+/// plus the input memo that lets an unchanged wake skip the op walk.
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredScratch {
     pub(crate) v: Vec<u64>,
@@ -214,6 +204,23 @@ pub(crate) struct LoweredScratch {
     /// Forces the next exec to re-run the ops (set after construction,
     /// clock edges and event-driven fallbacks).
     pub(crate) dirty: bool,
+}
+
+/// A lowered unit's settled planes as the inputs of a clock edge
+/// (`NetlistComponent::lowered_tick`), in place of the interpreter's
+/// net cache.
+pub(crate) struct Planes<'a>(pub(crate) &'a LoweredProgram, pub(crate) &'a LoweredScratch);
+
+impl EdgeInputs for Planes<'_> {
+    fn value(&self, net: usize) -> LogicVector {
+        let (width, s) = (self.0.masks[net].count_ones() as usize, self.1);
+        LogicVector::from_raw_masks(width, s.v[net], s.u[net], s.z[net]).expect("valid width")
+    }
+
+    fn word(&self, net: usize) -> Option<u64> {
+        let s = self.1;
+        ((s.u[net] | s.z[net]) & self.0.masks[net] == 0).then_some(s.v[net])
+    }
 }
 
 impl LoweredScratch {
@@ -281,26 +288,29 @@ fn eval_table(
     z: &[u64],
 ) -> (u64, u64, u64) {
     let mut known: u64 = 0;
-    let mut x_positions: Vec<u32> = Vec::new();
+    let mut x_positions = [0u32; MAX_X_ENUM];
+    let mut n_x = 0;
     let mut bit_pos = 0u32;
     for &(net, width) in ins {
         let n = net as usize;
         let undef = u[n] | z[n];
         for i in 0..width {
             if undef >> i & 1 == 1 {
-                x_positions.push(bit_pos);
+                if n_x == MAX_X_ENUM {
+                    return (0, mask, 0);
+                }
+                x_positions[n_x] = bit_pos;
+                n_x += 1;
             } else if v[n] >> i & 1 == 1 {
                 known |= 1 << bit_pos;
             }
             bit_pos += 1;
         }
     }
-    if x_positions.len() > MAX_X_ENUM {
-        return (0, mask, 0);
-    }
+    let x_positions = &x_positions[..n_x];
     let mut ones = mask;
     let mut zeros = mask;
-    for combo in 0..(1u64 << x_positions.len()) {
+    for combo in 0..(1u64 << n_x) {
         let mut index = known;
         for (i, &pos) in x_positions.iter().enumerate() {
             if combo >> i & 1 == 1 {
@@ -525,10 +535,13 @@ fn exec_op(op: &LoweredOp, prog: &LoweredProgram, s: &mut LoweredScratch) {
 
 /// Settles one lowered component against the scheduler bus: the
 /// drop-in replacement for `NetlistComponent::eval` on the compiled
-/// rank walk. Reads `In` ports, presents sequential outputs, walks the
-/// op stream and drives `Out` ports — phase for phase the interpreter's
-/// `eval_full`, on flat planes. When neither the inputs nor the
-/// sequential state changed since the last walk, the ops are skipped
+/// rank walk. Reads `In` ports, presents sequential outputs (the
+/// interpreter's own `seq_outputs`), walks the op stream and drives
+/// `Out` ports — phase for phase the interpreter's `eval_full`, on flat
+/// planes. Nothing is written back into the interpreter: the planes
+/// stay the settled state until the next interpreted eval, and the
+/// clock edge reads them through [`Planes`]. When neither the inputs
+/// nor the sequential state changed since the last walk, the ops are skipped
 /// and the (provably unchanged) outputs are just re-driven, which keeps
 /// shared-bus resolution waves intact. Returns the number of word ops
 /// executed (`0` on a memo hit).
@@ -536,7 +549,7 @@ pub(crate) fn exec_settle(
     prog: &LoweredProgram,
     scratch: &mut LoweredScratch,
     comp: &mut NetlistComponent,
-    bus: &mut dyn BusAccess,
+    bus: &mut impl BusAccess,
 ) -> Result<u64, SimError> {
     // 1. Read input ports and compare against the memo.
     scratch.in_tmp.clear();
@@ -559,8 +572,8 @@ pub(crate) fn exec_settle(
             scratch.z[n] = z;
         }
         // 2. Present sequential outputs.
-        for sq in &prog.seq {
-            for (net, value) in comp.lowered_seq_outputs(sq.cell as usize) {
+        for &ci in comp.seq_cells() {
+            for (net, value) in comp.seq_outputs(ci) {
                 let (v, u, z) = value.raw_masks();
                 scratch.v[net] = v;
                 scratch.u[net] = u;
@@ -579,21 +592,9 @@ pub(crate) fn exec_settle(
             exec_op(op, prog, scratch);
         }
         ops = prog.ops.len() as u64;
-        // Write the settled values of sequential input nets back into
-        // the interpreter so its `tick` (still the authority on clock
-        // edges and protocol errors) samples current data, and mark its
-        // combinational cache stale for any later interpreted eval.
-        for sq in &prog.seq {
-            for &net in &sq.in_nets {
-                let n = net as usize;
-                let width = prog.masks[n].count_ones() as usize;
-                let value =
-                    LogicVector::from_raw_masks(width, scratch.v[n], scratch.u[n], scratch.z[n])
-                        .map_err(SimError::from)?;
-                comp.lowered_sync_net(n, value);
-            }
-        }
-        comp.lowered_mark_stale();
+        // The planes now hold every settled net, sequential inputs
+        // included: the next clock edge samples them there.
+        comp.mark_lowered_settle();
         scratch.dirty = false;
     }
     // 5. Drive output ports (every wake, like the interpreter, so
@@ -769,24 +770,12 @@ impl LoweredProgram {
             }
         }
 
-        let seq: Vec<LoweredSeq> = netlist
-            .cells()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.prim().is_sequential())
-            .map(|(ci, c)| LoweredSeq {
-                cell: ci as u32,
-                in_nets: c.inputs().iter().map(|n| n.index() as u32).collect(),
-            })
-            .collect();
-
         Ok(Self {
             masks,
             shared_z,
             ops,
             in_ports,
             out_ports,
-            seq,
             n_cells: netlist.cells().len() as u32,
         })
     }
@@ -2108,6 +2097,41 @@ mod tests {
     }
 
     #[test]
+    fn truth_table_gives_up_where_eval_comb_does() {
+        // An 11-bit index: 9, 10 and 11 undefined bits straddle the
+        // `MAX_X_ENUM` enumeration cap. A uniform table stays defined
+        // exactly while the X bits are enumerated.
+        let mixed: Vec<u64> = (0..2048u64).map(|i| ((i * 0x9E37) >> 5) & 0x7).collect();
+        for table in [mixed, vec![5; 2048]] {
+            let prim = Prim::TruthTable {
+                in_widths: vec![6, 5],
+                out_width: 3,
+                table: table.clone(),
+            };
+            for n_x in [0, 1, 9, 10, 11] {
+                let x = (1u64 << n_x) - 1;
+                let known = 0b101_1010_0110u64 & !x;
+                let hi = LogicVector::from_raw_masks(6, known >> 5, x >> 5, 0).unwrap();
+                let lo = LogicVector::from_raw_masks(5, known, x, 0).unwrap();
+                let expect = prim.eval_comb(&[hi, lo]).unwrap()[0];
+                // Nets 0 (`hi`) and 1 (`lo`), pins LSB-first.
+                let planes = [hi.raw_masks(), lo.raw_masks()];
+                let (v, u, z) = (
+                    planes.map(|p| p.0),
+                    planes.map(|p| p.1),
+                    planes.map(|p| p.2),
+                );
+                let (gv, gu, gz) = eval_table(&[(1, 5), (0, 6)], &table, 0x7, &v, &u, &z);
+                let got = LogicVector::from_raw_masks(3, gv, gu, gz).unwrap();
+                assert_eq!(got, expect, "{n_x} X bits");
+                if table[0] == 5 {
+                    assert_eq!(got.to_u64().is_some(), n_x <= MAX_X_ENUM, "{n_x} X bits");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn golden_tribuf() {
         golden(Prim::TriBuf { width: 2 });
     }
@@ -2452,5 +2476,595 @@ mod tests {
             warm.stats().lowered_settles > 0,
             "the installed plan must execute lowered, not interpreted"
         );
+    }
+
+    #[test]
+    fn installing_a_plan_mid_run_refills_the_planes_before_an_edge() {
+        let (mut cold, din, _) = acc_sim(SchedMode::Lowered);
+        for c in 0..4u64 {
+            cold.poke(din, c).unwrap();
+            cold.step().unwrap();
+        }
+        let plan = cold.export_plan().unwrap();
+        let (mut warm, wdin, wq) = acc_sim(SchedMode::Lowered);
+        let (mut reference, rdin, rq) = acc_sim(SchedMode::EventDriven);
+        for c in 0..12u64 {
+            // No poke right after the install: the edge that follows
+            // must not sample the installed unit's empty planes.
+            if c != 6 {
+                warm.poke(wdin, c + 1).unwrap();
+                reference.poke(rdin, c + 1).unwrap();
+            }
+            warm.step().unwrap();
+            reference.step().unwrap();
+            if c == 5 {
+                warm.install_plan(&plan).unwrap();
+            }
+            assert_eq!(
+                warm.peek(wq).unwrap(),
+                reference.peek(rq).unwrap(),
+                "cycle {c}"
+            );
+        }
+    }
+
+    // The lowered clock edge: the sequential half ticks from the
+    // planes, samples whichever engine settled last, and raises the
+    // interpreter's protocol errors at the same cycle with the same
+    // text in every mode.
+
+    use crate::telemetry::FallbackCause;
+    use crate::{BusAccess, Component, Sensitivity, SignalBus};
+
+    /// One stimulus row: a value per `In` port, `None` for all-X.
+    type Row = Vec<Option<u64>>;
+
+    /// The sampled outputs per cycle, and the first error with its cycle.
+    type Run = (Vec<Vec<LogicVector>>, Option<(usize, String)>);
+
+    /// A simulator around `nl` in `mode`, one signal per entity port
+    /// (same name, same width). Returns the `In` and `Out` signals in
+    /// port order.
+    fn port_sim(nl: Netlist, mode: SchedMode) -> (Simulator, Vec<SignalId>, Vec<SignalId>) {
+        let mut sim = Simulator::with_mode(mode);
+        let (mut ins, mut outs, mut map) = (Vec::new(), Vec::new(), Vec::new());
+        for port in nl.entity().ports() {
+            let id = sim.add_signal(port.name(), port.width()).unwrap();
+            match port.dir() {
+                PortDir::In => ins.push(id),
+                _ => outs.push(id),
+            }
+            map.push((port.name().to_owned(), id));
+        }
+        let map: Vec<(&str, SignalId)> = map.iter().map(|(p, id)| (p.as_str(), *id)).collect();
+        let dut = NetlistComponent::new("dut", nl, sim.bus(), &map).unwrap();
+        sim.add_component(dut);
+        sim.set_telemetry(TelemetryLevel::Counters);
+        (sim, ins, outs)
+    }
+
+    /// Pokes one row (`None` pokes all-X).
+    fn poke_row(sim: &mut Simulator, ins: &[SignalId], row: &Row) {
+        for (&id, v) in ins.iter().zip(row) {
+            match v {
+                Some(v) => sim.poke(id, *v).unwrap(),
+                None => {
+                    let width = sim.bus().width(id).unwrap();
+                    sim.poke_vector(id, LogicVector::unknown(width).unwrap())
+                        .unwrap();
+                }
+            }
+        }
+    }
+
+    /// Runs `rows` with the service's cycle protocol (poke, reset on
+    /// cycle 0 or settle, sample the outputs, clock edge). Returns the
+    /// samples and the first error with the cycle that raised it.
+    fn run_rows(sim: &mut Simulator, ins: &[SignalId], outs: &[SignalId], rows: &[Row]) -> Run {
+        let mut trace = Vec::new();
+        for (cycle, row) in rows.iter().enumerate() {
+            poke_row(sim, ins, row);
+            let res = if cycle == 0 {
+                sim.reset()
+            } else {
+                sim.settle()
+            };
+            if let Err(e) = res {
+                return (trace, Some((cycle, e.to_string())));
+            }
+            trace.push(outs.iter().map(|&id| sim.peek(id).unwrap()).collect());
+            if let Err(e) = sim.step() {
+                return (trace, Some((cycle, e.to_string())));
+            }
+        }
+        (trace, None)
+    }
+
+    /// Runs `rows` through `nl` in every mode and asserts the traces
+    /// and the first errors agree; returns the `Lowered` run's result
+    /// and stats.
+    fn same_in_every_mode(nl: &Netlist, rows: &[Row]) -> (Run, crate::SimStats) {
+        let (mut sim, ins, outs) = port_sim(nl.clone(), SchedMode::FullSweep);
+        let reference = run_rows(&mut sim, &ins, &outs, rows);
+        for mode in [SchedMode::EventDriven, SchedMode::Lowered] {
+            let (mut sim, ins, outs) = port_sim(nl.clone(), mode);
+            let got = run_rows(&mut sim, &ins, &outs, rows);
+            assert_eq!(got, reference, "{mode:?} against the full sweep");
+            if mode == SchedMode::Lowered {
+                let stats = sim.stats();
+                assert!(stats.lowered_settles > 0, "the rank walk ran");
+                return (got, stats);
+            }
+        }
+        unreachable!("the loop returns on the lowered run")
+    }
+
+    /// Rows of `n` idle cycles (every input 0) followed by `tail`.
+    fn after_idle(n: usize, width: usize, tail: &[Row]) -> Vec<Row> {
+        let mut rows = vec![vec![Some(0); width]; n];
+        rows.extend_from_slice(tail);
+        rows
+    }
+
+    /// Asserts the lowered edge raises `message` at `cycle`, as the
+    /// interpreter does.
+    fn fails_alike(nl: &Netlist, rows: &[Row], cycle: usize, message: &str) {
+        let ((_, err), _) = same_in_every_mode(nl, rows);
+        let (at, text) = err.expect("the stimulus breaks the protocol");
+        assert_eq!(at, cycle, "{text}");
+        assert!(text.contains(message), "{text}");
+    }
+
+    #[test]
+    fn queue_protocol_errors_match_across_modes() {
+        let push = |v| vec![Some(1), Some(0), Some(v)];
+        let pop = vec![Some(0), Some(1), Some(0)];
+        for (prim, kind) in [
+            (Prim::FifoMacro { depth: 2, width: 8 }, "fifo"),
+            (Prim::LifoMacro { depth: 2, width: 8 }, "lifo"),
+        ] {
+            let nl = one_cell(prim);
+            let full = after_idle(2, 3, &[push(1), push(2), push(3)]);
+            fails_alike(&nl, &full, 4, &format!("push on full {kind} `u`"));
+            let empty = after_idle(2, 3, &[push(1), pop.clone(), pop.clone()]);
+            fails_alike(&nl, &empty, 4, &format!("pop on empty {kind} `u`"));
+            let x_data = after_idle(2, 3, &[vec![Some(1), Some(0), None]]);
+            fails_alike(
+                &nl,
+                &x_data,
+                2,
+                &format!("undefined {kind} write data on net `a2`"),
+            );
+        }
+    }
+
+    #[test]
+    fn block_ram_undefined_write_port_matches_across_modes() {
+        let nl = one_cell(Prim::BlockRam {
+            addr_width: 3,
+            data_width: 8,
+        });
+        // Pins: we, waddr, wdata, raddr.
+        let write = |a, d| vec![Some(1), a, d, Some(0)];
+        let rows = after_idle(2, 4, &[write(Some(2), Some(9)), write(None, Some(1))]);
+        fails_alike(&nl, &rows, 3, "undefined write address on net `a1`");
+        let rows = after_idle(2, 4, &[write(Some(2), Some(9)), write(Some(3), None)]);
+        fails_alike(&nl, &rows, 3, "undefined write data on net `a2`");
+        // A clean run reads back what was written, in every mode.
+        let read = |a| vec![Some(0), Some(0), Some(0), Some(a)];
+        let rows = after_idle(1, 4, &[write(Some(5), Some(42)), read(5), read(5)]);
+        let ((trace, err), _) = same_in_every_mode(&nl, &rows);
+        assert!(err.is_none());
+        assert_eq!(trace[3][0].to_u64(), Some(42));
+    }
+
+    #[test]
+    fn first_edge_after_reset_samples_the_reset_settle() {
+        // Cycle 0 resets through an event-driven settle (the planes
+        // are still all-X), and its edge pushes defined data: reading
+        // the planes there would raise "undefined fifo write data".
+        let nl = one_cell(Prim::FifoMacro { depth: 4, width: 8 });
+        let rows: Vec<Row> = (0..8u64)
+            .map(|c| {
+                let pop = (4..7).contains(&c);
+                vec![Some(u64::from(c < 3)), Some(u64::from(pop)), Some(c + 10)]
+            })
+            .collect();
+        let ((trace, err), stats) = same_in_every_mode(&nl, &rows);
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(trace[4][0].to_u64(), Some(10), "the cycle-0 push landed");
+        assert!(stats.fallback_cause(FallbackCause::Rebuild) > 0);
+        // A mid-run reset is a wake-all settle followed by the same
+        // kind of edge.
+        let mid = |mode| {
+            let (mut sim, ins, outs) = port_sim(nl.clone(), mode);
+            let (mut trace, _) = run_rows(&mut sim, &ins, &outs, &rows[..5]);
+            poke_row(&mut sim, &ins, &vec![Some(1), Some(0), Some(77)]);
+            sim.reset().unwrap();
+            sim.step().unwrap();
+            poke_row(&mut sim, &ins, &vec![Some(0), Some(0), Some(0)]);
+            sim.settle().unwrap();
+            trace.push(outs.iter().map(|&id| sim.peek(id).unwrap()).collect());
+            (trace, sim.stats().fallback_cause(FallbackCause::WakeAll))
+        };
+        let (reference, _) = mid(SchedMode::FullSweep);
+        let (lowered, wake_alls) = mid(SchedMode::Lowered);
+        assert_eq!(lowered, reference);
+        assert!(wake_alls > 0, "the mid-run reset settled event-driven");
+    }
+
+    #[test]
+    fn edges_across_mode_switches_sample_the_last_settle() {
+        let nl = one_cell(Prim::FifoMacro { depth: 4, width: 8 });
+        let rows: Vec<Row> = (0..24u64)
+            .map(|c| {
+                vec![
+                    Some(u64::from(c % 4 != 3)),
+                    Some(u64::from(c % 4 != 0)),
+                    Some(c),
+                ]
+            })
+            .collect();
+        let run = |switches: &[(usize, bool, SchedMode)]| {
+            let (mut sim, ins, outs) = port_sim(nl.clone(), SchedMode::Lowered);
+            let mut trace = Vec::new();
+            for (cycle, row) in rows.iter().enumerate() {
+                poke_row(&mut sim, &ins, row);
+                // Switch before the settle, or between the settle and
+                // the edge.
+                let switch = |sim: &mut Simulator, after_settle: bool| {
+                    for &(at, after, mode) in switches {
+                        if at == cycle && after == after_settle {
+                            sim.set_mode(mode);
+                        }
+                    }
+                };
+                switch(&mut sim, false);
+                if cycle == 0 {
+                    sim.reset().unwrap();
+                } else {
+                    sim.settle().unwrap();
+                }
+                switch(&mut sim, true);
+                trace.push(
+                    outs.iter()
+                        .map(|&id| sim.peek(id).unwrap())
+                        .collect::<Vec<_>>(),
+                );
+                sim.step().unwrap();
+            }
+            (trace, sim.stats())
+        };
+        let (reference, _) = run(&[(0, false, SchedMode::FullSweep)]);
+        let (switched, stats) = run(&[
+            (5, false, SchedMode::EventDriven),
+            (8, true, SchedMode::Lowered),
+            (12, true, SchedMode::FullSweep),
+            (15, false, SchedMode::Lowered),
+            (19, true, SchedMode::EventDriven),
+            (20, false, SchedMode::Lowered),
+        ]);
+        assert_eq!(switched, reference);
+        assert!(stats.fallback_cause(FallbackCause::WakeAll) >= 3);
+        assert!(stats.lowered_settles > 0);
+    }
+
+    /// A two-clock FIFO of depth 4 and width 8: a register file and
+    /// the write pointer in `clk`, the read pointer in `rd` (period
+    /// `rd_period`), each pointer crossing through a two-register
+    /// synchroniser. Ports: push, pop, wdata in; rdata, full, empty out.
+    fn async_fifo(rd_period: u64) -> Netlist {
+        let entity = Entity::builder("afifo")
+            .port("push", PortDir::In, 1)
+            .unwrap()
+            .port("pop", PortDir::In, 1)
+            .unwrap()
+            .port("wdata", PortDir::In, 8)
+            .unwrap()
+            .port("rdata", PortDir::Out, 8)
+            .unwrap()
+            .port("full", PortDir::Out, 1)
+            .unwrap()
+            .port("empty", PortDir::Out, 1)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut nl = Netlist::new(entity);
+        let rd = nl.add_domain("rd", rd_period).unwrap();
+        let mut net = |name: &str, w| nl.add_net(name, w).unwrap();
+        let [push, pop, wdata, rdata, full, empty] = [
+            ("push", 1),
+            ("pop", 1),
+            ("wdata", 8),
+            ("rdata", 8),
+            ("full", 1),
+            ("empty", 1),
+        ]
+        .map(|(n, w)| net(n, w));
+        let [wp, wp1, rp, rp1, wp_s1, wp_s2, rp_s1, rp_s2] =
+            ["wp", "wp1", "rp", "rp1", "wp_s1", "wp_s2", "rp_s1", "rp_s2"].map(|n| net(n, 3));
+        let [do_push, do_pop, not_full, not_empty] =
+            ["do_push", "do_pop", "not_full", "not_empty"].map(|n| net(n, 1));
+        let [used, four, wsel, rsel] =
+            [("used", 3), ("four", 3), ("wsel", 2), ("rsel", 2)].map(|(n, w)| net(n, w));
+        let reg = |width, has_enable| Prim::Reg {
+            width,
+            has_enable,
+            reset_value: 0,
+        };
+        nl.add_cell("u_wp", reg(3, true), vec![wp1, do_push], vec![wp])
+            .unwrap();
+        nl.add_cell("u_wp1", Prim::Inc { width: 3 }, vec![wp], vec![wp1])
+            .unwrap();
+        nl.add_cell_in_domain("u_rp", reg(3, true), vec![rp1, do_pop], vec![rp], rd)
+            .unwrap();
+        nl.add_cell("u_rp1", Prim::Inc { width: 3 }, vec![rp], vec![rp1])
+            .unwrap();
+        nl.add_cell_in_domain("u_wp_s1", reg(3, false), vec![wp], vec![wp_s1], rd)
+            .unwrap();
+        nl.add_cell_in_domain("u_wp_s2", reg(3, false), vec![wp_s1], vec![wp_s2], rd)
+            .unwrap();
+        nl.add_cell("u_rp_s1", reg(3, false), vec![rp], vec![rp_s1])
+            .unwrap();
+        nl.add_cell("u_rp_s2", reg(3, false), vec![rp_s1], vec![rp_s2])
+            .unwrap();
+        let cmp = |kind| Prim::Cmp { kind, width: 3 };
+        let and = Prim::Gate {
+            op: GateOp::And,
+            width: 1,
+        };
+        nl.add_cell(
+            "u_used",
+            Prim::Sub { width: 3 },
+            vec![wp, rp_s2],
+            vec![used],
+        )
+        .unwrap();
+        let four_v = LogicVector::from_u64(4, 3).unwrap();
+        nl.add_cell("u_four", Prim::Const { value: four_v }, vec![], vec![four])
+            .unwrap();
+        nl.add_cell("u_full", cmp(CmpKind::Eq), vec![used, four], vec![full])
+            .unwrap();
+        nl.add_cell(
+            "u_nfull",
+            Prim::Not { width: 1 },
+            vec![full],
+            vec![not_full],
+        )
+        .unwrap();
+        nl.add_cell("u_push", and.clone(), vec![push, not_full], vec![do_push])
+            .unwrap();
+        nl.add_cell("u_empty", cmp(CmpKind::Eq), vec![rp, wp_s2], vec![empty])
+            .unwrap();
+        nl.add_cell(
+            "u_nempty",
+            Prim::Not { width: 1 },
+            vec![empty],
+            vec![not_empty],
+        )
+        .unwrap();
+        nl.add_cell("u_pop", and.clone(), vec![pop, not_empty], vec![do_pop])
+            .unwrap();
+        let slice = Prim::Slice {
+            in_width: 3,
+            low: 0,
+            len: 2,
+        };
+        nl.add_cell("u_wsel", slice.clone(), vec![wp], vec![wsel])
+            .unwrap();
+        nl.add_cell("u_rsel", slice, vec![rp], vec![rsel]).unwrap();
+        let mut words = Vec::new();
+        for k in 0..4u64 {
+            let [hit, we, word] = [("hit", 1), ("we", 1), ("word", 8)]
+                .map(|(n, w)| nl.add_net(format!("{n}{k}"), w).unwrap());
+            let kv = nl.add_net(format!("k{k}"), 2).unwrap();
+            let value = LogicVector::from_u64(k, 2).unwrap();
+            nl.add_cell(format!("u_k{k}"), Prim::Const { value }, vec![], vec![kv])
+                .unwrap();
+            nl.add_cell(
+                format!("u_hit{k}"),
+                Prim::Cmp {
+                    kind: CmpKind::Eq,
+                    width: 2,
+                },
+                vec![wsel, kv],
+                vec![hit],
+            )
+            .unwrap();
+            nl.add_cell(
+                format!("u_we{k}"),
+                and.clone(),
+                vec![do_push, hit],
+                vec![we],
+            )
+            .unwrap();
+            nl.add_cell(
+                format!("u_mem{k}"),
+                reg(8, true),
+                vec![wdata, we],
+                vec![word],
+            )
+            .unwrap();
+            words.push(word);
+        }
+        let mut mux_ins = vec![rsel];
+        mux_ins.extend(words);
+        nl.add_cell(
+            "u_rdata",
+            Prim::Mux { width: 8, ways: 4 },
+            mux_ins,
+            vec![rdata],
+        )
+        .unwrap();
+        for (p, n) in [
+            ("push", push),
+            ("pop", pop),
+            ("wdata", wdata),
+            ("rdata", rdata),
+            ("full", full),
+            ("empty", empty),
+        ] {
+            nl.bind_port(p, n).unwrap();
+        }
+        nl
+    }
+
+    #[test]
+    fn async_fifo_with_partial_firing_matches_the_full_sweep() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for rd_period in [2, 3] {
+            let rows: Vec<Row> = (0..64)
+                .map(|_| {
+                    let r = next();
+                    vec![Some(r & 1), Some(r >> 1 & 1), Some(r >> 8 & 0xFF)]
+                })
+                .collect();
+            let ((trace, err), stats) = same_in_every_mode(&async_fifo(rd_period), &rows);
+            assert!(err.is_none(), "{err:?}");
+            assert!(
+                trace.iter().any(|t| t[1].to_u64() == Some(1)),
+                "the fifo fills"
+            );
+            assert!(
+                stats.fallback_cause(FallbackCause::MultiDomain) > 0,
+                "steps fired only `clk`"
+            );
+        }
+    }
+
+    #[test]
+    fn settle_with_nothing_pending_does_no_work() {
+        let (mut sim, din, _q) = acc_sim(SchedMode::Lowered);
+        sim.set_telemetry(TelemetryLevel::Counters);
+        for c in 0..4 {
+            sim.poke(din, c).unwrap();
+            sim.step().unwrap();
+        }
+        let before = sim.stats();
+        sim.settle().unwrap();
+        let after = sim.stats();
+        assert_eq!(after.ops_executed, before.ops_executed, "0 ops");
+        assert_eq!(after.total_evals(), before.total_evals(), "0 evals");
+        assert_eq!(after.settles, before.settles + 1);
+        assert_eq!(after.lowered_settles, before.lowered_settles + 1);
+        assert_eq!(after.passes, before.passes + 1);
+        assert_eq!(after.fallback_settles, before.fallback_settles);
+        // A poke makes the next settle do work again.
+        sim.poke(din, 9).unwrap();
+        sim.settle().unwrap();
+        assert!(sim.stats().ops_executed > after.ops_executed);
+    }
+
+    /// Drives `y` to 0 while `en` is high: a co-driver of a signal the
+    /// testbench also pokes.
+    struct Clamp {
+        en: SignalId,
+        y: SignalId,
+    }
+
+    impl Component for Clamp {
+        fn name(&self) -> &str {
+            "clamp"
+        }
+        fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
+            if bus.read(self.en)?.to_u64() == Some(1) {
+                bus.drive_u64(self.y, 0)?;
+            }
+            Ok(())
+        }
+        fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
+            Ok(())
+        }
+        fn sensitivity(&self) -> Sensitivity {
+            Sensitivity::Signals(vec![self.en])
+        }
+        fn drives(&self) -> Option<Vec<SignalId>> {
+            Some(vec![self.y])
+        }
+        fn is_clocked(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn poked_signal_with_a_second_driver_keeps_the_rank_walk_trace() {
+        // The accumulator adds `din`, which the testbench pokes and
+        // `Clamp` also drives. Replace semantics re-drive the poke at
+        // every settle; the resolved value (1 against 0 is X) and the
+        // accumulator's history must not depend on the mode, nor on
+        // settles that have nothing pending.
+        let run = |mode| {
+            let mut sim = Simulator::with_mode(mode);
+            let din = sim.add_signal("din", 4).unwrap();
+            let q = sim.add_signal("q", 4).unwrap();
+            let en = sim.add_signal("en", 1).unwrap();
+            let dut =
+                NetlistComponent::new("dut", accumulator(), sim.bus(), &[("din", din), ("q", q)])
+                    .unwrap();
+            sim.add_component(dut);
+            sim.add_component(Clamp { en, y: din });
+            sim.set_telemetry(TelemetryLevel::Counters);
+            sim.poke(en, 0).unwrap();
+            sim.poke(din, 1).unwrap();
+            sim.reset().unwrap();
+            let mut trace = Vec::new();
+            for cycle in 0..12u64 {
+                if cycle == 3 || cycle == 7 {
+                    sim.poke(en, 1).unwrap();
+                }
+                if cycle == 5 {
+                    sim.poke(en, 0).unwrap();
+                    sim.reset().unwrap();
+                }
+                if cycle == 9 {
+                    sim.poke(en, 0).unwrap();
+                }
+                sim.settle().unwrap();
+                sim.settle().unwrap();
+                trace.push((sim.peek(din).unwrap(), sim.peek(q).unwrap()));
+                sim.step().unwrap();
+            }
+            (trace, sim.stats())
+        };
+        let text = |trace: &[(LogicVector, LogicVector)]| -> Vec<String> {
+            trace.iter().map(|(d, q)| format!("{d}{q}")).collect()
+        };
+        let (reference, _) = run(SchedMode::FullSweep);
+        let (lowered, stats) = run(SchedMode::Lowered);
+        assert!(stats.lowered_settles > 0);
+        assert!(stats.fallback_settles < stats.settles);
+        // The settled `din` is the same in every mode: the poke alone,
+        // or 1 against 0, which is X.
+        let din = |t: &[(LogicVector, LogicVector)]| t.iter().map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(din(&lowered), din(&reference));
+        assert_eq!(din(&lowered), din(&run(SchedMode::EventDriven).0));
+        // What the accumulator adds while `din` is X differs: the rank
+        // walk evaluates the clamp (a writer) before the accumulator (a
+        // reader), so the accumulator reads the resolved X; the delta
+        // loops re-drive the poke at the start of each pass and
+        // evaluate in registration order, so it reads the poked 1. The
+        // lowered trace is pinned as the rank walk produces it.
+        let expected = [
+            "\"0001\"\"0000\"",
+            "\"0001\"\"0001\"",
+            "\"0001\"\"0010\"",
+            "\"000X\"\"0011\"",
+            "\"000X\"\"XXXX\"",
+            "\"0001\"\"0000\"",
+            "\"0001\"\"0001\"",
+            "\"000X\"\"0010\"",
+            "\"000X\"\"XXXX\"",
+            "\"0001\"\"XXXX\"",
+            "\"0001\"\"XXXX\"",
+            "\"0001\"\"XXXX\"",
+        ];
+        assert_eq!(text(&lowered), expected);
+        assert_eq!(text(&reference)[4], "\"000X\"\"0100\"");
     }
 }

@@ -2,10 +2,34 @@
 
 use crate::{BusAccess, ClockDomain, Component, Sensitivity, SignalBus, SignalId, SimError};
 use hdp_hdl::prim::Prim;
-use hdp_hdl::{CellId, LogicVector, Netlist, PortDir};
+use hdp_hdl::{CellId, LogicVector, NetId, Netlist, PortDir};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
+
+/// Where a clock edge reads the settled values of sequential cell
+/// inputs: the interpreter's net cache, or a lowered unit's planes.
+pub(crate) trait EdgeInputs {
+    /// The settled four-state value of a net.
+    fn value(&self, net: usize) -> LogicVector;
+    /// The settled value of a net as a word; `None` if any bit is X or Z.
+    fn word(&self, net: usize) -> Option<u64>;
+}
+
+impl EdgeInputs for [LogicVector] {
+    fn value(&self, net: usize) -> LogicVector {
+        self[net]
+    }
+
+    fn word(&self, net: usize) -> Option<u64> {
+        self[net].to_u64()
+    }
+}
+
+/// The `(net index, value)` pairs one sequential cell presents on its
+/// output nets, in pin order. The (at most three) entries are owned, so
+/// presenting them allocates nothing and borrows nothing.
+pub(crate) type SeqOutputs = std::iter::Take<std::array::IntoIter<(usize, LogicVector), 3>>;
 
 /// Per-cell state of sequential primitives.
 #[derive(Debug, Clone)]
@@ -16,13 +40,12 @@ enum SeqState {
         mem: Vec<Option<u64>>,
         out: Option<u64>,
     },
-    Fifo {
+    /// A FIFO or LIFO macro. Both pop and present at the front; a FIFO
+    /// pushes at the back, a LIFO at the front.
+    Queue {
         depth: usize,
+        lifo: bool,
         data: VecDeque<u64>,
-    },
-    Lifo {
-        depth: usize,
-        data: Vec<u64>,
     },
 }
 
@@ -96,6 +119,11 @@ pub struct NetlistComponent {
     incremental: bool,
     /// A clock edge happened: sequential outputs must be re-presented.
     seq_dirty: bool,
+    /// The lowered engine ran this component's last settle: its planes
+    /// hold the settled nets and `net_values` is stale, so the next
+    /// clock edge must sample the planes. Cleared by every interpreted
+    /// [`Component::eval`].
+    planes_current: bool,
     /// Per-net activity counting enabled (off by default: the change
     /// sites then pay one bool check).
     track_activity: bool,
@@ -210,13 +238,10 @@ impl NetlistComponent {
                     mem: vec![None; 1 << addr_width],
                     out: None,
                 },
-                Prim::FifoMacro { depth, .. } => SeqState::Fifo {
+                Prim::FifoMacro { depth, .. } | Prim::LifoMacro { depth, .. } => SeqState::Queue {
                     depth: *depth,
+                    lifo: matches!(cell.prim(), Prim::LifoMacro { .. }),
                     data: VecDeque::new(),
-                },
-                Prim::LifoMacro { depth, .. } => SeqState::Lifo {
-                    depth: *depth,
-                    data: Vec::new(),
                 },
                 _ => {
                     for &net in cell.outputs() {
@@ -260,6 +285,7 @@ impl NetlistComponent {
             full_eval: true,
             incremental: true,
             seq_dirty: true,
+            planes_current: false,
             track_activity: false,
             activity: Vec::new(),
             activity_snapshot: Vec::new(),
@@ -288,30 +314,48 @@ impl NetlistComponent {
         &self.port_wiring
     }
 
-    /// The output-net values a sequential cell currently presents, for
-    /// the lowered executor (which reproduces the interpreter's
-    /// sequential-presentation phase on its own planes).
-    pub(crate) fn lowered_seq_outputs(&self, ci: usize) -> Vec<(usize, LogicVector)> {
-        self.seq_output_values(ci)
+    /// Indices of the sequential cells, in cell order.
+    pub(crate) fn seq_cells(&self) -> &[usize] {
+        &self.seq_cells
     }
 
-    /// Writes a settled net value back into the interpreter's net
-    /// cache. The lowered executor uses this for sequential cell
-    /// *inputs* so a delegated `tick` samples exactly the values the op
-    /// stream computed.
-    pub(crate) fn lowered_sync_net(&mut self, net: usize, value: LogicVector) {
-        self.net_values[net] = value;
-    }
-
-    /// Marks the interpreter's combinational cache stale after a
-    /// lowered settle, so any later interpreted evaluation (fallback,
-    /// mode switch) recomputes every net instead of trusting values
-    /// the op stream may have bypassed.
-    pub(crate) fn lowered_mark_stale(&mut self) {
+    /// Records that the lowered engine settled this component: the
+    /// unit's planes now hold every settled net. The interpreter's net
+    /// cache is stale from here on, so a later interpreted evaluation
+    /// (fallback, mode switch) recomputes every net, and the next clock
+    /// edge samples the planes ([`NetlistComponent::lowered_tick`]).
+    pub(crate) fn mark_lowered_settle(&mut self) {
         self.full_eval = true;
+        self.planes_current = true;
+    }
+
+    /// The clock edge of a lowered unit. It samples `planes` when the
+    /// lowered engine ran the last settle, and the net cache when an
+    /// interpreted (event-driven) settle did: an edge always samples the
+    /// settle that came before it, whichever engine ran it.
+    pub(crate) fn lowered_tick(
+        &mut self,
+        planes: &impl EdgeInputs,
+        firing: Option<&[&str]>,
+    ) -> Result<(), SimError> {
+        if !self.planes_current {
+            return self.tick_cells(firing);
+        }
+        self.seq_dirty = true;
+        clock_edge(
+            &self.name,
+            &self.netlist,
+            &self.seq_cells,
+            &mut self.seq_state,
+            planes,
+            firing,
+        )
     }
 
     /// The settled value of an internal net, for white-box assertions.
+    /// After a settle the lowered engine ran, the settled values live
+    /// in its planes and this reads the stale interpreter cache: probe
+    /// under [`crate::SchedMode::EventDriven`] or `FullSweep`.
     #[must_use]
     pub fn net_value(&self, name: &str) -> Option<LogicVector> {
         let id = self.netlist.find_net(name)?;
@@ -353,65 +397,40 @@ impl NetlistComponent {
             .collect()
     }
 
-    /// The current output-net values a sequential cell presents, as
-    /// `(net index, value)` pairs. Empty for combinational cells.
-    fn seq_output_values(&self, ci: usize) -> Vec<(usize, LogicVector)> {
-        let cell = &self.netlist.cells()[ci];
-        match (&self.seq_state[ci], cell.prim()) {
-            (SeqState::Reg(v), Prim::Reg { .. }) => {
-                vec![(cell.outputs()[0].index(), *v)]
-            }
-            (SeqState::Bram { out, .. }, Prim::BlockRam { data_width, .. }) => {
-                let v = match out {
-                    Some(v) => LogicVector::from_u64(*v, *data_width).expect("stored word"),
-                    None => LogicVector::unknown(*data_width).expect("validated"),
-                };
-                vec![(cell.outputs()[0].index(), v)]
-            }
-            (SeqState::Fifo { depth, data }, Prim::FifoMacro { width, .. }) => {
-                let outs = cell.outputs();
-                let front = match data.front() {
-                    Some(&v) => LogicVector::from_u64(v, *width).expect("stored word"),
-                    None => LogicVector::unknown(*width).expect("validated"),
-                };
-                vec![
-                    (outs[0].index(), front),
-                    (
-                        outs[1].index(),
-                        LogicVector::from_u64(u64::from(data.is_empty()), 1).expect("1 bit"),
-                    ),
-                    (
-                        outs[2].index(),
-                        LogicVector::from_u64(u64::from(data.len() >= *depth), 1).expect("1 bit"),
-                    ),
-                ]
-            }
-            (SeqState::Lifo { depth, data }, Prim::LifoMacro { width, .. }) => {
-                let outs = cell.outputs();
-                let top = match data.last() {
-                    Some(&v) => LogicVector::from_u64(v, *width).expect("stored word"),
-                    None => LogicVector::unknown(*width).expect("validated"),
-                };
-                vec![
-                    (outs[0].index(), top),
-                    (
-                        outs[1].index(),
-                        LogicVector::from_u64(u64::from(data.is_empty()), 1).expect("1 bit"),
-                    ),
-                    (
-                        outs[2].index(),
-                        LogicVector::from_u64(u64::from(data.len() >= *depth), 1).expect("1 bit"),
-                    ),
-                ]
-            }
-            _ => Vec::new(),
-        }
+    /// The values a sequential cell presents on its output nets: the
+    /// one presentation of sequential state, shared by the interpreter
+    /// ([`NetlistComponent::eval`]) and the lowered engine
+    /// (`lower::exec_settle`). Empty for combinational cells.
+    pub(crate) fn seq_outputs(&self, ci: usize) -> SeqOutputs {
+        let outs = self.netlist.cells()[ci].outputs();
+        let flag = |b: bool| LogicVector::from_u64(u64::from(b), 1).expect("1 bit");
+        let word = |w: Option<u64>| {
+            let width = self.netlist.net(outs[0]).width();
+            w.map_or_else(
+                || LogicVector::unknown(width),
+                |v| LogicVector::from_u64(v, width),
+            )
+            .expect("stored words fit their width")
+        };
+        let (pairs, n) = match &self.seq_state[ci] {
+            SeqState::None => ([(0, flag(false)); 3], 0),
+            SeqState::Reg(v) => ([(outs[0].index(), *v); 3], 1),
+            SeqState::Bram { out, .. } => ([(outs[0].index(), word(*out)); 3], 1),
+            SeqState::Queue { depth, data, .. } => (
+                [
+                    (outs[0].index(), word(data.front().copied())),
+                    (outs[1].index(), flag(data.is_empty())),
+                    (outs[2].index(), flag(data.len() >= *depth)),
+                ],
+                3,
+            ),
+        };
+        pairs.into_iter().take(n)
     }
 
     fn drive_seq_outputs(&mut self) {
         for i in 0..self.seq_cells.len() {
-            let ci = self.seq_cells[i];
-            for (net, v) in self.seq_output_values(ci) {
+            for (net, v) in self.seq_outputs(self.seq_cells[i]) {
                 self.net_values[net] = v;
             }
         }
@@ -537,8 +556,7 @@ impl NetlistComponent {
         if self.seq_dirty {
             self.seq_dirty = false;
             for i in 0..self.seq_cells.len() {
-                let ci = self.seq_cells[i];
-                for (net, v) in self.seq_output_values(ci) {
+                for (net, v) in self.seq_outputs(self.seq_cells[i]) {
                     if v != self.net_values[net] {
                         self.net_values[net] = v;
                         if self.track_activity {
@@ -596,134 +614,97 @@ impl NetlistComponent {
         Ok(())
     }
 
-    fn strobe(&self, net: hdp_hdl::NetId) -> bool {
-        self.net_values[net.index()].to_u64() == Some(1)
-    }
-
-    fn word(&self, net: hdp_hdl::NetId, what: &str) -> Result<u64, SimError> {
-        self.net_values[net.index()]
-            .to_u64()
-            .ok_or_else(|| SimError::Protocol {
-                component: self.name.clone(),
-                message: format!("undefined {what} on net `{}`", self.netlist.net(net).name()),
-            })
-    }
-
-    /// The clock-edge body shared by [`Component::tick`] (every cell)
-    /// and [`Component::tick_domains`] (only cells whose domain fires).
+    /// The interpreter's clock edge ([`Component::tick`] with every
+    /// domain, [`Component::tick_domains`] with the firing ones): samples
+    /// the net cache.
     fn tick_cells(&mut self, firing: Option<&[&str]>) -> Result<(), SimError> {
+        debug_assert!(
+            !self.planes_current,
+            "the lowered engine settled last: tick through `lowered_tick`"
+        );
         self.seq_dirty = true;
-        // Per-domain firing mask, indexable by the cell's domain index.
-        let fires: Option<Vec<bool>> = firing.map(|f| {
-            self.netlist
-                .domains()
-                .iter()
-                .map(|d| f.contains(&d.name()))
-                .collect()
-        });
-        // net_values hold the settled pre-edge values from the last eval.
-        for si in 0..self.seq_cells.len() {
-            let ci = self.seq_cells[si];
-            if let Some(mask) = &fires {
-                if !mask[self.netlist.cell_domains()[ci]] {
-                    continue;
-                }
-            }
-            let cell = &self.netlist.cells()[ci];
-            let ins = cell.inputs().to_vec();
-            match cell.prim().clone() {
-                Prim::Reg { has_enable, .. } => {
-                    let load = if has_enable {
-                        self.strobe(ins[1])
-                    } else {
-                        true
-                    };
-                    if load {
-                        let d = self.net_values[ins[0].index()];
-                        if let SeqState::Reg(v) = &mut self.seq_state[ci] {
-                            *v = d;
-                        }
-                    }
-                }
-                Prim::BlockRam { .. } => {
-                    let we = self.strobe(ins[0]);
-                    let (waddr, wdata) = if we {
-                        (
-                            Some(self.word(ins[1], "write address")?),
-                            Some(self.word(ins[2], "write data")?),
-                        )
-                    } else {
-                        (None, None)
-                    };
-                    let raddr = self.net_values[ins[3].index()].to_u64();
-                    if let SeqState::Bram { mem, out } = &mut self.seq_state[ci] {
-                        if let (Some(a), Some(d)) = (waddr, wdata) {
-                            mem[a as usize] = Some(d);
-                        }
-                        *out = raddr.and_then(|a| mem[a as usize]);
-                    }
-                }
-                Prim::FifoMacro { .. } => {
-                    let push = self.strobe(ins[0]);
-                    let pop = self.strobe(ins[1]);
-                    let wdata = if push {
-                        Some(self.word(ins[2], "fifo write data")?)
-                    } else {
-                        None
-                    };
-                    let name = self.name.clone();
-                    let cell_name = cell.name().to_owned();
-                    if let SeqState::Fifo { depth, data } = &mut self.seq_state[ci] {
-                        if pop && data.pop_front().is_none() {
-                            return Err(SimError::Protocol {
-                                component: name,
-                                message: format!("pop on empty fifo `{cell_name}`"),
-                            });
-                        }
-                        if let Some(d) = wdata {
-                            if data.len() >= *depth {
-                                return Err(SimError::Protocol {
-                                    component: name,
-                                    message: format!("push on full fifo `{cell_name}`"),
-                                });
-                            }
-                            data.push_back(d);
-                        }
-                    }
-                }
-                Prim::LifoMacro { .. } => {
-                    let push = self.strobe(ins[0]);
-                    let pop = self.strobe(ins[1]);
-                    let wdata = if push {
-                        Some(self.word(ins[2], "lifo write data")?)
-                    } else {
-                        None
-                    };
-                    let name = self.name.clone();
-                    let cell_name = cell.name().to_owned();
-                    if let SeqState::Lifo { depth, data } = &mut self.seq_state[ci] {
-                        if pop && data.pop().is_none() {
-                            return Err(SimError::Protocol {
-                                component: name,
-                                message: format!("pop on empty lifo `{cell_name}`"),
-                            });
-                        }
-                        if let Some(d) = wdata {
-                            if data.len() >= *depth {
-                                return Err(SimError::Protocol {
-                                    component: name,
-                                    message: format!("push on full lifo `{cell_name}`"),
-                                });
-                            }
-                            data.push(d);
-                        }
-                    }
-                }
-                _ => {}
+        clock_edge(
+            &self.name,
+            &self.netlist,
+            &self.seq_cells,
+            &mut self.seq_state,
+            &self.net_values[..],
+            firing,
+        )
+    }
+}
+
+/// One clock edge over the sequential cells whose domain fires (`None`:
+/// every domain), sampling their inputs from `inputs`. This is the one
+/// sequential model of both engines: the interpreter passes its net
+/// cache, the lowered engine its planes. Protocol errors name the
+/// component and the cell; their text is built only when one is raised.
+fn clock_edge<I: EdgeInputs + ?Sized>(
+    component: &str,
+    netlist: &Netlist,
+    seq_cells: &[usize],
+    seq_state: &mut [SeqState],
+    inputs: &I,
+    firing: Option<&[&str]>,
+) -> Result<(), SimError> {
+    let protocol = |message: String| SimError::Protocol {
+        component: component.to_owned(),
+        message,
+    };
+    let strobe = |net: NetId| inputs.word(net.index()) == Some(1);
+    let word = |net: NetId, kind: &str, what: &str| {
+        let name = || netlist.net(net).name();
+        let err = || protocol(format!("undefined {kind}{what} on net `{}`", name()));
+        inputs.word(net.index()).ok_or_else(err)
+    };
+    for &ci in seq_cells {
+        if let Some(firing) = firing {
+            let domain = &netlist.domains()[netlist.cell_domains()[ci]];
+            if !firing.contains(&domain.name()) {
+                continue;
             }
         }
-        Ok(())
+        let cell = &netlist.cells()[ci];
+        let ins = cell.inputs();
+        match (cell.prim(), &mut seq_state[ci]) {
+            (Prim::Reg { has_enable, .. }, SeqState::Reg(v)) if !has_enable || strobe(ins[1]) => {
+                *v = inputs.value(ins[0].index());
+            }
+            (Prim::BlockRam { .. }, SeqState::Bram { mem, out }) => {
+                if strobe(ins[0]) {
+                    let addr = word(ins[1], "", "write address")?;
+                    let data = word(ins[2], "", "write data")?;
+                    mem[addr as usize] = Some(data);
+                }
+                *out = inputs
+                    .word(ins[3].index())
+                    .and_then(|addr| mem[addr as usize]);
+            }
+            (_, SeqState::Queue { depth, lifo, data }) => {
+                let kind = if *lifo { "lifo" } else { "fifo" };
+                let pop = strobe(ins[1]);
+                let push = strobe(ins[0]);
+                let wdata = push
+                    .then(|| word(ins[2], kind, " write data"))
+                    .transpose()?;
+                if pop && data.pop_front().is_none() {
+                    return Err(protocol(format!("pop on empty {kind} `{}`", cell.name())));
+                }
+                if let Some(d) = wdata {
+                    if data.len() >= *depth {
+                        return Err(protocol(format!("push on full {kind} `{}`", cell.name())));
+                    }
+                    if *lifo {
+                        data.push_front(d);
+                    } else {
+                        data.push_back(d);
+                    }
+                }
+            }
+            _ => {}
+        }
     }
+    Ok(())
 }
 
 impl Component for NetlistComponent {
@@ -732,6 +713,7 @@ impl Component for NetlistComponent {
     }
 
     fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
+        self.planes_current = false;
         if self.full_eval || !self.incremental {
             self.eval_full(bus)
         } else {
@@ -767,8 +749,7 @@ impl Component for NetlistComponent {
                     *v = LogicVector::from_u64(*reset_value, *width).expect("validated reset");
                 }
                 (SeqState::Bram { out, .. }, _) => *out = None,
-                (SeqState::Fifo { data, .. }, _) => data.clear(),
-                (SeqState::Lifo { data, .. }, _) => data.clear(),
+                (SeqState::Queue { data, .. }, _) => data.clear(),
                 _ => {}
             }
         }

@@ -29,7 +29,7 @@
 //!   added components) falls back for one settle and rebuilds.
 
 use crate::compiled::{CompiledBus, CompiledPlan, CompiledSchedule, SignalArena};
-use crate::lower::{exec_settle, LoweredProgram, LoweredScratch};
+use crate::lower::{exec_settle, LoweredProgram, LoweredScratch, Planes};
 use crate::netlist_sim::NetlistComponent;
 use crate::signal::{BusAccess as _, DRIVER_POKE};
 use crate::telemetry::{
@@ -97,9 +97,10 @@ pub enum SchedMode {
     /// value/unknown/high-Z planes, and its slot in the walk executes
     /// that straight-line stream — no per-cell virtual dispatch, no
     /// `BusAccess` facade between cells, no `LogicVector` allocation
-    /// on the hot path. Clock edges, memory-port protocol checks and
-    /// their error messages stay with the interpreter's `tick`, which
-    /// samples the settled planes. Components that are not netlist
+    /// on the hot path. Clock edges run the interpreter's one
+    /// sequential model (register, block RAM, FIFO and LIFO state with
+    /// their protocol checks and error texts), sampling cell inputs
+    /// straight from the settled planes. Components that are not netlist
     /// interpreters — or whose shape cannot lower (e.g. inout ports) —
     /// keep their virtual `eval` on the same walk.
     ///
@@ -190,6 +191,12 @@ struct ActivePlan {
 struct LoweredUnit {
     prog: Arc<LoweredProgram>,
     scratch: LoweredScratch,
+}
+
+/// The netlist interpreter behind a lowered unit.
+fn interpreter(c: &mut Box<dyn AnyComponent>) -> &mut NetlistComponent {
+    let c = (**c).as_any_mut().downcast_mut();
+    c.expect("a lowered unit is built from a NetlistComponent")
 }
 
 /// A synchronous single-clock simulator.
@@ -880,6 +887,21 @@ impl Simulator {
             }
             return self.settle_event();
         }
+        // Nothing pending: the walk would wake no component, and its
+        // re-drive of the pokes changes nothing (a second driver of a
+        // poked signal is promoted into `always`, so each poked signal
+        // already holds its poke). Count the settle as the walk would.
+        let idle = self.seeds.is_empty() && self.poked_signals.is_empty() && self.always.is_empty();
+        if idle && matches!(&self.compiled, Some(ActivePlan { sched: Ok(s), .. }) if !s.arena_stale)
+        {
+            if self.telemetry.on() {
+                self.telemetry.settles += 1;
+                self.telemetry.lowered_settles += 1;
+                self.telemetry.record_pass(&[]);
+                self.telemetry.max_passes = self.telemetry.max_passes.max(1);
+            }
+            return Ok(());
+        }
         let mut plan = self.compiled.take().expect("freshness implies a plan");
         let res = match &mut plan.sched {
             Err(_) => {
@@ -1030,10 +1052,7 @@ impl Simulator {
                     };
                     match lowered.get_mut(i).and_then(Option::as_mut) {
                         Some(unit) => {
-                            let comp = (*components[i])
-                                .as_any_mut()
-                                .downcast_mut::<NetlistComponent>()
-                                .expect("a lowered unit is built from a NetlistComponent");
+                            let comp = interpreter(&mut components[i]);
                             exec_settle(&unit.prog, &mut unit.scratch, comp, &mut cb)
                                 .map(|ops| lowered_ops = ops)
                         }
@@ -1515,6 +1534,10 @@ impl Simulator {
                 self.lowered_ready = true;
             }
         }
+        // Fresh planes hold nothing yet: re-evaluate every component
+        // once, as after a mode switch, so no clock edge samples them
+        // before a walk has filled them.
+        self.wake_all = true;
         self.set_mode(SchedMode::Lowered);
         if self.telemetry.on() {
             self.telemetry.plan_installs += 1;
@@ -1642,10 +1665,16 @@ impl Simulator {
                 for idx in 0..self.clocked.len() {
                     let i = self.clocked[idx];
                     self.bus.set_driver(i);
-                    if all_fire {
-                        self.components[i].tick(&mut self.bus)?;
-                    } else {
-                        self.components[i].tick_domains(&mut self.bus, &firing)?;
+                    match self.lowered.get(i).and_then(Option::as_ref) {
+                        // A lowered unit ticks the interpreter's
+                        // sequential model on its own planes.
+                        Some(unit) => {
+                            let planes = Planes(&unit.prog, &unit.scratch);
+                            let firing = (!all_fire).then_some(&firing[..]);
+                            interpreter(&mut self.components[i]).lowered_tick(&planes, firing)?;
+                        }
+                        None if all_fire => self.components[i].tick(&mut self.bus)?,
+                        None => self.components[i].tick_domains(&mut self.bus, &firing)?,
                     }
                 }
                 // The edge changed registered state: wake every clocked
@@ -2660,6 +2689,98 @@ mod tests {
         sim.settle().unwrap();
         assert!(sim.stats().lowered_settles > before, "rank walks resume");
         assert!(sim.compile_fallback_reason().is_none());
+    }
+
+    /// Drives `y` from `a` only while `go` is high, with no `drives()`
+    /// declaration: its first drive is a link the schedule never saw.
+    struct LateCopy {
+        go: SignalId,
+        a: SignalId,
+        y: SignalId,
+    }
+
+    impl Component for LateCopy {
+        fn name(&self) -> &str {
+            "late"
+        }
+        fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
+            if bus.read(self.go)?.to_u64() == Some(1) {
+                let a = bus.read(self.a)?;
+                bus.drive(self.y, a)?;
+            }
+            Ok(())
+        }
+        fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
+            Ok(())
+        }
+        fn sensitivity(&self) -> Sensitivity {
+            Sensitivity::Signals(vec![self.go, self.a])
+        }
+        fn is_clocked(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn edge_after_a_stale_driver_fallback_samples_that_settle() {
+        // A register loads `a0` when `a1` is high. `a0` is driven only
+        // by `LateCopy`, first at cycle 4: that settle's walk aborts
+        // and re-runs event-driven, and the edge after it must load
+        // the value the event-driven settle computed (the planes still
+        // hold `a0 = X`, `a1 = 0`).
+        let run = |mode| {
+            let entity = hdp_hdl::Entity::builder("r")
+                .port("a0", hdp_hdl::PortDir::In, 8)
+                .and_then(|b| b.port("a1", hdp_hdl::PortDir::In, 1))
+                .and_then(|b| b.port("y0", hdp_hdl::PortDir::Out, 8))
+                .and_then(|b| b.build())
+                .unwrap();
+            let mut nl = hdp_hdl::Netlist::new(entity);
+            let [d, en, q] = [("a0", 8), ("a1", 1), ("y0", 8)].map(|(n, w)| {
+                let net = nl.add_net(n, w).unwrap();
+                nl.bind_port(n, net).unwrap();
+                net
+            });
+            let reg = hdp_hdl::prim::Prim::Reg {
+                width: 8,
+                has_enable: true,
+                reset_value: 3,
+            };
+            nl.add_cell("u", reg, vec![d, en], vec![q]).unwrap();
+            let mut sim = Simulator::with_mode(mode);
+            let go = sim.add_signal("go", 1).unwrap();
+            let a = sim.add_signal("a", 8).unwrap();
+            let d = sim.add_signal("a0", 8).unwrap();
+            let en = sim.add_signal("a1", 1).unwrap();
+            let q = sim.add_signal("y0", 8).unwrap();
+            let dut =
+                NetlistComponent::new("dut", nl, sim.bus(), &[("a0", d), ("a1", en), ("y0", q)])
+                    .unwrap();
+            sim.add_component(dut);
+            sim.add_component(LateCopy { go, a, y: d });
+            sim.set_telemetry(TelemetryLevel::Counters);
+            let mut trace = Vec::new();
+            for cycle in 0..8u64 {
+                sim.poke(go, u64::from(cycle >= 4)).unwrap();
+                sim.poke(a, 40 + cycle).unwrap();
+                sim.poke(en, u64::from(cycle >= 4)).unwrap();
+                if cycle == 0 {
+                    sim.reset().unwrap();
+                } else {
+                    sim.settle().unwrap();
+                }
+                trace.push(sim.peek(q).unwrap());
+                sim.step().unwrap();
+            }
+            (trace, sim.stats())
+        };
+        let (reference, _) = run(SchedMode::FullSweep);
+        assert_eq!(reference[4].to_u64(), Some(3), "reset value until the load");
+        assert_eq!(reference[5].to_u64(), Some(44), "loads the late drive");
+        let (lowered, stats) = run(SchedMode::Lowered);
+        assert_eq!(lowered, reference);
+        assert!(stats.fallback_cause(FallbackCause::StaleDriver) > 0);
+        assert!(stats.lowered_settles > 0);
     }
 
     #[test]

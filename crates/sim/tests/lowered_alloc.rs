@@ -1,0 +1,222 @@
+//! A single-rate lowered cycle makes no heap allocation: the rank walk,
+//! the op replay, the presentation of sequential outputs and the clock
+//! edge all run on buffers sized before the first cycle.
+//!
+//! The test binary counts every allocation its own thread makes through
+//! a counting global allocator, so it lives in a file of its own.
+
+use hdp_hdl::prim::{GateOp, Prim};
+use hdp_hdl::{Entity, LogicVector, Netlist, PortDir};
+use hdp_sim::{NetlistComponent, SchedMode, SignalId, Simulator};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Every sequential primitive behind one set of ports: a FIFO and a
+/// LIFO on `push`/`pop`/`wdata`, a block RAM written with `wdata` at a
+/// free-running counter, and a truth table over the two strobes.
+fn design() -> Netlist {
+    let entity = Entity::builder("every_seq")
+        .port("push", PortDir::In, 1)
+        .unwrap()
+        .port("pop", PortDir::In, 1)
+        .unwrap()
+        .port("wdata", PortDir::In, 8)
+        .unwrap()
+        .port("front", PortDir::Out, 8)
+        .unwrap()
+        .port("top", PortDir::Out, 8)
+        .unwrap()
+        .port("ram", PortDir::Out, 8)
+        .unwrap()
+        .port("mode", PortDir::Out, 2)
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut nl = Netlist::new(entity);
+    let mut net = |name: &str, width| nl.add_net(name, width).unwrap();
+    let [push, pop] = ["push", "pop"].map(|n| net(n, 1));
+    let [wdata, front, top, ram] = ["wdata", "front", "top", "ram"].map(|n| net(n, 8));
+    let [f_empty, f_full, l_empty, l_full, busy] =
+        ["f_empty", "f_full", "l_empty", "l_full", "busy"].map(|n| net(n, 1));
+    let [q, q1] = ["q", "q1"].map(|n| net(n, 4));
+    let [addr, mode] = ["addr", "mode"].map(|n| net(n, 2));
+    nl.add_cell(
+        "u_fifo",
+        Prim::FifoMacro { depth: 4, width: 8 },
+        vec![push, pop, wdata],
+        vec![front, f_empty, f_full],
+    )
+    .unwrap();
+    nl.add_cell(
+        "u_lifo",
+        Prim::LifoMacro { depth: 4, width: 8 },
+        vec![push, pop, wdata],
+        vec![top, l_empty, l_full],
+    )
+    .unwrap();
+    nl.add_cell(
+        "u_count",
+        Prim::Reg {
+            width: 4,
+            has_enable: false,
+            reset_value: 0,
+        },
+        vec![q1],
+        vec![q],
+    )
+    .unwrap();
+    nl.add_cell("u_inc", Prim::Inc { width: 4 }, vec![q], vec![q1])
+        .unwrap();
+    nl.add_cell(
+        "u_addr",
+        Prim::Slice {
+            in_width: 4,
+            low: 1,
+            len: 2,
+        },
+        vec![q],
+        vec![addr],
+    )
+    .unwrap();
+    nl.add_cell(
+        "u_ram",
+        Prim::BlockRam {
+            addr_width: 2,
+            data_width: 8,
+        },
+        vec![push, addr, wdata, addr],
+        vec![ram],
+    )
+    .unwrap();
+    nl.add_cell(
+        "u_busy",
+        Prim::Gate {
+            op: GateOp::Or,
+            width: 1,
+        },
+        vec![push, pop],
+        vec![busy],
+    )
+    .unwrap();
+    nl.add_cell(
+        "u_mode",
+        Prim::TruthTable {
+            in_widths: vec![1, 1],
+            out_width: 2,
+            table: vec![0, 1, 2, 3],
+        },
+        vec![busy, f_empty],
+        vec![mode],
+    )
+    .unwrap();
+    for (p, n) in [
+        ("push", push),
+        ("pop", pop),
+        ("wdata", wdata),
+        ("front", front),
+        ("top", top),
+        ("ram", ram),
+        ("mode", mode),
+    ] {
+        nl.bind_port(p, n).unwrap();
+    }
+    nl
+}
+
+/// One cycle of the service's protocol: poke the row, reset on cycle 0
+/// or settle, sample the outputs, clock edge.
+fn cycle(sim: &mut Simulator, ins: &[SignalId], outs: &[SignalId], c: u64, sink: &mut u64) {
+    let row = [
+        u64::from(c % 4 != 3),
+        u64::from(!c.is_multiple_of(4)),
+        c & 0xFF,
+    ];
+    for (&id, v) in ins.iter().zip(row) {
+        sim.poke(id, v).unwrap();
+    }
+    if c == 0 {
+        sim.reset().unwrap();
+    } else {
+        sim.settle().unwrap();
+    }
+    for &id in outs {
+        let v: LogicVector = sim.peek(id).unwrap();
+        *sink = sink.wrapping_add(v.to_u64().unwrap_or(u64::MAX));
+    }
+    sim.step().unwrap();
+}
+
+#[test]
+fn a_single_rate_lowered_cycle_makes_no_heap_allocation() {
+    let mut sim = Simulator::with_mode(SchedMode::Lowered);
+    let mut map = Vec::new();
+    for (name, width) in [
+        ("push", 1),
+        ("pop", 1),
+        ("wdata", 8),
+        ("front", 8),
+        ("top", 8),
+        ("ram", 8),
+        ("mode", 2),
+    ] {
+        map.push((name, sim.add_signal(name, width).unwrap()));
+    }
+    let dut = NetlistComponent::new("dut", design(), sim.bus(), &map).unwrap();
+    sim.add_component(dut);
+    let ins: Vec<SignalId> = map[..3].iter().map(|&(_, id)| id).collect();
+    let outs: Vec<SignalId> = map[3..].iter().map(|&(_, id)| id).collect();
+    let mut sink = 0u64;
+    // Warm up: build the schedule, lower the design and let every
+    // buffer reach its working size.
+    for c in 0..64 {
+        cycle(&mut sim, &ins, &outs, c, &mut sink);
+    }
+    let before = allocations();
+    for c in 64..320 {
+        cycle(&mut sim, &ins, &outs, c, &mut sink);
+    }
+    let made = allocations() - before;
+    assert_eq!(made, 0, "256 lowered cycles allocated {made} times");
+    assert!(sim.compile_fallback_reason().is_none());
+    assert_ne!(sink, 0);
+}
