@@ -21,6 +21,9 @@
 //!   netlist: [`LANES`] independent stimulus lanes are packed one per
 //!   bit of a `u64` word per net-bit column, so a single settle/tick
 //!   advances 64 runs at once (conformance fuzzing, service batches).
+//!   It runs the lowered mode's op stream (one lowering front end, two
+//!   back ends) and the interpreter's block RAM/FIFO/LIFO model per
+//!   lane; only registers keep a lane-packed model of their own.
 //! * [`SimBuilder`] — builder-style construction that freezes the
 //!   scheduler's sensitivity tables once and applies power-on reset.
 //! * [`Component`] — the trait every hardware model implements,

@@ -1,45 +1,45 @@
 //! Verilator-style lowering of frozen netlists to flat word-level op
-//! streams, plus the 64-way bit-parallel lane engine built on the same
-//! translation.
+//! streams: one front end, two back ends.
 //!
 //! A validated [`crate::NetlistComponent`] interprets its netlist: every
 //! settle walks `Cell`/`Prim` structures, materialises `Vec<LogicVector>`
 //! pin arrays and dispatches through `eval_comb`. This module stages that
-//! interpretation out. [`LoweredProgram::try_lower`] translates the
-//! netlist once into a `Vec<LoweredOp>` — masked AND/OR/XOR/NOT/MUX/
-//! shift/compare/add ops whose operands are word indices into a flat
-//! triple-plane scratch (`value`/`unknown`/`highz`, one u64 word per
-//! net) — ordered by the same combinational topological order the
-//! interpreter uses. [`exec_settle`] then replays the stream with no
-//! `Prim` dispatch, no per-pin `LogicVector` vectors and no heap
+//! interpretation out. The front end (`LoweredProgram::lower_netlist`)
+//! translates the netlist alone, once, into a `Vec<LoweredOp>` — masked
+//! AND/OR/XOR/NOT/MUX/shift/compare/add ops over net indices — ordered by
+//! the same combinational topological order the interpreter uses, with
+//! the net masks and the multiply-driven (`shared_z`) nets beside it.
+//!
+//! The scalar back end ([`LoweredProgram::try_lower`] binds the ports)
+//! keeps one u64 word per net in a flat triple-plane scratch
+//! (`value`/`unknown`/`highz`). [`exec_settle`] replays the stream with
+//! no `Prim` dispatch, no per-pin `LogicVector` vectors and no heap
 //! scheduling, reading input ports and driving output ports through the
 //! scheduler's bus exactly like the interpreter's `eval_full`, so the
 //! result is bit-identical by construction (each op implements the
 //! word-parallel form of the corresponding `Prim::eval_comb` X/Z
 //! semantics, including `Not`'s whole-word poisoning and the tri-state
-//! resolve fold).
+//! resolve fold). Its sequential half is the interpreter's: `SeqState`
+//! is presented into the planes through the interpreter's own
+//! `seq_outputs`, and a clock edge reads cell inputs straight from the
+//! planes ([`Planes`]). Nothing is written back between the two.
 //!
-//! The sequential half has one model, the interpreter's: its
-//! `SeqState` is presented into the planes through the interpreter's
-//! own `seq_outputs`, and a clock edge reads cell inputs straight from
-//! the planes ([`Planes`]). Nothing is written back between the two.
-//!
-//! The second half, [`LaneBatch`], exploits the same translation for
-//! throughput: 64 independent stimulus runs are packed one-per-bit into
-//! u64 columns (bit `k` of every column belongs to lane `k`), so a
-//! single settle of the column program advances 64 simulations at once.
-//! Sequential state is kept per lane; arithmetic ripples carries across
-//! bit columns; X propagation uses a defined-plane per column. Designs
-//! the lane engine cannot pack exactly (tri-state nets, `inout` ports)
-//! are rejected at construction and fall back to scalar runs.
+//! The lane back end, [`LaneBatch`], runs the same ops for throughput:
+//! 64 independent stimulus runs are packed one-per-bit into u64 columns
+//! (bit `k` of every column belongs to lane `k`), so a single settle
+//! advances 64 simulations at once. Arithmetic ripples carries across
+//! bit columns; X propagation uses a defined-plane per column.
+//! Registers keep lane-packed column state; block RAMs, FIFOs and LIFOs
+//! keep the interpreter's `SeqState` per lane and tick through its clock
+//! edge. Designs the lane engine cannot pack exactly (tri-state nets,
+//! `inout` ports) are rejected at construction and fall back to scalar
+//! runs.
 
 use crate::error::SimError;
-use crate::netlist_sim::{EdgeInputs, NetlistComponent};
+use crate::netlist_sim::{clock_edge, seq_outputs, EdgeInputs, NetlistComponent, SeqState};
 use crate::signal::{BusAccess, SignalId};
 use hdp_hdl::prim::{CmpKind, GateOp, Prim};
-use hdp_hdl::{LogicVector, Netlist, PortDir};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use hdp_hdl::{HdlError, LogicVector, NetId, Netlist, PortDir};
 
 /// Number of independent simulation lanes a [`LaneBatch`] packs into
 /// each u64 bit column.
@@ -276,32 +276,33 @@ fn store(
     scratch.z[o] = z;
 }
 
-/// Ternary truth-table evaluation on raw planes; mirrors the
-/// enumeration in `Prim::eval_comb` bit for bit (same LSB-first index
-/// assembly, same `MAX_X_ENUM` give-up).
-fn eval_table(
+/// Ternary truth-table lookup, the one enumeration of both lowered
+/// engines. It mirrors `Prim::eval_comb` bit for bit: the same LSB-first
+/// index assembly over the `(net, width)` inputs, the same `MAX_X_ENUM`
+/// give-up. `word(net, width)` reads a net as its value bits and its
+/// undefined bits. Returns the output bits that are 1, and those that
+/// are 0, under every enumerated index; both are empty past the cap (all
+/// X).
+fn table_lookup(
     ins: &[(u32, u32)],
     table: &[u64],
     mask: u64,
-    v: &[u64],
-    u: &[u64],
-    z: &[u64],
-) -> (u64, u64, u64) {
+    word: impl Fn(usize, u32) -> (u64, u64),
+) -> (u64, u64) {
     let mut known: u64 = 0;
     let mut x_positions = [0u32; MAX_X_ENUM];
     let mut n_x = 0;
     let mut bit_pos = 0u32;
     for &(net, width) in ins {
-        let n = net as usize;
-        let undef = u[n] | z[n];
+        let (value, undef) = word(net as usize, width);
         for i in 0..width {
             if undef >> i & 1 == 1 {
                 if n_x == MAX_X_ENUM {
-                    return (0, mask, 0);
+                    return (0, 0);
                 }
                 x_positions[n_x] = bit_pos;
                 n_x += 1;
-            } else if v[n] >> i & 1 == 1 {
+            } else if value >> i & 1 == 1 {
                 known |= 1 << bit_pos;
             }
             bit_pos += 1;
@@ -321,6 +322,19 @@ fn eval_table(
         ones &= word;
         zeros &= !word;
     }
+    (ones, zeros)
+}
+
+/// Ternary truth-table evaluation on raw planes ([`table_lookup`]).
+fn eval_table(
+    ins: &[(u32, u32)],
+    table: &[u64],
+    mask: u64,
+    v: &[u64],
+    u: &[u64],
+    z: &[u64],
+) -> (u64, u64, u64) {
+    let (ones, zeros) = table_lookup(ins, table, mask, |n, _| (v[n], u[n] | z[n]));
     (ones, mask & !(ones | zeros), 0)
 }
 
@@ -610,20 +624,16 @@ pub(crate) fn exec_settle(
 }
 
 impl LoweredProgram {
-    /// Lowers a validated netlist plus its port wiring into an op
-    /// stream. Infallible for anything `NetlistComponent` accepts —
-    /// the component has already rejected inout ports and
-    /// combinational cycles — but returns a reason string for shapes
-    /// that cannot be lowered so callers can fall back and report.
-    pub(crate) fn try_lower(
-        netlist: &Netlist,
-        port_wiring: &[(String, PortDir, hdp_hdl::NetId, SignalId)],
-    ) -> Result<Self, String> {
+    /// The front end both back ends share. It lowers the netlist alone:
+    /// net masks, the combinational topological order, the count of
+    /// combinational drivers per net (behind `shared_z` and `resolve`)
+    /// and the one `Prim` → [`LoweredOp`] match. The ports stay unbound:
+    /// [`LoweredProgram::try_lower`] binds them for the scalar back end,
+    /// and [`LaneBatch`] runs the ops over bit columns.
+    fn lower_netlist(netlist: &Netlist) -> Result<Self, HdlError> {
         let nets = netlist.nets();
         let masks: Vec<u64> = nets.iter().map(|n| width_mask(n.width())).collect();
-        let topo = netlist
-            .comb_topo_order()
-            .map_err(|e| format!("combinational cycle: {e}"))?;
+        let topo = netlist.comb_topo_order()?;
 
         // Count combinational drivers per net to find shared
         // (tri-state) nets, which are pre-released and resolve-folded.
@@ -758,26 +768,37 @@ impl LoweredProgram {
             ops.push(op);
         }
 
-        let mut in_ports = Vec::new();
-        let mut out_ports = Vec::new();
-        for (_, dir, net, signal) in port_wiring {
-            match dir {
-                PortDir::In => in_ports.push((net.index() as u32, *signal)),
-                PortDir::Out => out_ports.push((net.index() as u32, *signal)),
-                PortDir::InOut => {
-                    return Err("inout port cannot be lowered".into());
-                }
-            }
-        }
-
         Ok(Self {
             masks,
             shared_z,
             ops,
-            in_ports,
-            out_ports,
+            in_ports: Vec::new(),
+            out_ports: Vec::new(),
             n_cells: netlist.cells().len() as u32,
         })
+    }
+
+    /// Lowers a validated netlist plus its port wiring into an op
+    /// stream: the shared front end, then the scalar back end's port
+    /// binding. Infallible for anything `NetlistComponent` accepts —
+    /// the component has already rejected inout ports and
+    /// combinational cycles — but returns a reason string for shapes
+    /// that cannot be lowered so callers can fall back and report.
+    pub(crate) fn try_lower(
+        netlist: &Netlist,
+        port_wiring: &[(String, PortDir, hdp_hdl::NetId, SignalId)],
+    ) -> Result<Self, String> {
+        let mut prog =
+            Self::lower_netlist(netlist).map_err(|e| format!("combinational cycle: {e}"))?;
+        for (_, dir, net, signal) in port_wiring {
+            let port = (net.index() as u32, *signal);
+            match dir {
+                PortDir::In => prog.in_ports.push(port),
+                PortDir::Out => prog.out_ports.push(port),
+                PortDir::InOut => return Err("inout port cannot be lowered".into()),
+            }
+        }
+        Ok(prog)
     }
 
     /// Whether this program still matches a component (used when a
@@ -792,151 +813,278 @@ impl LoweredProgram {
 // 64-way bit-parallel lane engine
 // ---------------------------------------------------------------------
 
-/// One column operation of a [`LaneBatch`] program. Operands are
-/// *column* indices: column `c` holds one bit of one net across all 64
-/// lanes (`val` plane plus `def` plane; no Z plane — tri-state designs
-/// are rejected at construction, and without tri-state sources no Z
-/// can arise).
-#[derive(Debug, Clone)]
-enum ColOp {
-    Const {
-        out: u32,
-        w: u32,
-        bits: u64,
-        xbits: u64,
-    },
-    Copy {
-        a: u32,
-        out: u32,
-        w: u32,
-    },
-    Not {
-        a: u32,
-        out: u32,
-        w: u32,
-    },
-    Gate {
-        op: GateOp,
-        a: u32,
-        b: u32,
-        out: u32,
-        w: u32,
-    },
-    ReduceOr {
-        a: u32,
-        out: u32,
-        w: u32,
-    },
-    ReduceAnd {
-        a: u32,
-        out: u32,
-        w: u32,
-    },
-    Add {
-        a: u32,
-        b: u32,
-        out: u32,
-        w: u32,
-    },
-    Sub {
-        a: u32,
-        b: u32,
-        out: u32,
-        w: u32,
-    },
-    Inc {
-        a: u32,
-        out: u32,
-        w: u32,
-    },
-    Cmp {
-        kind: CmpKind,
-        a: u32,
-        sw: u32,
-        b: u32,
-        out: u32,
-    },
-    Mux {
-        sel: u32,
-        sw: u32,
-        ins: Vec<u32>,
-        out: u32,
-        w: u32,
-    },
-    /// Per-output-column source list (Concat is pure wiring).
-    Wire {
-        srcs: Vec<u32>,
-        out: u32,
-    },
-    Table {
-        ins: Vec<(u32, u32)>,
-        table: Arc<Vec<u64>>,
-        out: u32,
-        w: u32,
-    },
+/// All-ones when bit 0 of `bit` is set, else zero: one bit broadcast to
+/// every lane of a column.
+fn splat(bit: u64) -> u64 {
+    (bit & 1).wrapping_neg()
 }
 
-/// Pending column writes from sequential presentation: net offset,
-/// width, and one `(value, defined)` plane pair per bit column.
-type SeqWrites = Vec<(u32, u32, Vec<(u64, u64)>)>;
-
-/// Per-lane sequential state of one cell.
+/// The lane engine's nets: one `val`/`def` (value, defined) column pair
+/// per net bit, bit `k` of each column belonging to lane `k`. Net `n`
+/// occupies its width in columns from `base[n]`. There is no Z plane:
+/// [`LaneBatch::new`] refuses every source of Z.
 #[derive(Debug, Clone)]
-enum LaneSeq {
-    Reg {
-        d: u32,
-        en: Option<u32>,
-        out: u32,
-        w: u32,
-        /// State bit columns (value/defined), lane-packed like nets.
-        sv: Vec<u64>,
-        sd: Vec<u64>,
-        reset_value: u64,
-    },
-    Bram {
-        /// Cell instance name, for protocol errors.
-        cell: String,
-        we: u32,
-        waddr: u32,
-        aw: u32,
-        wdata: u32,
-        raddr: u32,
-        out: u32,
-        w: u32,
-        mem: Vec<Vec<Option<u64>>>,
-        rdout: Vec<Option<u64>>,
-    },
-    Fifo {
-        /// Cell instance name, for protocol errors.
-        cell: String,
-        push: u32,
-        pop: u32,
-        wdata: u32,
-        front: u32,
-        empty: u32,
-        full: u32,
-        w: u32,
-        depth: usize,
-        data: Vec<VecDeque<u64>>,
-    },
-    Lifo {
-        /// Cell instance name, for protocol errors.
-        cell: String,
-        push: u32,
-        pop: u32,
-        wdata: u32,
-        top: u32,
-        empty: u32,
-        full: u32,
-        w: u32,
-        depth: usize,
-        data: Vec<Vec<u64>>,
-    },
+struct Columns {
+    val: Vec<u64>,
+    def: Vec<u64>,
+    base: Vec<u32>,
+}
+
+/// Lane `lane` of the `w` columns from `b`, as value and undefined bits.
+fn gather(val: &[u64], def: &[u64], b: usize, w: usize, lane: usize) -> (u64, u64) {
+    let (mut v, mut u) = (0u64, 0u64);
+    for i in 0..w {
+        v |= (val[b + i] >> lane & 1) << i;
+        u |= (!def[b + i] >> lane & 1) << i;
+    }
+    (v, u)
+}
+
+impl Columns {
+    /// Writes `value` into lane `lane` of net `net`.
+    fn scatter(&mut self, net: usize, lane: usize, value: LogicVector) {
+        let (v, u, z) = value.raw_masks();
+        let b = self.base[net] as usize;
+        let m = !(1u64 << lane);
+        for i in 0..value.width() {
+            self.val[b + i] = self.val[b + i] & m | (v >> i & 1) << lane;
+            self.def[b + i] = self.def[b + i] & m | (!(u | z) >> i & 1) << lane;
+        }
+    }
+}
+
+/// One lane of the columns, read as the inputs of the interpreter's
+/// clock edge.
+struct Lane<'a> {
+    cols: &'a Columns,
+    masks: &'a [u64],
+    lane: usize,
+}
+
+impl Lane<'_> {
+    /// The width of `net` and this lane's value and undefined bits of it.
+    fn bits(&self, net: usize) -> (usize, u64, u64) {
+        let w = self.masks[net].count_ones() as usize;
+        let c = self.cols;
+        let (v, u) = gather(&c.val, &c.def, c.base[net] as usize, w, self.lane);
+        (w, v, u)
+    }
+}
+
+impl EdgeInputs for Lane<'_> {
+    fn value(&self, net: usize) -> LogicVector {
+        let (w, v, u) = self.bits(net);
+        LogicVector::from_raw_masks(w, v, u, 0).expect("valid width")
+    }
+
+    fn word(&self, net: usize) -> Option<u64> {
+        let (_, v, u) = self.bits(net);
+        (u == 0).then_some(v)
+    }
+}
+
+/// Executes one op of the front end's stream over bit columns: 64 lanes
+/// at once, with the X semantics of [`exec_op`] per lane. `resolve` is
+/// always false here and `TriBuf` never occurs ([`LaneBatch::new`]
+/// refuses shared nets and tri-state buffers).
+#[allow(clippy::too_many_lines)]
+fn exec_lane_op(op: &LoweredOp, masks: &[u64], cols: &mut Columns) {
+    let Columns { val, def, base } = cols;
+    let col = |n: u32| base[n as usize] as usize;
+    let width = |n: u32| masks[n as usize].count_ones() as usize;
+    // Lanes with any undefined bit in the `w` columns at `a`.
+    let undef = |def: &[u64], a: usize, w: usize| def[a..a + w].iter().fold(0, |p, d| p | !d);
+    match op {
+        LoweredOp::Const { out, v, u, .. } => {
+            let o = col(*out);
+            for i in 0..width(*out) {
+                val[o + i] = splat(v >> i);
+                def[o + i] = !splat(u >> i);
+            }
+        }
+        LoweredOp::Buf { a, out, .. } => {
+            let (a, o, w) = (col(*a), col(*out), width(*out));
+            val.copy_within(a..a + w, o);
+            def.copy_within(a..a + w, o);
+        }
+        LoweredOp::Slice { a, low, out, .. } => {
+            let (a, o, w) = (col(*a) + *low as usize, col(*out), width(*out));
+            val.copy_within(a..a + w, o);
+            def.copy_within(a..a + w, o);
+        }
+        LoweredOp::Concat { ins, out, .. } => {
+            // MSB-first pins: the first input occupies the top columns.
+            let mut top = col(*out) + width(*out);
+            for &(n, w) in ins {
+                let (a, w) = (col(n), w as usize);
+                top -= w;
+                val.copy_within(a..a + w, top);
+                def.copy_within(a..a + w, top);
+            }
+        }
+        LoweredOp::Not { a, out, .. } => {
+            let (a, o, w) = (col(*a), col(*out), width(*out));
+            let pois = undef(def, a, w);
+            for i in 0..w {
+                def[o + i] = !pois;
+                val[o + i] = !val[a + i] & !pois;
+            }
+        }
+        LoweredOp::Gate { op, a, b, out, .. } => {
+            let (a, b, o) = (col(*a), col(*b), col(*out));
+            for i in 0..width(*out) {
+                let (va, da) = (val[a + i], def[a + i]);
+                let (vb, db) = (val[b + i], def[b + i]);
+                let (v, d) = match op {
+                    GateOp::And => {
+                        let one = va & vb;
+                        (one, one | (da & !va) | (db & !vb))
+                    }
+                    GateOp::Or => {
+                        let one = va | vb;
+                        (one, one | (da & !va & db & !vb))
+                    }
+                    GateOp::Xor => {
+                        let dd = da & db;
+                        ((va ^ vb) & dd, dd)
+                    }
+                };
+                val[o + i] = v;
+                def[o + i] = d;
+            }
+        }
+        LoweredOp::ReduceOr { a, out, .. } => {
+            let (a, o, w) = (col(*a), col(*out), width(*a));
+            let one = val[a..a + w].iter().fold(0, |p, v| p | v);
+            val[o] = one;
+            def[o] = one | !undef(def, a, w);
+        }
+        LoweredOp::ReduceAnd { a, out, .. } => {
+            let (a, o, w) = (col(*a), col(*out), width(*a));
+            let zero = (a..a + w).fold(0, |p, c| p | def[c] & !val[c]);
+            let alldef = !undef(def, a, w);
+            val[o] = alldef & !zero;
+            def[o] = zero | alldef;
+        }
+        LoweredOp::Add { a, b, out, .. } | LoweredOp::Sub { a, b, out, .. } => {
+            // Ripple carry across the columns; a - b is a + !b + 1.
+            let sub = matches!(op, LoweredOp::Sub { .. });
+            let (a, b, o, w) = (col(*a), col(*b), col(*out), width(*out));
+            let pois = undef(def, a, w) | undef(def, b, w);
+            let inv = splat(u64::from(sub));
+            let mut carry = inv;
+            for i in 0..w {
+                let (va, vb) = (val[a + i], val[b + i] ^ inv);
+                val[o + i] = (va ^ vb ^ carry) & !pois;
+                def[o + i] = !pois;
+                carry = (va & vb) | (carry & (va ^ vb));
+            }
+        }
+        LoweredOp::Inc { a, out, .. } => {
+            let (a, o, w) = (col(*a), col(*out), width(*out));
+            let pois = undef(def, a, w);
+            let mut carry = u64::MAX;
+            for i in 0..w {
+                let va = val[a + i];
+                val[o + i] = (va ^ carry) & !pois;
+                def[o + i] = !pois;
+                carry &= va;
+            }
+        }
+        LoweredOp::Cmp {
+            kind, a, b, out, ..
+        } => {
+            let (a, b, o, w) = (col(*a), col(*b), col(*out), width(*a));
+            let pois = undef(def, a, w) | undef(def, b, w);
+            let y = match kind {
+                CmpKind::Eq | CmpKind::Ne => {
+                    let eq = (0..w).fold(u64::MAX, |eq, i| eq & !(val[a + i] ^ val[b + i]));
+                    if *kind == CmpKind::Eq {
+                        eq
+                    } else {
+                        !eq
+                    }
+                }
+                CmpKind::Lt | CmpKind::Ge => {
+                    let (mut lt, mut decided) = (0u64, 0u64);
+                    for i in (0..w).rev() {
+                        let diff = val[a + i] ^ val[b + i];
+                        lt |= diff & !decided & !val[a + i];
+                        decided |= diff;
+                    }
+                    if *kind == CmpKind::Lt {
+                        lt
+                    } else {
+                        !lt
+                    }
+                }
+            };
+            val[o] = y & !pois;
+            def[o] = !pois;
+        }
+        LoweredOp::Mux { sel, ins, out, .. } => {
+            let (s, sw, o, w) = (col(*sel), width(*sel), col(*out), width(*out));
+            let sd = !undef(def, s, sw);
+            val[o..o + w].fill(0);
+            def[o..o + w].fill(0);
+            for (j, &n) in ins.iter().enumerate() {
+                // Lanes whose (defined) select equals j.
+                let eq = (0..sw).fold(sd, |eq, i| eq & !(val[s + i] ^ splat((j >> i) as u64)));
+                if eq == 0 {
+                    continue;
+                }
+                let a = col(n);
+                for i in 0..w {
+                    val[o + i] |= eq & val[a + i];
+                    def[o + i] |= eq & def[a + i];
+                }
+            }
+        }
+        LoweredOp::Table {
+            ins, table, out, ..
+        } => {
+            let (o, w) = (col(*out), width(*out));
+            let mask = masks[*out as usize];
+            let (mut out_v, mut out_d) = ([0u64; 64], [0u64; 64]);
+            for lane in 0..LANES {
+                let word = |n: usize, w: u32| gather(val, def, base[n] as usize, w as usize, lane);
+                let (ones, zeros) = table_lookup(ins, table, mask, word);
+                for i in 0..w {
+                    out_v[i] |= (ones >> i & 1) << lane;
+                    out_d[i] |= ((ones | zeros) >> i & 1) << lane;
+                }
+            }
+            val[o..o + w].copy_from_slice(&out_v[..w]);
+            def[o..o + w].copy_from_slice(&out_d[..w]);
+        }
+        LoweredOp::TriBuf { .. } => unreachable!("LaneBatch::new refuses tri-state buffers"),
+    }
+}
+
+/// A register of a [`LaneBatch`], the lane engine's speed path: its
+/// state is lane-packed like the nets, so presenting it and clocking it
+/// are masked column copies.
+#[derive(Debug, Clone)]
+struct LaneReg {
+    /// First columns of the `d` input, the enable (if any) and `q`.
+    d: usize,
+    en: Option<usize>,
+    q: usize,
+    reset_value: u64,
+    /// State columns (value, defined), one per bit.
+    val: Vec<u64>,
+    def: Vec<u64>,
 }
 
 /// A 64-way bit-parallel simulation of one design: 64 independent
 /// stimulus lanes packed one-per-bit into u64 columns, advanced by a
 /// single lowered settle per delta and a single tick per clock edge.
+///
+/// The combinational half is the scalar lowered engine's op stream (one
+/// front end, [`LoweredProgram`]) executed over bit columns. Registers
+/// keep lane-packed column state; block RAMs, FIFOs and LIFOs keep the
+/// interpreter's state once per lane and tick through its clock edge, so
+/// a macro behaves, and fails, exactly as in the scalar engines.
 ///
 /// The engine covers exactly the designs whose four-state behaviour it
 /// can reproduce bit for bit with a value/defined column pair:
@@ -952,21 +1100,19 @@ enum LaneSeq {
 #[derive(Debug, Clone)]
 pub struct LaneBatch {
     name: String,
-    /// Column planes: bit `k` of a word belongs to lane `k`.
-    val: Vec<u64>,
-    def: Vec<u64>,
-    /// First column of each net.
-    base: Vec<u32>,
-    ops: Vec<ColOp>,
-    seq: Vec<LaneSeq>,
+    netlist: Netlist,
+    /// The front end's program, ports unbound.
+    prog: LoweredProgram,
+    cols: Columns,
+    regs: Vec<LaneReg>,
+    /// Block RAM, FIFO and LIFO cells, in cell order.
+    macros: Vec<usize>,
+    /// Per lane, the interpreter's state of every macro (`None` for
+    /// every other cell).
+    lane_state: Vec<Vec<SeqState>>,
     in_ports: Vec<(String, usize, usize)>,
     out_ports: Vec<(String, usize, usize)>,
     settles: u64,
-    ticks: u64,
-}
-
-fn lane_bit(word: u64, lane: usize) -> u64 {
-    word >> lane & 1
 }
 
 impl LaneBatch {
@@ -980,9 +1126,9 @@ impl LaneBatch {
     /// clock domain (lanes advance every lane on one shared edge).
     pub fn new(name: impl Into<String>, netlist: &Netlist) -> Result<Self, SimError> {
         let name = name.into();
-        let refuse = |message: String| SimError::Protocol {
+        let refuse = |what: String| SimError::Protocol {
             component: name.clone(),
-            message,
+            message: format!("lane packing refused: {what}"),
         };
         if netlist.is_multi_domain() {
             let culprit = netlist
@@ -1000,214 +1146,32 @@ impl LaneBatch {
                     },
                 );
             return Err(refuse(format!(
-                "lane packing refused: {culprit} (lanes share one clock edge; multi-domain \
-                 designs need the event-driven scheduler)"
+                "{culprit} (lanes share one clock edge; multi-domain designs need the \
+                 event-driven scheduler)"
             )));
         }
+        let prog = LoweredProgram::lower_netlist(netlist).map_err(|e| refuse(e.to_string()))?;
         let nets = netlist.nets();
-        let topo = netlist
-            .comb_topo_order()
-            .map_err(|e| refuse(format!("lane packing refused: {e}")))?;
-
-        let mut comb_drivers = vec![0u32; nets.len()];
-        for cell in netlist.cells() {
-            if cell.prim().is_sequential() {
-                continue;
-            }
-            for out in cell.outputs() {
-                comb_drivers[out.index()] += 1;
-            }
-        }
-        if let Some((n, _)) = comb_drivers.iter().enumerate().find(|&(_, &c)| c > 1) {
+        if let Some(&n) = prog.shared_z.first() {
             return Err(refuse(format!(
-                "lane packing refused: net `{}` has multiple drivers (tri-state bus)",
-                nets[n].name()
+                "net `{}` has multiple drivers (tri-state bus)",
+                nets[n as usize].name()
             )));
         }
-
-        // Column layout: one (val, def) u64 pair per net bit.
-        let mut base = Vec::with_capacity(nets.len());
-        let mut cols = 0u32;
-        for net in nets {
-            base.push(cols);
-            cols += net.width() as u32;
-        }
-
-        let mut ops = Vec::with_capacity(topo.len());
-        for &ci in &topo {
-            let cell = netlist.cell(ci);
-            let ins = cell.inputs();
-            let outs = cell.outputs();
-            let nb = |i: usize| base[ins[i].index()];
-            let nw = |i: usize| nets[ins[i].index()].width() as u32;
-            let out = base[outs[0].index()];
-            let w = nets[outs[0].index()].width() as u32;
-            let op = match cell.prim() {
-                Prim::Const { value } => {
-                    let (v, u, z) = value.raw_masks();
-                    if z != 0 {
-                        return Err(refuse(format!(
-                            "lane packing refused: constant `{}` drives high-Z bits",
-                            cell.name()
-                        )));
-                    }
-                    ColOp::Const {
-                        out,
-                        w,
-                        bits: v,
-                        xbits: u,
-                    }
-                }
-                Prim::Buf { .. } => ColOp::Copy { a: nb(0), out, w },
-                Prim::Not { .. } => ColOp::Not { a: nb(0), out, w },
-                Prim::Gate { op, .. } => ColOp::Gate {
-                    op: *op,
-                    a: nb(0),
-                    b: nb(1),
-                    out,
-                    w,
-                },
-                Prim::ReduceOr { .. } => ColOp::ReduceOr {
-                    a: nb(0),
-                    out,
-                    w: nw(0),
-                },
-                Prim::ReduceAnd { .. } => ColOp::ReduceAnd {
-                    a: nb(0),
-                    out,
-                    w: nw(0),
-                },
-                Prim::Add { .. } => ColOp::Add {
-                    a: nb(0),
-                    b: nb(1),
-                    out,
-                    w,
-                },
-                Prim::Sub { .. } => ColOp::Sub {
-                    a: nb(0),
-                    b: nb(1),
-                    out,
-                    w,
-                },
-                Prim::Inc { .. } => ColOp::Inc { a: nb(0), out, w },
-                Prim::Cmp { kind, .. } => ColOp::Cmp {
-                    kind: *kind,
-                    a: nb(0),
-                    sw: nw(0),
-                    b: nb(1),
-                    out,
-                },
-                Prim::Mux { .. } => ColOp::Mux {
-                    sel: nb(0),
-                    sw: nw(0),
-                    ins: (1..ins.len()).map(nb).collect(),
-                    out,
-                    w,
-                },
-                Prim::Slice { low, .. } => ColOp::Copy {
-                    a: nb(0) + *low as u32,
-                    out,
-                    w,
-                },
-                Prim::Concat { .. } => {
-                    // MSB-first pins: the first input occupies the top
-                    // columns of the output.
-                    let mut srcs = vec![0u32; w as usize];
-                    let mut top = w;
-                    for (i, _) in ins.iter().enumerate() {
-                        let iw = nw(i);
-                        top -= iw;
-                        for j in 0..iw {
-                            srcs[(top + j) as usize] = nb(i) + j;
-                        }
-                    }
-                    ColOp::Wire { srcs, out }
-                }
-                Prim::TruthTable { table, .. } => ColOp::Table {
-                    ins: ins
-                        .iter()
-                        .rev()
-                        .map(|n| (base[n.index()], nets[n.index()].width() as u32))
-                        .collect(),
-                    table: Arc::new(table.clone()),
-                    out,
-                    w,
-                },
+        for cell in netlist.cells() {
+            match cell.prim() {
                 Prim::TriBuf { .. } => {
+                    return Err(refuse(format!("tri-state buffer `{}`", cell.name())));
+                }
+                Prim::Const { value } if value.raw_masks().2 != 0 => {
                     return Err(refuse(format!(
-                        "lane packing refused: tri-state buffer `{}`",
+                        "constant `{}` drives high-Z bits",
                         cell.name()
                     )));
                 }
-                Prim::Reg { .. }
-                | Prim::BlockRam { .. }
-                | Prim::FifoMacro { .. }
-                | Prim::LifoMacro { .. } => continue,
-            };
-            ops.push(op);
-        }
-
-        let mut seq = Vec::new();
-        for cell in netlist.cells() {
-            let ins = cell.inputs();
-            let outs = cell.outputs();
-            match cell.prim() {
-                Prim::Reg {
-                    width,
-                    has_enable,
-                    reset_value,
-                } => seq.push(LaneSeq::Reg {
-                    d: base[ins[0].index()],
-                    en: has_enable.then(|| base[ins[1].index()]),
-                    out: base[outs[0].index()],
-                    w: *width as u32,
-                    sv: vec![0; *width],
-                    sd: vec![0; *width],
-                    reset_value: *reset_value,
-                }),
-                Prim::BlockRam {
-                    addr_width,
-                    data_width,
-                } => seq.push(LaneSeq::Bram {
-                    cell: cell.name().to_owned(),
-                    we: base[ins[0].index()],
-                    waddr: base[ins[1].index()],
-                    aw: *addr_width as u32,
-                    wdata: base[ins[2].index()],
-                    raddr: base[ins[3].index()],
-                    out: base[outs[0].index()],
-                    w: *data_width as u32,
-                    mem: vec![vec![None; 1 << addr_width]; LANES],
-                    rdout: vec![None; LANES],
-                }),
-                Prim::FifoMacro { depth, width } => seq.push(LaneSeq::Fifo {
-                    cell: cell.name().to_owned(),
-                    push: base[ins[0].index()],
-                    pop: base[ins[1].index()],
-                    wdata: base[ins[2].index()],
-                    front: base[outs[0].index()],
-                    empty: base[outs[1].index()],
-                    full: base[outs[2].index()],
-                    w: *width as u32,
-                    depth: *depth,
-                    data: vec![VecDeque::new(); LANES],
-                }),
-                Prim::LifoMacro { depth, width } => seq.push(LaneSeq::Lifo {
-                    cell: cell.name().to_owned(),
-                    push: base[ins[0].index()],
-                    pop: base[ins[1].index()],
-                    wdata: base[ins[2].index()],
-                    top: base[outs[0].index()],
-                    empty: base[outs[1].index()],
-                    full: base[outs[2].index()],
-                    w: *width as u32,
-                    depth: *depth,
-                    data: vec![Vec::new(); LANES],
-                }),
                 _ => {}
             }
         }
-
         let mut in_ports = Vec::new();
         let mut out_ports = Vec::new();
         for binding in netlist.bindings() {
@@ -1222,25 +1186,59 @@ impl LaneBatch {
                 PortDir::In => in_ports.push(entry),
                 PortDir::Out => out_ports.push(entry),
                 PortDir::InOut => {
-                    return Err(refuse(format!(
-                        "lane packing refused: inout port `{}`",
-                        binding.port()
-                    )));
+                    return Err(refuse(format!("inout port `{}`", binding.port())));
                 }
             }
         }
 
+        let mut base = Vec::with_capacity(nets.len());
+        let mut n_cols = 0u32;
+        for net in nets {
+            base.push(n_cols);
+            n_cols += net.width() as u32;
+        }
+        let col = |n: NetId| base[n.index()] as usize;
+        let mut regs = Vec::new();
+        let mut state = Vec::with_capacity(netlist.cells().len());
+        for cell in netlist.cells() {
+            if let Prim::Reg {
+                width,
+                has_enable,
+                reset_value,
+            } = *cell.prim()
+            {
+                let (ins, outs) = (cell.inputs(), cell.outputs());
+                regs.push(LaneReg {
+                    d: col(ins[0]),
+                    en: has_enable.then(|| col(ins[1])),
+                    q: col(outs[0]),
+                    reset_value,
+                    val: vec![0; width],
+                    def: vec![0; width],
+                });
+                state.push(SeqState::None);
+            } else {
+                state.push(SeqState::new(cell.prim()));
+            }
+        }
+        let macros = (0..state.len())
+            .filter(|&ci| !matches!(state[ci], SeqState::None))
+            .collect();
         Ok(Self {
             name,
-            val: vec![0; cols as usize],
-            def: vec![0; cols as usize],
-            base,
-            ops,
-            seq,
+            netlist: netlist.clone(),
+            prog,
+            cols: Columns {
+                val: vec![0; n_cols as usize],
+                def: vec![0; n_cols as usize],
+                base,
+            },
+            regs,
+            macros,
+            lane_state: vec![state; LANES],
             in_ports,
             out_ports,
             settles: 0,
-            ticks: 0,
         })
     }
 
@@ -1268,15 +1266,33 @@ impl LaneBatch {
         self.settles
     }
 
-    fn find_in(&self, port: &str) -> Result<(usize, usize), SimError> {
-        self.in_ports
+    fn protocol(&self, message: String) -> SimError {
+        SimError::Protocol {
+            component: self.name.clone(),
+            message,
+        }
+    }
+
+    /// The net and width of input port `port`, after checking that
+    /// `value` fits it.
+    fn find_in(&self, port: &str, value: u64) -> Result<(usize, usize), SimError> {
+        let &(_, net, w) = self
+            .in_ports
             .iter()
             .find(|(n, _, _)| n == port)
-            .map(|&(_, net, w)| (net, w))
-            .ok_or_else(|| SimError::Protocol {
-                component: self.name.clone(),
-                message: format!("unknown input port `{port}`"),
-            })
+            .ok_or_else(|| self.protocol(format!("unknown input port `{port}`")))?;
+        if w < 64 && value >> w != 0 {
+            return Err(self.protocol(format!("value {value:#x} exceeds {w}-bit port `{port}`")));
+        }
+        Ok((net, w))
+    }
+
+    fn check_lane(&self, lane: usize) -> Result<(), SimError> {
+        if lane < LANES {
+            Ok(())
+        } else {
+            Err(self.protocol(format!("lane {lane} out of range")))
+        }
     }
 
     /// Drives a defined value on an input port of one lane. The value
@@ -1287,29 +1303,10 @@ impl LaneBatch {
     /// [`SimError::Protocol`] for an unknown port, lane or oversized
     /// value.
     pub fn poke(&mut self, port: &str, lane: usize, value: u64) -> Result<(), SimError> {
-        let (net, w) = self.find_in(port)?;
-        if lane >= LANES {
-            return Err(SimError::Protocol {
-                component: self.name.clone(),
-                message: format!("lane {lane} out of range"),
-            });
-        }
-        if w < 64 && value >> w != 0 {
-            return Err(SimError::Protocol {
-                component: self.name.clone(),
-                message: format!("value {value:#x} exceeds {w}-bit port `{port}`"),
-            });
-        }
-        let b = self.base[net] as usize;
-        let m = 1u64 << lane;
-        for i in 0..w {
-            if value >> i & 1 == 1 {
-                self.val[b + i] |= m;
-            } else {
-                self.val[b + i] &= !m;
-            }
-            self.def[b + i] |= m;
-        }
+        let (net, w) = self.find_in(port, value)?;
+        self.check_lane(lane)?;
+        let value = LogicVector::from_u64(value, w).expect("checked to fit");
+        self.cols.scatter(net, lane, value);
         Ok(())
     }
 
@@ -1319,17 +1316,11 @@ impl LaneBatch {
     ///
     /// As [`LaneBatch::poke`].
     pub fn poke_all(&mut self, port: &str, value: u64) -> Result<(), SimError> {
-        let (net, w) = self.find_in(port)?;
-        if w < 64 && value >> w != 0 {
-            return Err(SimError::Protocol {
-                component: self.name.clone(),
-                message: format!("value {value:#x} exceeds {w}-bit port `{port}`"),
-            });
-        }
-        let b = self.base[net] as usize;
+        let (net, w) = self.find_in(port, value)?;
+        let b = self.cols.base[net] as usize;
         for i in 0..w {
-            self.val[b + i] = if value >> i & 1 == 1 { u64::MAX } else { 0 };
-            self.def[b + i] = u64::MAX;
+            self.cols.val[b + i] = splat(value >> i);
+            self.cols.def[b + i] = u64::MAX;
         }
         Ok(())
     }
@@ -1341,586 +1332,109 @@ impl LaneBatch {
     ///
     /// [`SimError::Protocol`] for an unknown port or lane.
     pub fn peek(&self, port: &str, lane: usize) -> Result<LogicVector, SimError> {
-        let (net, w) = self
+        let &(_, net, _) = self
             .out_ports
             .iter()
             .chain(self.in_ports.iter())
             .find(|(n, _, _)| n == port)
-            .map(|&(_, net, w)| (net, w))
-            .ok_or_else(|| SimError::Protocol {
-                component: self.name.clone(),
-                message: format!("unknown port `{port}`"),
-            })?;
-        if lane >= LANES {
-            return Err(SimError::Protocol {
-                component: self.name.clone(),
-                message: format!("lane {lane} out of range"),
-            });
-        }
-        let b = self.base[net] as usize;
-        let (mut v, mut u) = (0u64, 0u64);
-        for i in 0..w {
-            v |= lane_bit(self.val[b + i], lane) << i;
-            u |= (1 - lane_bit(self.def[b + i], lane)) << i;
-        }
-        LogicVector::from_raw_masks(w, v, u, 0).map_err(SimError::from)
+            .ok_or_else(|| self.protocol(format!("unknown port `{port}`")))?;
+        self.check_lane(lane)?;
+        Ok(self.lane(lane).value(net))
     }
 
-    fn gather(&self, col: u32, w: u32, lane: usize) -> (u64, bool) {
-        let b = col as usize;
-        let (mut v, mut defined) = (0u64, true);
-        for i in 0..w as usize {
-            v |= lane_bit(self.val[b + i], lane) << i;
-            defined &= lane_bit(self.def[b + i], lane) == 1;
+    fn lane(&self, lane: usize) -> Lane<'_> {
+        Lane {
+            cols: &self.cols,
+            masks: &self.prog.masks,
+            lane,
         }
-        (v, defined)
     }
 
     /// Restores power-on state in every lane: registers to their reset
     /// values, FIFOs/LIFOs empty, RAM read ports undefined. Poked
     /// inputs are cleared back to undefined.
     pub fn reset(&mut self) {
-        for word in &mut self.val {
-            *word = 0;
-        }
-        for word in &mut self.def {
-            *word = 0;
-        }
-        for s in &mut self.seq {
-            match s {
-                LaneSeq::Reg {
-                    sv,
-                    sd,
-                    reset_value,
-                    ..
-                } => {
-                    for (i, col) in sv.iter_mut().enumerate() {
-                        *col = if *reset_value >> i & 1 == 1 {
-                            u64::MAX
-                        } else {
-                            0
-                        };
-                    }
-                    for col in sd.iter_mut() {
-                        *col = u64::MAX;
-                    }
-                }
-                LaneSeq::Bram { rdout, .. } => {
-                    for o in rdout.iter_mut() {
-                        *o = None;
-                    }
-                }
-                LaneSeq::Fifo { data, .. } => {
-                    for d in data.iter_mut() {
-                        d.clear();
-                    }
-                }
-                LaneSeq::Lifo { data, .. } => {
-                    for d in data.iter_mut() {
-                        d.clear();
-                    }
-                }
+        self.cols.val.fill(0);
+        self.cols.def.fill(0);
+        for r in &mut self.regs {
+            for (i, (v, d)) in r.val.iter_mut().zip(&mut r.def).enumerate() {
+                *v = splat(r.reset_value >> i);
+                *d = u64::MAX;
             }
         }
-    }
-
-    fn present_seq(&mut self) {
-        // Split borrows: sequential presentation writes whole columns.
-        let mut writes: SeqWrites = Vec::new();
-        for s in &self.seq {
-            match s {
-                LaneSeq::Reg { out, w, sv, sd, .. } => {
-                    let cols = (0..*w as usize).map(|i| (sv[i], sd[i])).collect();
-                    writes.push((*out, *w, cols));
-                }
-                LaneSeq::Bram { out, w, rdout, .. } => {
-                    writes.push((*out, *w, lane_cols(rdout, *w)));
-                }
-                LaneSeq::Fifo {
-                    front,
-                    empty,
-                    full,
-                    w,
-                    depth,
-                    data,
-                    ..
-                } => {
-                    let fronts: Vec<Option<u64>> =
-                        data.iter().map(|d| d.front().copied()).collect();
-                    writes.push((*front, *w, lane_cols(&fronts, *w)));
-                    let empties: Vec<Option<u64>> =
-                        data.iter().map(|d| Some(u64::from(d.is_empty()))).collect();
-                    writes.push((*empty, 1, lane_cols(&empties, 1)));
-                    let fulls: Vec<Option<u64>> = data
-                        .iter()
-                        .map(|d| Some(u64::from(d.len() >= *depth)))
-                        .collect();
-                    writes.push((*full, 1, lane_cols(&fulls, 1)));
-                }
-                LaneSeq::Lifo {
-                    top,
-                    empty,
-                    full,
-                    w,
-                    depth,
-                    data,
-                    ..
-                } => {
-                    let tops: Vec<Option<u64>> = data.iter().map(|d| d.last().copied()).collect();
-                    writes.push((*top, *w, lane_cols(&tops, *w)));
-                    let empties: Vec<Option<u64>> =
-                        data.iter().map(|d| Some(u64::from(d.is_empty()))).collect();
-                    writes.push((*empty, 1, lane_cols(&empties, 1)));
-                    let fulls: Vec<Option<u64>> = data
-                        .iter()
-                        .map(|d| Some(u64::from(d.len() >= *depth)))
-                        .collect();
-                    writes.push((*full, 1, lane_cols(&fulls, 1)));
-                }
-            }
-        }
-        for (out, w, cols) in writes {
-            let b = out as usize;
-            for (i, (v, d)) in cols.into_iter().enumerate().take(w as usize) {
-                self.val[b + i] = v;
-                self.def[b + i] = d;
+        for state in &mut self.lane_state {
+            for (s, cell) in state.iter_mut().zip(self.netlist.cells()) {
+                s.reset(cell.prim());
             }
         }
     }
 
     /// Settles all 64 lanes: presents sequential outputs and runs the
-    /// column program once in topological order (a feed-forward netlist
+    /// op stream once in topological order (a feed-forward netlist
     /// needs exactly one sweep).
     pub fn settle(&mut self) {
         self.settles += 1;
-        self.present_seq();
-        // The hot loop: every op advances 64 lanes at once.
-        let mut ops = std::mem::take(&mut self.ops);
-        for op in &ops {
-            self.exec_col_op(op);
+        let cols = &mut self.cols;
+        for r in &self.regs {
+            let w = r.val.len();
+            cols.val[r.q..r.q + w].copy_from_slice(&r.val);
+            cols.def[r.q..r.q + w].copy_from_slice(&r.def);
         }
-        std::mem::swap(&mut self.ops, &mut ops);
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_col_op(&mut self, op: &ColOp) {
-        match op {
-            ColOp::Const {
-                out,
-                w,
-                bits,
-                xbits,
-            } => {
-                let b = *out as usize;
-                for i in 0..*w as usize {
-                    self.val[b + i] = if bits >> i & 1 == 1 { u64::MAX } else { 0 };
-                    self.def[b + i] = if xbits >> i & 1 == 1 { 0 } else { u64::MAX };
+        for &ci in &self.macros {
+            for (lane, state) in self.lane_state.iter().enumerate() {
+                for (net, value) in seq_outputs(&self.netlist, ci, &state[ci]) {
+                    cols.scatter(net, lane, value);
                 }
             }
-            ColOp::Copy { a, out, w } => {
-                let (a, b) = (*a as usize, *out as usize);
-                for i in 0..*w as usize {
-                    self.val[b + i] = self.val[a + i];
-                    self.def[b + i] = self.def[a + i];
-                }
-            }
-            ColOp::Not { a, out, w } => {
-                let (a, b) = (*a as usize, *out as usize);
-                let mut pois = 0u64;
-                for i in 0..*w as usize {
-                    pois |= !self.def[a + i];
-                }
-                for i in 0..*w as usize {
-                    self.def[b + i] = !pois;
-                    self.val[b + i] = !self.val[a + i] & !pois;
-                }
-            }
-            ColOp::Gate { op, a, b, out, w } => {
-                let (a, bb, o) = (*a as usize, *b as usize, *out as usize);
-                for i in 0..*w as usize {
-                    let (va, da) = (self.val[a + i], self.def[a + i]);
-                    let (vb, db) = (self.val[bb + i], self.def[bb + i]);
-                    let (v, d) = match op {
-                        GateOp::And => {
-                            let one = va & vb;
-                            let zero = (da & !va) | (db & !vb);
-                            (one, one | zero)
-                        }
-                        GateOp::Or => {
-                            let one = va | vb;
-                            let zero = da & !va & db & !vb;
-                            (one, one | zero)
-                        }
-                        GateOp::Xor => {
-                            let dd = da & db;
-                            ((va ^ vb) & dd, dd)
-                        }
-                    };
-                    self.val[o + i] = v;
-                    self.def[o + i] = d;
-                }
-            }
-            ColOp::ReduceOr { a, out, w } => {
-                let (a, o) = (*a as usize, *out as usize);
-                let (mut one, mut alldef) = (0u64, u64::MAX);
-                for i in 0..*w as usize {
-                    one |= self.val[a + i];
-                    alldef &= self.def[a + i];
-                }
-                self.val[o] = one;
-                self.def[o] = one | alldef;
-            }
-            ColOp::ReduceAnd { a, out, w } => {
-                let (a, o) = (*a as usize, *out as usize);
-                let (mut zero, mut alldef) = (0u64, u64::MAX);
-                for i in 0..*w as usize {
-                    zero |= self.def[a + i] & !self.val[a + i];
-                    alldef &= self.def[a + i];
-                }
-                self.val[o] = alldef & !zero;
-                self.def[o] = zero | alldef;
-            }
-            ColOp::Add { a, b, out, w } => {
-                let (a, bb, o) = (*a as usize, *b as usize, *out as usize);
-                let mut pois = 0u64;
-                for i in 0..*w as usize {
-                    pois |= !self.def[a + i] | !self.def[bb + i];
-                }
-                let mut carry = 0u64;
-                for i in 0..*w as usize {
-                    let (va, vb) = (self.val[a + i], self.val[bb + i]);
-                    self.val[o + i] = (va ^ vb ^ carry) & !pois;
-                    self.def[o + i] = !pois;
-                    carry = (va & vb) | (carry & (va ^ vb));
-                }
-            }
-            ColOp::Sub { a, b, out, w } => {
-                let (a, bb, o) = (*a as usize, *b as usize, *out as usize);
-                let mut pois = 0u64;
-                for i in 0..*w as usize {
-                    pois |= !self.def[a + i] | !self.def[bb + i];
-                }
-                let mut carry = u64::MAX;
-                for i in 0..*w as usize {
-                    let (va, nb) = (self.val[a + i], !self.val[bb + i]);
-                    self.val[o + i] = (va ^ nb ^ carry) & !pois;
-                    self.def[o + i] = !pois;
-                    carry = (va & nb) | (carry & (va ^ nb));
-                }
-            }
-            ColOp::Inc { a, out, w } => {
-                let (a, o) = (*a as usize, *out as usize);
-                let mut pois = 0u64;
-                for i in 0..*w as usize {
-                    pois |= !self.def[a + i];
-                }
-                let mut carry = u64::MAX;
-                for i in 0..*w as usize {
-                    let va = self.val[a + i];
-                    self.val[o + i] = (va ^ carry) & !pois;
-                    self.def[o + i] = !pois;
-                    carry &= va;
-                }
-            }
-            ColOp::Cmp {
-                kind,
-                a,
-                sw,
-                b,
-                out,
-            } => {
-                let (a, bb, o) = (*a as usize, *b as usize, *out as usize);
-                let mut pois = 0u64;
-                for i in 0..*sw as usize {
-                    pois |= !self.def[a + i] | !self.def[bb + i];
-                }
-                let y = match kind {
-                    CmpKind::Eq | CmpKind::Ne => {
-                        let mut eq = u64::MAX;
-                        for i in 0..*sw as usize {
-                            eq &= !(self.val[a + i] ^ self.val[bb + i]);
-                        }
-                        if *kind == CmpKind::Eq {
-                            eq
-                        } else {
-                            !eq
-                        }
-                    }
-                    CmpKind::Lt | CmpKind::Ge => {
-                        let (mut lt, mut decided) = (0u64, 0u64);
-                        for i in (0..*sw as usize).rev() {
-                            let diff = self.val[a + i] ^ self.val[bb + i];
-                            lt |= diff & !decided & !self.val[a + i];
-                            decided |= diff;
-                        }
-                        if *kind == CmpKind::Lt {
-                            lt
-                        } else {
-                            !lt
-                        }
-                    }
-                };
-                self.val[o] = y & !pois;
-                self.def[o] = !pois;
-            }
-            ColOp::Mux {
-                sel,
-                sw,
-                ins,
-                out,
-                w,
-            } => {
-                let (sc, o) = (*sel as usize, *out as usize);
-                let mut sd = u64::MAX;
-                for i in 0..*sw as usize {
-                    sd &= self.def[sc + i];
-                }
-                for i in 0..*w as usize {
-                    self.val[o + i] = 0;
-                    self.def[o + i] = 0;
-                }
-                for (j, &inb) in ins.iter().enumerate() {
-                    // Lanes whose (defined) select equals j.
-                    let mut eq = sd;
-                    for i in 0..*sw as usize {
-                        let jb = if j >> i & 1 == 1 { u64::MAX } else { 0 };
-                        eq &= !(self.val[sc + i] ^ jb);
-                    }
-                    if eq == 0 {
-                        continue;
-                    }
-                    let inb = inb as usize;
-                    for i in 0..*w as usize {
-                        self.val[o + i] |= eq & self.val[inb + i];
-                        self.def[o + i] |= eq & self.def[inb + i];
-                    }
-                }
-            }
-            ColOp::Wire { srcs, out } => {
-                let o = *out as usize;
-                for (i, &src) in srcs.iter().enumerate() {
-                    self.val[o + i] = self.val[src as usize];
-                    self.def[o + i] = self.def[src as usize];
-                }
-            }
-            ColOp::Table { ins, table, out, w } => {
-                let o = *out as usize;
-                let mask = width_mask(*w as usize);
-                let mut out_v = [0u64; 64];
-                let mut out_d = [0u64; 64];
-                for lane in 0..LANES {
-                    let m = 1u64 << lane;
-                    let mut known = 0u64;
-                    let mut x_positions: Vec<u32> = Vec::new();
-                    let mut bit_pos = 0u32;
-                    for &(col, width) in ins {
-                        let c = col as usize;
-                        for i in 0..width as usize {
-                            if self.def[c + i] & m == 0 {
-                                x_positions.push(bit_pos);
-                            } else if self.val[c + i] & m != 0 {
-                                known |= 1 << bit_pos;
-                            }
-                            bit_pos += 1;
-                        }
-                    }
-                    let (ones, zeros) = if x_positions.len() > MAX_X_ENUM {
-                        (0, 0)
-                    } else {
-                        let (mut ones, mut zeros) = (mask, mask);
-                        for combo in 0..(1u64 << x_positions.len()) {
-                            let mut index = known;
-                            for (i, &pos) in x_positions.iter().enumerate() {
-                                if combo >> i & 1 == 1 {
-                                    index |= 1 << pos;
-                                }
-                            }
-                            let word = table[index as usize];
-                            ones &= word;
-                            zeros &= !word;
-                        }
-                        (ones, zeros)
-                    };
-                    for i in 0..*w as usize {
-                        if ones >> i & 1 == 1 {
-                            out_v[i] |= m;
-                            out_d[i] |= m;
-                        } else if zeros >> i & 1 == 1 {
-                            out_d[i] |= m;
-                        }
-                    }
-                }
-                let w = *w as usize;
-                self.val[o..o + w].copy_from_slice(&out_v[..w]);
-                self.def[o..o + w].copy_from_slice(&out_d[..w]);
-            }
+        }
+        // The hot loop: every op advances 64 lanes at once.
+        for op in &self.prog.ops {
+            exec_lane_op(op, &self.prog.masks, cols);
         }
     }
 
     /// Clock edge across all 64 lanes: samples settled values into
-    /// sequential state, matching `NetlistComponent::tick` per lane
-    /// (including protocol errors, reported with the offending lane).
+    /// sequential state, matching `NetlistComponent::tick` per lane.
+    /// A protocol error is the interpreter's, suffixed with the lane;
+    /// the first macro in cell order that fails reports its lowest
+    /// failing lane.
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] on FIFO/LIFO misuse or undefined RAM
     /// write strobes, exactly like the interpreter.
     pub fn tick(&mut self) -> Result<(), SimError> {
-        self.ticks += 1;
-        let mut seq = std::mem::take(&mut self.seq);
-        let result = self.tick_seq(&mut seq);
-        self.seq = seq;
-        result
-    }
-
-    fn tick_seq(&mut self, seq: &mut [LaneSeq]) -> Result<(), SimError> {
-        for s in seq.iter_mut() {
-            match s {
-                LaneSeq::Reg {
-                    d, en, w, sv, sd, ..
-                } => {
-                    // Load mask per lane: enable defined and 1 (or no
-                    // enable pin at all).
-                    let le = match en {
-                        Some(ec) => {
-                            let e = *ec as usize;
-                            self.val[e] & self.def[e]
-                        }
-                        None => u64::MAX,
-                    };
-                    let dc = *d as usize;
-                    for i in 0..*w as usize {
-                        sv[i] = (self.val[dc + i] & le) | (sv[i] & !le);
-                        sd[i] = (self.def[dc + i] & le) | (sd[i] & !le);
+        for ci in &self.macros {
+            for (lane, state) in self.lane_state.iter_mut().enumerate() {
+                let inputs = Lane {
+                    cols: &self.cols,
+                    masks: &self.prog.masks,
+                    lane,
+                };
+                let cell = std::slice::from_ref(ci);
+                clock_edge(&self.name, &self.netlist, cell, state, &inputs, None).map_err(|e| {
+                    match e {
+                        SimError::Protocol { component, message } => SimError::Protocol {
+                            component,
+                            message: format!("{message} (lane {lane})"),
+                        },
+                        e => e,
                     }
-                }
-                LaneSeq::Bram {
-                    cell,
-                    we,
-                    waddr,
-                    aw,
-                    wdata,
-                    raddr,
-                    w,
-                    mem,
-                    rdout,
-                    ..
-                } => {
-                    let wec = *we as usize;
-                    let strobe = self.val[wec] & self.def[wec];
-                    for lane in 0..LANES {
-                        let write = strobe >> lane & 1 == 1;
-                        if write {
-                            let (a, ad) = self.gather(*waddr, *aw, lane);
-                            if !ad {
-                                return Err(self.lane_err(lane, cell, "undefined write address"));
-                            }
-                            let (dv, dd) = self.gather(*wdata, *w, lane);
-                            if !dd {
-                                return Err(self.lane_err(lane, cell, "undefined write data"));
-                            }
-                            mem[lane][a as usize] = Some(dv);
-                        }
-                        let (ra, rd) = self.gather(*raddr, *aw, lane);
-                        rdout[lane] = if rd { mem[lane][ra as usize] } else { None };
-                    }
-                }
-                LaneSeq::Fifo {
-                    cell,
-                    push,
-                    pop,
-                    wdata,
-                    w,
-                    depth,
-                    data,
-                    ..
-                } => {
-                    let (pc, qc) = (*push as usize, *pop as usize);
-                    let pushes = self.val[pc] & self.def[pc];
-                    let pops = self.val[qc] & self.def[qc];
-                    for (lane, d) in data.iter_mut().enumerate() {
-                        let wd = if pushes >> lane & 1 == 1 {
-                            let (dv, dd) = self.gather(*wdata, *w, lane);
-                            if !dd {
-                                return Err(self.lane_err(lane, cell, "undefined fifo write data"));
-                            }
-                            Some(dv)
-                        } else {
-                            None
-                        };
-                        if pops >> lane & 1 == 1 && d.pop_front().is_none() {
-                            return Err(self.lane_err(lane, cell, "pop on empty fifo"));
-                        }
-                        if let Some(v) = wd {
-                            if d.len() >= *depth {
-                                return Err(self.lane_err(lane, cell, "push on full fifo"));
-                            }
-                            d.push_back(v);
-                        }
-                    }
-                }
-                LaneSeq::Lifo {
-                    cell,
-                    push,
-                    pop,
-                    wdata,
-                    w,
-                    depth,
-                    data,
-                    ..
-                } => {
-                    let (pc, qc) = (*push as usize, *pop as usize);
-                    let pushes = self.val[pc] & self.def[pc];
-                    let pops = self.val[qc] & self.def[qc];
-                    for (lane, d) in data.iter_mut().enumerate() {
-                        let wd = if pushes >> lane & 1 == 1 {
-                            let (dv, dd) = self.gather(*wdata, *w, lane);
-                            if !dd {
-                                return Err(self.lane_err(lane, cell, "undefined lifo write data"));
-                            }
-                            Some(dv)
-                        } else {
-                            None
-                        };
-                        if pops >> lane & 1 == 1 && d.pop().is_none() {
-                            return Err(self.lane_err(lane, cell, "pop on empty lifo"));
-                        }
-                        if let Some(v) = wd {
-                            if d.len() >= *depth {
-                                return Err(self.lane_err(lane, cell, "push on full lifo"));
-                            }
-                            d.push(v);
-                        }
-                    }
-                }
+                })?;
+            }
+        }
+        let (val, def) = (&self.cols.val, &self.cols.def);
+        for r in &mut self.regs {
+            // Load mask per lane: enable defined and 1 (or no enable
+            // pin at all).
+            let load = r.en.map_or(u64::MAX, |e| val[e] & def[e]);
+            for i in 0..r.val.len() {
+                r.val[i] = val[r.d + i] & load | r.val[i] & !load;
+                r.def[i] = def[r.d + i] & load | r.def[i] & !load;
             }
         }
         Ok(())
     }
-
-    fn lane_err(&self, lane: usize, cell: &str, what: &str) -> SimError {
-        SimError::Protocol {
-            component: self.name.clone(),
-            message: format!("{what} `{cell}` (lane {lane})"),
-        }
-    }
-}
-
-/// Transposes per-lane optional words into `(val, def)` bit columns.
-fn lane_cols(values: &[Option<u64>], w: u32) -> Vec<(u64, u64)> {
-    let mut cols = vec![(0u64, 0u64); w as usize];
-    for (lane, v) in values.iter().enumerate() {
-        if let Some(v) = v {
-            let m = 1u64 << lane;
-            for (i, col) in cols.iter_mut().enumerate() {
-                if v >> i & 1 == 1 {
-                    col.0 |= m;
-                }
-                col.1 |= m;
-            }
-        }
-    }
-    cols
 }
 
 #[cfg(test)]
@@ -2127,8 +1641,66 @@ mod tests {
                 if table[0] == 5 {
                     assert_eq!(got.to_u64().is_some(), n_x <= MAX_X_ENUM, "{n_x} X bits");
                 }
+                // The lane engine enumerates the same way: the X bits
+                // are a port it never pokes.
+                if n_x > 0 {
+                    let mut lanes =
+                        LaneBatch::new("pack", &table_behind_ports(&table, n_x)).unwrap();
+                    lanes.reset();
+                    lanes.poke_all("k", known >> n_x).unwrap();
+                    lanes.settle();
+                    for lane in [0, LANES - 1] {
+                        let got = lanes.peek("y", lane).unwrap();
+                        assert_eq!(got, expect, "{n_x} X bits, lane {lane}");
+                    }
+                }
             }
         }
+    }
+
+    /// `y = table(hi, lo)` over an 11-bit index `{hi, lo}`, the low 11
+    /// bits of `{k, x}`: port `k` (`12 - n_x` bits) above port `x`
+    /// (`n_x` bits).
+    fn table_behind_ports(table: &[u64], n_x: usize) -> Netlist {
+        let entity = Entity::builder("tt")
+            .port("k", PortDir::In, 12 - n_x)
+            .unwrap()
+            .port("x", PortDir::In, n_x)
+            .unwrap()
+            .port("y", PortDir::Out, 3)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut nl = Netlist::new(entity);
+        let k = nl.add_net("k", 12 - n_x).unwrap();
+        let x = nl.add_net("x", n_x).unwrap();
+        let index = nl.add_net("index", 12).unwrap();
+        let hi = nl.add_net("hi", 6).unwrap();
+        let lo = nl.add_net("lo", 5).unwrap();
+        let y = nl.add_net("y", 3).unwrap();
+        let concat = Prim::Concat {
+            widths: vec![12 - n_x, n_x],
+        };
+        nl.add_cell("u_cat", concat, vec![k, x], vec![index])
+            .unwrap();
+        for (name, low, len, net) in [("u_hi", 5, 6, hi), ("u_lo", 0, 5, lo)] {
+            let slice = Prim::Slice {
+                in_width: 12,
+                low,
+                len,
+            };
+            nl.add_cell(name, slice, vec![index], vec![net]).unwrap();
+        }
+        let tt = Prim::TruthTable {
+            in_widths: vec![6, 5],
+            out_width: 3,
+            table: table.to_vec(),
+        };
+        nl.add_cell("u_tt", tt, vec![hi, lo], vec![y]).unwrap();
+        for (port, net) in [("k", k), ("x", x), ("y", y)] {
+            nl.bind_port(port, net).unwrap();
+        }
+        nl
     }
 
     #[test]
@@ -2656,6 +2228,148 @@ mod tests {
         let ((trace, err), _) = same_in_every_mode(&nl, &rows);
         assert!(err.is_none());
         assert_eq!(trace[3][0].to_u64(), Some(42));
+    }
+
+    /// Runs one stimulus per lane (`rows(lane)`, all of one length)
+    /// through a [`LaneBatch`] named like [`port_sim`]'s component, with
+    /// the cycle protocol of [`run_rows`]. Returns the first error with
+    /// its cycle. A `None` leaves the port as it was, so an X port must
+    /// stay `None` from cycle 0 (the lane engine cannot poke X).
+    fn lane_rows(nl: &Netlist, rows: impl Fn(usize) -> Vec<Row>) -> Option<(usize, String)> {
+        let names: Vec<&str> = nl
+            .entity()
+            .ports()
+            .iter()
+            .filter(|p| p.dir() == PortDir::In)
+            .map(|p| p.name())
+            .collect();
+        let stims: Vec<Vec<Row>> = (0..LANES).map(rows).collect();
+        let mut lanes = LaneBatch::new("dut", nl).unwrap();
+        lanes.reset();
+        for cycle in 0..stims[0].len() {
+            for (lane, stim) in stims.iter().enumerate() {
+                for (name, v) in names.iter().zip(&stim[cycle]) {
+                    if let Some(v) = v {
+                        lanes.poke(name, lane, *v).unwrap();
+                    }
+                }
+            }
+            lanes.settle();
+            if let Err(e) = lanes.tick() {
+                return Some((cycle, e.to_string()));
+            }
+        }
+        None
+    }
+
+    /// The interpreter's first error for `rows`, with its cycle.
+    fn interpreter_error(nl: &Netlist, rows: &[Row]) -> (usize, String) {
+        let (mut sim, ins, outs) = port_sim(nl.clone(), SchedMode::FullSweep);
+        let (_, err) = run_rows(&mut sim, &ins, &outs, rows);
+        err.expect("the stimulus breaks the protocol")
+    }
+
+    #[test]
+    fn lane_protocol_errors_are_the_interpreters_plus_the_lane() {
+        let x = None;
+        let (on, off) = (Some(1), Some(0));
+        let bram = one_cell(Prim::BlockRam {
+            addr_width: 3,
+            data_width: 8,
+        });
+        // Pins: we, waddr, wdata, raddr (BRAM); push, pop, wdata (queues).
+        let mut cases = vec![
+            (
+                bram.clone(),
+                vec![vec![off, x, off, off], vec![on, x, Some(9), off]],
+            ),
+            (
+                bram,
+                vec![vec![off, off, x, off], vec![on, Some(3), x, off]],
+            ),
+        ];
+        for prim in [
+            Prim::FifoMacro { depth: 2, width: 8 },
+            Prim::LifoMacro { depth: 2, width: 8 },
+        ] {
+            let nl = one_cell(prim);
+            let push = |v| vec![on, off, Some(v)];
+            cases.push((nl.clone(), vec![vec![off, off, x], vec![on, off, x]]));
+            cases.push((nl.clone(), vec![vec![off, off, off], vec![off, on, off]]));
+            cases.push((nl, vec![push(1), push(2), push(3)]));
+        }
+        for (nl, bad) in cases {
+            let (cycle, message) = interpreter_error(&nl, &bad);
+            let idle = vec![vec![off; bad[0].len()]; bad.len()];
+            for lane in [0, 29, LANES - 1] {
+                let got = lane_rows(&nl, |k| if k == lane { bad.clone() } else { idle.clone() });
+                assert_eq!(got, Some((cycle, format!("{message} (lane {lane})"))));
+            }
+        }
+    }
+
+    #[test]
+    fn two_failing_lanes_report_the_first_cell_then_the_lowest_lane() {
+        let entity = Entity::builder("two")
+            .port("push", PortDir::In, 1)
+            .unwrap()
+            .port("pop_first", PortDir::In, 1)
+            .unwrap()
+            .port("pop_second", PortDir::In, 1)
+            .unwrap()
+            .port("din", PortDir::In, 4)
+            .unwrap()
+            .port("front", PortDir::Out, 4)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut nl = Netlist::new(entity);
+        let mut net = |name: &str, width| nl.add_net(name, width).unwrap();
+        let [push, pop_first, pop_second] = ["push", "pop_first", "pop_second"].map(|n| net(n, 1));
+        let [din, front, front2] = ["din", "front", "front2"].map(|n| net(n, 4));
+        let [e1, f1, e2, f2] = ["e1", "f1", "e2", "f2"].map(|n| net(n, 1));
+        let fifo = Prim::FifoMacro { depth: 2, width: 4 };
+        nl.add_cell(
+            "u_first",
+            fifo.clone(),
+            vec![push, pop_first, din],
+            vec![front, e1, f1],
+        )
+        .unwrap();
+        nl.add_cell(
+            "u_second",
+            fifo,
+            vec![push, pop_second, din],
+            vec![front2, e2, f2],
+        )
+        .unwrap();
+        for (port, n) in [
+            ("push", push),
+            ("pop_first", pop_first),
+            ("pop_second", pop_second),
+            ("din", din),
+            ("front", front),
+        ] {
+            nl.bind_port(port, n).unwrap();
+        }
+        // Lanes 40 and 50 pop `u_first` on empty, lanes 3 and 40 pop
+        // `u_second`: the report is `u_first`'s lowest lane, 40.
+        let stim = |first: bool, second: bool| {
+            let row = vec![
+                Some(0),
+                Some(u64::from(first)),
+                Some(u64::from(second)),
+                Some(0),
+            ];
+            vec![vec![Some(0); 4], row]
+        };
+        let bad = stim(true, true);
+        let (cycle, message) = interpreter_error(&nl, &bad);
+        assert!(message.contains("`u_first`"), "{message}");
+        let got = lane_rows(&nl, |lane| {
+            stim(lane == 40 || lane == 50, lane == 3 || lane == 40)
+        });
+        assert_eq!(got, Some((cycle, format!("{message} (lane 40)"))));
     }
 
     #[test]

@@ -8,7 +8,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Where a clock edge reads the settled values of sequential cell
-/// inputs: the interpreter's net cache, or a lowered unit's planes.
+/// inputs: the interpreter's net cache, a lowered unit's planes, or one
+/// lane of the lane engine's bit columns.
 pub(crate) trait EdgeInputs {
     /// The settled four-state value of a net.
     fn value(&self, net: usize) -> LogicVector;
@@ -31,9 +32,11 @@ impl EdgeInputs for [LogicVector] {
 /// presenting them allocates nothing and borrows nothing.
 pub(crate) type SeqOutputs = std::iter::Take<std::array::IntoIter<(usize, LogicVector), 3>>;
 
-/// Per-cell state of sequential primitives.
+/// Per-cell state of sequential primitives: the one macro model, run by
+/// the interpreter, the lowered engine and, one copy per lane, the lane
+/// engine.
 #[derive(Debug, Clone)]
-enum SeqState {
+pub(crate) enum SeqState {
     None,
     Reg(LogicVector),
     Bram {
@@ -47,6 +50,76 @@ enum SeqState {
         lifo: bool,
         data: VecDeque<u64>,
     },
+}
+
+impl SeqState {
+    /// The power-on state of a cell: an all-X register, an empty queue,
+    /// a block RAM with nothing written; `None` for combinational cells.
+    pub(crate) fn new(prim: &Prim) -> Self {
+        match prim {
+            Prim::Reg { width, .. } => {
+                SeqState::Reg(LogicVector::unknown(*width).expect("validated"))
+            }
+            Prim::BlockRam { addr_width, .. } => SeqState::Bram {
+                mem: vec![None; 1 << addr_width],
+                out: None,
+            },
+            Prim::FifoMacro { depth, .. } | Prim::LifoMacro { depth, .. } => SeqState::Queue {
+                depth: *depth,
+                lifo: matches!(prim, Prim::LifoMacro { .. }),
+                data: VecDeque::new(),
+            },
+            _ => SeqState::None,
+        }
+    }
+
+    /// Reset: a register takes its reset value, a queue empties and a
+    /// block RAM's read port goes undefined (its contents survive).
+    pub(crate) fn reset(&mut self, prim: &Prim) {
+        match (self, prim) {
+            (
+                SeqState::Reg(v),
+                Prim::Reg {
+                    width, reset_value, ..
+                },
+            ) => *v = LogicVector::from_u64(*reset_value, *width).expect("validated reset"),
+            (SeqState::Bram { out, .. }, _) => *out = None,
+            (SeqState::Queue { data, .. }, _) => data.clear(),
+            _ => {}
+        }
+    }
+}
+
+/// The values sequential cell `ci` presents on its output nets from
+/// `state`: the one presentation of sequential state, shared by the
+/// interpreter ([`NetlistComponent::eval`]), the lowered engine
+/// (`lower::exec_settle`) and each lane of the lane engine. Empty for
+/// combinational cells.
+pub(crate) fn seq_outputs(netlist: &Netlist, ci: usize, state: &SeqState) -> SeqOutputs {
+    let outs = netlist.cells()[ci].outputs();
+    let flag = |b: bool| LogicVector::from_u64(u64::from(b), 1).expect("1 bit");
+    let word = |w: Option<u64>| {
+        let width = netlist.net(outs[0]).width();
+        w.map_or_else(
+            || LogicVector::unknown(width),
+            |v| LogicVector::from_u64(v, width),
+        )
+        .expect("stored words fit their width")
+    };
+    let (pairs, n) = match state {
+        SeqState::None => ([(0, flag(false)); 3], 0),
+        SeqState::Reg(v) => ([(outs[0].index(), *v); 3], 1),
+        SeqState::Bram { out, .. } => ([(outs[0].index(), word(*out)); 3], 1),
+        SeqState::Queue { depth, data, .. } => (
+            [
+                (outs[0].index(), word(data.front().copied())),
+                (outs[1].index(), flag(data.is_empty())),
+                (outs[2].index(), flag(data.len() >= *depth)),
+            ],
+            3,
+        ),
+    };
+    pairs.into_iter().take(n)
 }
 
 /// Runs an [`hdp_hdl::Netlist`] as a simulated [`Component`].
@@ -230,31 +303,16 @@ impl NetlistComponent {
         let mut seq_cells = Vec::new();
         let mut seq_state = Vec::with_capacity(netlist.cells().len());
         for (ci, cell) in netlist.cells().iter().enumerate() {
-            let state = match cell.prim() {
-                Prim::Reg { width, .. } => {
-                    SeqState::Reg(LogicVector::unknown(*width).expect("validated"))
+            let state = SeqState::new(cell.prim());
+            if matches!(state, SeqState::None) {
+                for &net in cell.outputs() {
+                    comb_driven[net.index()] = true;
+                    comb_drivers[net.index()].push(ci);
                 }
-                Prim::BlockRam { addr_width, .. } => SeqState::Bram {
-                    mem: vec![None; 1 << addr_width],
-                    out: None,
-                },
-                Prim::FifoMacro { depth, .. } | Prim::LifoMacro { depth, .. } => SeqState::Queue {
-                    depth: *depth,
-                    lifo: matches!(cell.prim(), Prim::LifoMacro { .. }),
-                    data: VecDeque::new(),
-                },
-                _ => {
-                    for &net in cell.outputs() {
-                        comb_driven[net.index()] = true;
-                        comb_drivers[net.index()].push(ci);
-                    }
-                    for &net in cell.inputs() {
-                        fanout[net.index()].push(ci);
-                    }
-                    SeqState::None
+                for &net in cell.inputs() {
+                    fanout[net.index()].push(ci);
                 }
-            };
-            if !matches!(state, SeqState::None) {
+            } else {
                 seq_cells.push(ci);
             }
             seq_state.push(state);
@@ -397,35 +455,10 @@ impl NetlistComponent {
             .collect()
     }
 
-    /// The values a sequential cell presents on its output nets: the
-    /// one presentation of sequential state, shared by the interpreter
-    /// ([`NetlistComponent::eval`]) and the lowered engine
-    /// (`lower::exec_settle`). Empty for combinational cells.
+    /// The values sequential cell `ci` presents on its output nets
+    /// ([`seq_outputs`] over this component's state).
     pub(crate) fn seq_outputs(&self, ci: usize) -> SeqOutputs {
-        let outs = self.netlist.cells()[ci].outputs();
-        let flag = |b: bool| LogicVector::from_u64(u64::from(b), 1).expect("1 bit");
-        let word = |w: Option<u64>| {
-            let width = self.netlist.net(outs[0]).width();
-            w.map_or_else(
-                || LogicVector::unknown(width),
-                |v| LogicVector::from_u64(v, width),
-            )
-            .expect("stored words fit their width")
-        };
-        let (pairs, n) = match &self.seq_state[ci] {
-            SeqState::None => ([(0, flag(false)); 3], 0),
-            SeqState::Reg(v) => ([(outs[0].index(), *v); 3], 1),
-            SeqState::Bram { out, .. } => ([(outs[0].index(), word(*out)); 3], 1),
-            SeqState::Queue { depth, data, .. } => (
-                [
-                    (outs[0].index(), word(data.front().copied())),
-                    (outs[1].index(), flag(data.is_empty())),
-                    (outs[2].index(), flag(data.len() >= *depth)),
-                ],
-                3,
-            ),
-        };
-        pairs.into_iter().take(n)
+        seq_outputs(&self.netlist, ci, &self.seq_state[ci])
     }
 
     fn drive_seq_outputs(&mut self) {
@@ -636,10 +669,11 @@ impl NetlistComponent {
 
 /// One clock edge over the sequential cells whose domain fires (`None`:
 /// every domain), sampling their inputs from `inputs`. This is the one
-/// sequential model of both engines: the interpreter passes its net
-/// cache, the lowered engine its planes. Protocol errors name the
+/// sequential model of every engine: the interpreter passes its net
+/// cache, the lowered engine its planes, and the lane engine one lane
+/// of its bit columns per call (its macros only). Protocol errors name the
 /// component and the cell; their text is built only when one is raised.
-fn clock_edge<I: EdgeInputs + ?Sized>(
+pub(crate) fn clock_edge<I: EdgeInputs + ?Sized>(
     component: &str,
     netlist: &Netlist,
     seq_cells: &[usize],
@@ -738,20 +772,8 @@ impl Component for NetlistComponent {
     }
 
     fn reset(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
-        for (ci, cell) in self.netlist.cells().iter().enumerate() {
-            match (&mut self.seq_state[ci], cell.prim()) {
-                (
-                    SeqState::Reg(v),
-                    Prim::Reg {
-                        width, reset_value, ..
-                    },
-                ) => {
-                    *v = LogicVector::from_u64(*reset_value, *width).expect("validated reset");
-                }
-                (SeqState::Bram { out, .. }, _) => *out = None,
-                (SeqState::Queue { data, .. }, _) => data.clear(),
-                _ => {}
-            }
+        for (state, cell) in self.seq_state.iter_mut().zip(self.netlist.cells()) {
+            state.reset(cell.prim());
         }
         self.full_eval = true;
         self.seq_dirty = true;

@@ -1,13 +1,14 @@
 //! A single-rate lowered cycle makes no heap allocation: the rank walk,
 //! the op replay, the presentation of sequential outputs and the clock
-//! edge all run on buffers sized before the first cycle.
+//! edge all run on buffers sized before the first cycle. The same holds
+//! for a cycle of the 64-lane engine.
 //!
 //! The test binary counts every allocation its own thread makes through
 //! a counting global allocator, so it lives in a file of its own.
 
 use hdp_hdl::prim::{GateOp, Prim};
 use hdp_hdl::{Entity, LogicVector, Netlist, PortDir};
-use hdp_sim::{NetlistComponent, SchedMode, SignalId, Simulator};
+use hdp_sim::{LaneBatch, NetlistComponent, SchedMode, SignalId, Simulator, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -218,5 +219,38 @@ fn a_single_rate_lowered_cycle_makes_no_heap_allocation() {
     let made = allocations() - before;
     assert_eq!(made, 0, "256 lowered cycles allocated {made} times");
     assert!(sim.compile_fallback_reason().is_none());
+    assert_ne!(sink, 0);
+}
+
+#[test]
+fn a_lane_batch_cycle_makes_no_heap_allocation() {
+    let mut lanes = LaneBatch::new("lanes", &design()).unwrap();
+    lanes.reset();
+    let mut sink = 0u64;
+    // Shared strobes: per-lane strobe phases would pop an empty FIFO.
+    let mut cycle = |lanes: &mut LaneBatch, c: u64| {
+        lanes.poke_all("push", u64::from(c % 4 != 3)).unwrap();
+        lanes
+            .poke_all("pop", u64::from(!c.is_multiple_of(4)))
+            .unwrap();
+        for lane in 0..LANES {
+            lanes.poke("wdata", lane, (c + lane as u64) & 0xFF).unwrap();
+        }
+        lanes.settle();
+        for port in ["front", "top", "ram", "mode"] {
+            let v = lanes.peek(port, c as usize % LANES).unwrap();
+            sink = sink.wrapping_add(v.to_u64().unwrap_or(u64::MAX));
+        }
+        lanes.tick().unwrap();
+    };
+    for c in 0..64 {
+        cycle(&mut lanes, c);
+    }
+    let before = allocations();
+    for c in 64..320 {
+        cycle(&mut lanes, c);
+    }
+    let made = allocations() - before;
+    assert_eq!(made, 0, "256 lane cycles allocated {made} times");
     assert_ne!(sink, 0);
 }

@@ -7,7 +7,7 @@
 //! output, every cycle. This is the committed, deterministic slice of
 //! what the `conform` fuzz binary explores with arbitrary seeds.
 
-use hdp::conform::{check, shrink, Case, Stimulus};
+use hdp::conform::{check, check_lanes, shrink, Case, Stimulus};
 use hdp::metagen::sampler::{sample_spec, DesignSpec, RATIOS};
 use hdp::metagen::OpSet;
 use rand::rngs::StdRng;
@@ -87,6 +87,53 @@ fn two_hundred_sampled_designs_conform_across_all_oracles() {
             "async_fifo",
         ],
     );
+}
+
+/// The 64-way lane engine against per-lane event-driven referees over
+/// its own fixed-seed sample: every lane of every packable design must
+/// match its scalar run, and the packed designs must cover every
+/// sequential primitive and the truth table. Only designs outside the
+/// lane engine's scope (a second clock domain) fall back.
+#[test]
+fn two_hundred_sampled_designs_conform_lane_packed() {
+    const LANE_SEED: u64 = 0x1A7E;
+    const STIMULI: usize = 8;
+    const LANE_CYCLES: usize = 12;
+    let mut rng = StdRng::seed_from_u64(LANE_SEED);
+    let mut packed = 0;
+    let mut prims = BTreeSet::new();
+    let mut failures = Vec::new();
+    for index in 0..COUNT {
+        let spec = sample_spec(&mut rng);
+        let label = spec.label();
+        let netlist = spec
+            .instantiate()
+            .unwrap_or_else(|e| panic!("design #{index} ({label}) failed to generate: {e}"));
+        let stims: Vec<Stimulus> = (0..STIMULI)
+            .map(|_| Stimulus::sample(&netlist, LANE_CYCLES, &mut rng))
+            .collect();
+        match check_lanes(&netlist, &stims) {
+            Ok(None) => {
+                packed += 1;
+                prims.extend(netlist.cells().iter().map(|c| c.prim().mnemonic()));
+            }
+            Ok(Some(d)) => failures.push(format!("design #{index} ({label}): {d}")),
+            Err(_) => {} // outside the lane engine's scope
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {COUNT} designs diverged lane-packed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert!(packed >= 150, "only {packed} of {COUNT} designs packed");
+    for prim in ["reg", "bram", "fifo", "lifo", "table"] {
+        assert!(
+            prims.contains(prim),
+            "no packed design has a `{prim}` cell: {prims:?}"
+        );
+    }
 }
 
 /// Every `wr:rd` period ratio the sampler draws, at two depths, must
