@@ -266,6 +266,10 @@ pub(crate) struct CompiledSchedule {
     /// fallback settle ran since the last arena commit) and must be
     /// reloaded before the next compiled walk.
     pub(crate) arena_stale: bool,
+    /// Whether settles ran on a lone lowered unit's planes without the
+    /// arena (the scheduler's direct path), so the bus has moved on and
+    /// the arena must be reloaded before the next rank walk.
+    pub(crate) arena_lags: bool,
     /// Current settle epoch for the tag vectors below.
     epoch: u64,
     /// Per-slot epoch of the last arena write this settle (selects
@@ -304,6 +308,7 @@ impl CompiledSchedule {
             order,
             rank_counts,
             arena_stale: false,
+            arena_lags: false,
             epoch: 0,
             written: vec![0; n_slots],
             changed_tag: vec![0; n_slots],

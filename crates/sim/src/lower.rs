@@ -11,18 +11,23 @@
 //! the net masks and the multiply-driven (`shared_z`) nets beside it.
 //!
 //! The scalar back end ([`LoweredProgram::try_lower`] binds the ports)
-//! keeps one u64 word per net in a flat triple-plane scratch
-//! (`value`/`unknown`/`highz`). [`exec_settle`] replays the stream with
-//! no `Prim` dispatch, no per-pin `LogicVector` vectors and no heap
-//! scheduling, reading input ports and driving output ports through the
-//! scheduler's bus exactly like the interpreter's `eval_full`, so the
-//! result is bit-identical by construction (each op implements the
-//! word-parallel form of the corresponding `Prim::eval_comb` X/Z
-//! semantics, including `Not`'s whole-word poisoning and the tri-state
-//! resolve fold). Its sequential half is the interpreter's: `SeqState`
-//! is presented into the planes through the interpreter's own
-//! `seq_outputs`, and a clock edge reads cell inputs straight from the
-//! planes ([`Planes`]). Nothing is written back between the two.
+//! keeps each net's three planes (`value`/`unknown`/`highz`, one u64
+//! word each) side by side in a flat scratch. [`settle_planes`] is one
+//! settle on the planes alone: it latches the input ports, and unless
+//! the input memo hits it presents the sequential state and replays
+//! the stream with no `Prim` dispatch, no per-pin `LogicVector` vectors
+//! and no heap scheduling. The output ports are the caller's: on the
+//! rank walk [`exec_settle`] reads and drives the ports through the
+//! walk's bus exactly like the interpreter's `eval_full`; a simulator
+//! whose one component is the unit stores them on its own bus (the
+//! scheduler's direct path). Either way the result is bit-identical by
+//! construction (each op implements the word-parallel form of the
+//! corresponding `Prim::eval_comb` X/Z semantics, including `Not`'s
+//! whole-word poisoning and the tri-state resolve fold). Its sequential
+//! half is the interpreter's: `SeqState` is presented into the planes
+//! through the interpreter's own `seq_outputs`, and a clock edge reads
+//! cell inputs straight from the planes ([`Planes`]). Nothing is
+//! written back between the two.
 //!
 //! The lane back end, [`LaneBatch`], runs the same ops for throughput:
 //! 64 independent stimulus runs are packed one-per-bit into u64 columns
@@ -36,7 +41,7 @@
 //! runs.
 
 use crate::error::SimError;
-use crate::netlist_sim::{clock_edge, seq_outputs, EdgeInputs, NetlistComponent, SeqState};
+use crate::netlist_sim::{clock_edge, seq_outputs, EdgeInputs, Firing, NetlistComponent, SeqState};
 use crate::signal::{BusAccess, SignalId};
 use hdp_hdl::prim::{CmpKind, GateOp, Prim};
 use hdp_hdl::{HdlError, LogicVector, NetId, Netlist, PortDir};
@@ -167,6 +172,29 @@ pub(crate) enum LoweredOp {
     },
 }
 
+impl LoweredOp {
+    /// The net the op writes, and whether it resolves into it.
+    fn output(&self) -> (u32, bool) {
+        match *self {
+            LoweredOp::Const { out, resolve, .. }
+            | LoweredOp::Buf { out, resolve, .. }
+            | LoweredOp::Not { out, resolve, .. }
+            | LoweredOp::Gate { out, resolve, .. }
+            | LoweredOp::ReduceOr { out, resolve, .. }
+            | LoweredOp::ReduceAnd { out, resolve, .. }
+            | LoweredOp::Add { out, resolve, .. }
+            | LoweredOp::Sub { out, resolve, .. }
+            | LoweredOp::Inc { out, resolve, .. }
+            | LoweredOp::Cmp { out, resolve, .. }
+            | LoweredOp::Mux { out, resolve, .. }
+            | LoweredOp::Slice { out, resolve, .. }
+            | LoweredOp::Concat { out, resolve, .. }
+            | LoweredOp::Table { out, resolve, .. }
+            | LoweredOp::TriBuf { out, resolve, .. } => (out, resolve),
+        }
+    }
+}
+
 /// A frozen design lowered to a flat word-level op stream.
 ///
 /// Value-independent: the program captures net layout, masks and ops
@@ -190,19 +218,22 @@ pub(crate) struct LoweredProgram {
     pub(crate) n_cells: u32,
 }
 
+/// The value, unknown and high-Z planes of one net, side by side: a
+/// settle reads and writes a net's three words together.
+type NetPlanes = (u64, u64, u64);
+
 /// Per-simulator mutable state of one lowered component: the net
-/// planes (persisted across settles; after a lowered settle they, not
-/// the interpreter's net cache, hold the state the next edge samples)
-/// plus the input memo that lets an unchanged wake skip the op walk.
+/// planes, persisted across settles. After a lowered settle they, not
+/// the interpreter's net cache, hold the state the next edge samples,
+/// and their `In`-port nets are the input memo that lets an unchanged
+/// wake skip the op walk (nothing but the latch writes those nets).
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredScratch {
-    pub(crate) v: Vec<u64>,
-    pub(crate) u: Vec<u64>,
-    pub(crate) z: Vec<u64>,
-    in_cache: Vec<(u64, u64, u64)>,
-    in_tmp: Vec<(u64, u64, u64)>,
-    /// Forces the next exec to re-run the ops (set after construction,
-    /// clock edges and event-driven fallbacks).
+    /// `(value, unknown, high-Z)` per net (index = `NetId::index()`).
+    pub(crate) nets: Vec<NetPlanes>,
+    /// Forces the next exec to re-run the ops and re-present the
+    /// sequential outputs (set after construction, clock edges and
+    /// event-driven fallbacks).
     pub(crate) dirty: bool,
 }
 
@@ -213,27 +244,23 @@ pub(crate) struct Planes<'a>(pub(crate) &'a LoweredProgram, pub(crate) &'a Lower
 
 impl EdgeInputs for Planes<'_> {
     fn value(&self, net: usize) -> LogicVector {
-        let (width, s) = (self.0.masks[net].count_ones() as usize, self.1);
-        LogicVector::from_raw_masks(width, s.v[net], s.u[net], s.z[net]).expect("valid width")
+        let width = self.0.masks[net].count_ones() as usize;
+        let (v, u, z) = self.1.nets[net];
+        LogicVector::from_raw_masks(width, v, u, z).expect("valid width")
     }
 
     fn word(&self, net: usize) -> Option<u64> {
-        let s = self.1;
-        ((s.u[net] | s.z[net]) & self.0.masks[net] == 0).then_some(s.v[net])
+        let (v, u, z) = self.1.nets[net];
+        ((u | z) & self.0.masks[net] == 0).then_some(v)
     }
 }
 
 impl LoweredScratch {
     pub(crate) fn new(prog: &LoweredProgram) -> Self {
-        let n = prog.masks.len();
         Self {
             // Nets start all-X, like the interpreter's unknown-filled
             // net cache.
-            v: vec![0; n],
-            u: prog.masks.clone(),
-            z: vec![0; n],
-            in_cache: vec![(u64::MAX, u64::MAX, u64::MAX); prog.in_ports.len()],
-            in_tmp: Vec::with_capacity(prog.in_ports.len()),
+            nets: prog.masks.iter().map(|&m| (0, m, 0)).collect(),
             dirty: true,
         }
     }
@@ -243,11 +270,7 @@ impl LoweredScratch {
 /// word-parallel form of `LogicVector::resolve`: Z yields, agreement
 /// keeps the value, conflict and X produce X.
 #[inline]
-fn resolve_planes(
-    m: u64,
-    (va, ua, za): (u64, u64, u64),
-    (vb, ub, zb): (u64, u64, u64),
-) -> (u64, u64, u64) {
+fn resolve_planes(m: u64, (va, ua, za): NetPlanes, (vb, ub, zb): NetPlanes) -> NetPlanes {
     let da = m & !(ua | za);
     let db = m & !(ub | zb);
     let agree = da & db & !(va ^ vb);
@@ -258,22 +281,13 @@ fn resolve_planes(
 }
 
 #[inline]
-fn store(
-    scratch: &mut LoweredScratch,
-    masks: &[u64],
-    out: u32,
-    planes: (u64, u64, u64),
-    resolve: bool,
-) {
+fn store(scratch: &mut LoweredScratch, masks: &[u64], out: u32, planes: NetPlanes, resolve: bool) {
     let o = out as usize;
-    let (v, u, z) = if resolve {
-        resolve_planes(masks[o], (scratch.v[o], scratch.u[o], scratch.z[o]), planes)
+    scratch.nets[o] = if resolve {
+        resolve_planes(masks[o], scratch.nets[o], planes)
     } else {
         planes
     };
-    scratch.v[o] = v;
-    scratch.u[o] = u;
-    scratch.z[o] = z;
 }
 
 /// Ternary truth-table lookup, the one enumeration of both lowered
@@ -326,15 +340,11 @@ fn table_lookup(
 }
 
 /// Ternary truth-table evaluation on raw planes ([`table_lookup`]).
-fn eval_table(
-    ins: &[(u32, u32)],
-    table: &[u64],
-    mask: u64,
-    v: &[u64],
-    u: &[u64],
-    z: &[u64],
-) -> (u64, u64, u64) {
-    let (ones, zeros) = table_lookup(ins, table, mask, |n, _| (v[n], u[n] | z[n]));
+fn eval_table(ins: &[(u32, u32)], table: &[u64], mask: u64, nets: &[NetPlanes]) -> NetPlanes {
+    let (ones, zeros) = table_lookup(ins, table, mask, |n, _| {
+        let (v, u, z) = nets[n];
+        (v, u | z)
+    });
     (ones, mask & !(ones | zeros), 0)
 }
 
@@ -342,42 +352,26 @@ fn eval_table(
 #[inline]
 fn exec_op(op: &LoweredOp, prog: &LoweredProgram, s: &mut LoweredScratch) {
     let masks = &prog.masks;
-    match op {
-        LoweredOp::Const {
-            out,
-            v,
-            u,
-            z,
-            resolve,
-        } => store(s, masks, *out, (*v, *u, *z), *resolve),
-        LoweredOp::Buf { a, out, resolve } => {
-            let a = *a as usize;
-            let planes = (s.v[a], s.u[a], s.z[a]);
-            store(s, masks, *out, planes, *resolve);
-        }
-        LoweredOp::Not { a, out, resolve } => {
-            let ai = *a as usize;
+    let nets = &s.nets;
+    let planes = match op {
+        LoweredOp::Const { v, u, z, .. } => (*v, *u, *z),
+        LoweredOp::Buf { a, .. } => nets[*a as usize],
+        LoweredOp::Not { a, out, .. } => {
+            let (va, ua, za) = nets[*a as usize];
             let m = masks[*out as usize];
-            let planes = if (s.u[ai] | s.z[ai]) & m != 0 {
+            if (ua | za) & m != 0 {
                 (0, m, 0)
             } else {
-                (!s.v[ai] & m, 0, 0)
-            };
-            store(s, masks, *out, planes, *resolve);
+                (!va & m, 0, 0)
+            }
         }
-        LoweredOp::Gate {
-            op,
-            a,
-            b,
-            out,
-            resolve,
-        } => {
-            let (ai, bi) = (*a as usize, *b as usize);
+        LoweredOp::Gate { op, a, b, out, .. } => {
+            let (va, ua, za) = nets[*a as usize];
+            let (vb, ub, zb) = nets[*b as usize];
             let m = masks[*out as usize];
-            let da = m & !(s.u[ai] | s.z[ai]);
-            let db = m & !(s.u[bi] | s.z[bi]);
-            let (va, vb) = (s.v[ai], s.v[bi]);
-            let planes = match op {
+            let da = m & !(ua | za);
+            let db = m & !(ub | zb);
+            match op {
                 GateOp::And => {
                     let one = va & vb;
                     let zero = (da & !va) | (db & !vb);
@@ -392,77 +386,69 @@ fn exec_op(op: &LoweredOp, prog: &LoweredProgram, s: &mut LoweredScratch) {
                     let dd = da & db;
                     ((va ^ vb) & dd, m & !dd, 0)
                 }
-            };
-            store(s, masks, *out, planes, *resolve);
+            }
         }
-        LoweredOp::ReduceOr { a, out, resolve } => {
+        LoweredOp::ReduceOr { a, .. } => {
             let ai = *a as usize;
+            let (va, ua, za) = nets[ai];
             let am = masks[ai];
-            let planes = if s.v[ai] & am != 0 {
+            if va & am != 0 {
                 (1, 0, 0)
-            } else if (s.u[ai] | s.z[ai]) & am != 0 {
+            } else if (ua | za) & am != 0 {
                 (0, 1, 0)
             } else {
                 (0, 0, 0)
-            };
-            store(s, masks, *out, planes, *resolve);
+            }
         }
-        LoweredOp::ReduceAnd { a, out, resolve } => {
+        LoweredOp::ReduceAnd { a, .. } => {
             let ai = *a as usize;
+            let (va, ua, za) = nets[ai];
             let am = masks[ai];
-            let da = am & !(s.u[ai] | s.z[ai]);
-            let planes = if da & !s.v[ai] != 0 {
+            let da = am & !(ua | za);
+            if da & !va != 0 {
                 (0, 0, 0)
-            } else if (s.u[ai] | s.z[ai]) & am != 0 {
+            } else if (ua | za) & am != 0 {
                 (0, 1, 0)
             } else {
                 (1, 0, 0)
-            };
-            store(s, masks, *out, planes, *resolve);
+            }
         }
-        LoweredOp::Add { a, b, out, resolve } => {
-            let (ai, bi) = (*a as usize, *b as usize);
+        LoweredOp::Add { a, b, out, .. } => {
+            let (va, ua, za) = nets[*a as usize];
+            let (vb, ub, zb) = nets[*b as usize];
             let m = masks[*out as usize];
-            let planes = if (s.u[ai] | s.z[ai] | s.u[bi] | s.z[bi]) & m != 0 {
+            if (ua | za | ub | zb) & m != 0 {
                 (0, m, 0)
             } else {
-                (s.v[ai].wrapping_add(s.v[bi]) & m, 0, 0)
-            };
-            store(s, masks, *out, planes, *resolve);
+                (va.wrapping_add(vb) & m, 0, 0)
+            }
         }
-        LoweredOp::Sub { a, b, out, resolve } => {
-            let (ai, bi) = (*a as usize, *b as usize);
+        LoweredOp::Sub { a, b, out, .. } => {
+            let (va, ua, za) = nets[*a as usize];
+            let (vb, ub, zb) = nets[*b as usize];
             let m = masks[*out as usize];
-            let planes = if (s.u[ai] | s.z[ai] | s.u[bi] | s.z[bi]) & m != 0 {
+            if (ua | za | ub | zb) & m != 0 {
                 (0, m, 0)
             } else {
-                (s.v[ai].wrapping_sub(s.v[bi]) & m, 0, 0)
-            };
-            store(s, masks, *out, planes, *resolve);
+                (va.wrapping_sub(vb) & m, 0, 0)
+            }
         }
-        LoweredOp::Inc { a, out, resolve } => {
+        LoweredOp::Inc { a, out, .. } => {
+            let (va, ua, za) = nets[*a as usize];
+            let m = masks[*out as usize];
+            if (ua | za) & m != 0 {
+                (0, m, 0)
+            } else {
+                (va.wrapping_add(1) & m, 0, 0)
+            }
+        }
+        LoweredOp::Cmp { kind, a, b, .. } => {
             let ai = *a as usize;
-            let m = masks[*out as usize];
-            let planes = if (s.u[ai] | s.z[ai]) & m != 0 {
-                (0, m, 0)
-            } else {
-                (s.v[ai].wrapping_add(1) & m, 0, 0)
-            };
-            store(s, masks, *out, planes, *resolve);
-        }
-        LoweredOp::Cmp {
-            kind,
-            a,
-            b,
-            out,
-            resolve,
-        } => {
-            let (ai, bi) = (*a as usize, *b as usize);
-            let am = masks[ai];
-            let planes = if (s.u[ai] | s.z[ai] | s.u[bi] | s.z[bi]) & am != 0 {
+            let (va, ua, za) = nets[ai];
+            let (vb, ub, zb) = nets[*b as usize];
+            if (ua | za | ub | zb) & masks[ai] != 0 {
                 (0, 1, 0)
             } else {
-                let (va, vb) = (s.v[ai], s.v[bi]);
                 let y = match kind {
                     CmpKind::Eq => va == vb,
                     CmpKind::Ne => va != vb,
@@ -470,155 +456,153 @@ fn exec_op(op: &LoweredOp, prog: &LoweredProgram, s: &mut LoweredScratch) {
                     CmpKind::Ge => va >= vb,
                 };
                 (u64::from(y), 0, 0)
-            };
-            store(s, masks, *out, planes, *resolve);
+            }
         }
-        LoweredOp::Mux {
-            sel,
-            ins,
-            out,
-            resolve,
-        } => {
+        LoweredOp::Mux { sel, ins, out, .. } => {
             let si = *sel as usize;
-            let sm = masks[si];
+            let (vs, us, zs) = nets[si];
             let m = masks[*out as usize];
-            let planes = if (s.u[si] | s.z[si]) & sm != 0 {
+            if (us | zs) & masks[si] != 0 {
                 (0, m, 0)
             } else {
-                let idx = s.v[si] as usize;
-                match ins.get(idx) {
-                    Some(&n) => {
-                        let n = n as usize;
-                        (s.v[n], s.u[n], s.z[n])
-                    }
-                    None => (0, m, 0),
-                }
-            };
-            store(s, masks, *out, planes, *resolve);
+                ins.get(vs as usize)
+                    .map_or((0, m, 0), |&n| nets[n as usize])
+            }
         }
-        LoweredOp::Slice {
-            a,
-            low,
-            out,
-            resolve,
-        } => {
-            let ai = *a as usize;
+        LoweredOp::Slice { a, low, out, .. } => {
+            let (va, ua, za) = nets[*a as usize];
             let m = masks[*out as usize];
-            let planes = (s.v[ai] >> low & m, s.u[ai] >> low & m, s.z[ai] >> low & m);
-            store(s, masks, *out, planes, *resolve);
+            (va >> low & m, ua >> low & m, za >> low & m)
         }
-        LoweredOp::Concat { ins, out, resolve } => {
+        LoweredOp::Concat { ins, .. } => {
             let (mut v, mut u, mut z) = (0u64, 0u64, 0u64);
             for &(n, w) in ins {
-                let n = n as usize;
-                v = v << w | s.v[n];
-                u = u << w | s.u[n];
-                z = z << w | s.z[n];
+                let (vn, un, zn) = nets[n as usize];
+                v = v << w | vn;
+                u = u << w | un;
+                z = z << w | zn;
             }
-            store(s, masks, *out, (v, u, z), *resolve);
+            (v, u, z)
         }
         LoweredOp::Table {
-            ins,
-            table,
-            out,
-            resolve,
-        } => {
-            let m = masks[*out as usize];
-            let planes = eval_table(ins, table, m, &s.v, &s.u, &s.z);
-            store(s, masks, *out, planes, *resolve);
-        }
-        LoweredOp::TriBuf {
-            en,
-            a,
-            out,
-            resolve,
-        } => {
-            let (ei, ai) = (*en as usize, *a as usize);
-            let m = masks[*out as usize];
-            let planes = if (s.u[ei] | s.z[ei]) & 1 != 0 {
-                (0, m, 0)
-            } else if s.v[ei] & 1 == 1 {
-                (s.v[ai], s.u[ai], s.z[ai])
+            ins, table, out, ..
+        } => eval_table(ins, table, masks[*out as usize], nets),
+        LoweredOp::TriBuf { en, a, out, .. } => {
+            let (ve, ue, ze) = nets[*en as usize];
+            if (ue | ze) & 1 != 0 {
+                (0, masks[*out as usize], 0)
+            } else if ve & 1 == 1 {
+                nets[*a as usize]
             } else {
-                (0, 0, m)
-            };
-            store(s, masks, *out, planes, *resolve);
+                (0, 0, masks[*out as usize])
+            }
         }
-    }
+    };
+    let (out, resolve) = op.output();
+    store(s, masks, out, planes, resolve);
 }
 
-/// Settles one lowered component against the scheduler bus: the
-/// drop-in replacement for `NetlistComponent::eval` on the compiled
-/// rank walk. Reads `In` ports, presents sequential outputs (the
-/// interpreter's own `seq_outputs`), walks the op stream and drives
-/// `Out` ports — phase for phase the interpreter's `eval_full`, on flat
-/// planes. Nothing is written back into the interpreter: the planes
-/// stay the settled state until the next interpreted eval, and the
-/// clock edge reads them through [`Planes`]. When neither the inputs
-/// nor the sequential state changed since the last walk, the ops are skipped
-/// and the (provably unchanged) outputs are just re-driven, which keeps
-/// shared-bus resolution waves intact. Returns the number of word ops
-/// executed (`0` on a memo hit).
+/// Latches the `In`-port values `read` returns into their nets and
+/// reports whether the op walk must run: not when neither the inputs nor
+/// the sequential state changed since the last walk (the input memo), in
+/// which case the planes already hold this settle.
+fn latch_inputs(
+    prog: &LoweredProgram,
+    scratch: &mut LoweredScratch,
+    read: impl Fn(SignalId) -> Result<LogicVector, SimError>,
+) -> Result<bool, SimError> {
+    let mut changed = scratch.dirty;
+    for &(net, signal) in &prog.in_ports {
+        let planes = match read(signal) {
+            Ok(value) => value.raw_masks(),
+            Err(e) => {
+                // Ports latched so far have had no walk: force one.
+                scratch.dirty = true;
+                return Err(e);
+            }
+        };
+        let latched = &mut scratch.nets[net as usize];
+        if *latched != planes {
+            *latched = planes;
+            changed = true;
+        }
+    }
+    Ok(changed)
+}
+
+/// The walk of one lowered settle, once the `In` ports are latched:
+/// presents sequential outputs (the interpreter's own `seq_outputs`),
+/// pre-releases the shared tri-state nets, replays the op stream and
+/// marks the component as settled on its planes. Returns the number of
+/// word ops executed.
+///
+/// The outputs are presented only while the scratch is `dirty`, the
+/// one state in which the sequential state may have moved since the
+/// planes last showed it (an edge, a fallback, a fresh unit). A
+/// validated netlist drives each sequential output net from its cell
+/// alone, so nothing else writes those planes in between.
+fn exec_walk(
+    prog: &LoweredProgram,
+    scratch: &mut LoweredScratch,
+    comp: &mut NetlistComponent,
+) -> u64 {
+    if scratch.dirty {
+        for &ci in comp.seq_cells() {
+            comp.seq_outputs(ci, |net, value| scratch.nets[net] = value.raw_masks());
+        }
+    }
+    for &n in &prog.shared_z {
+        let n = n as usize;
+        scratch.nets[n] = (0, 0, prog.masks[n]);
+    }
+    // The flat op walk — the hot loop.
+    for op in &prog.ops {
+        exec_op(op, prog, scratch);
+    }
+    // The planes now hold every settled net, sequential inputs
+    // included: the next clock edge samples them there.
+    comp.mark_lowered_settle();
+    scratch.dirty = false;
+    prog.ops.len() as u64
+}
+
+/// Settles one lowered component on its planes alone: latches the `In`
+/// ports from `read` and walks unless the input memo hits. Nothing is
+/// written back into the interpreter: the planes stay the settled state
+/// until the next interpreted eval, and the clock edge reads them
+/// through [`Planes`]. Returns the number of word ops executed (`0` on
+/// a memo hit). The `Out` ports are the caller's: the rank walk drives
+/// them onto its arena ([`exec_settle`]); a simulator whose one
+/// component is this unit stores them on its bus directly.
+pub(crate) fn settle_planes(
+    prog: &LoweredProgram,
+    scratch: &mut LoweredScratch,
+    comp: &mut NetlistComponent,
+    read: impl Fn(SignalId) -> Result<LogicVector, SimError>,
+) -> Result<u64, SimError> {
+    Ok(if latch_inputs(prog, scratch, read)? {
+        exec_walk(prog, scratch, comp)
+    } else {
+        0
+    })
+}
+
+/// Settles one lowered component against the rank walk's bus: the
+/// drop-in replacement for `NetlistComponent::eval`. It is
+/// [`settle_planes`] with its port I/O on `bus` — phase for phase the
+/// interpreter's `eval_full`, on flat planes. The `Out` ports are
+/// driven on every wake, memo hit or not, like the interpreter, so
+/// shared-bus resolution sees every driver's contribution. Returns the
+/// number of word ops executed.
 pub(crate) fn exec_settle(
     prog: &LoweredProgram,
     scratch: &mut LoweredScratch,
     comp: &mut NetlistComponent,
     bus: &mut impl BusAccess,
 ) -> Result<u64, SimError> {
-    // 1. Read input ports and compare against the memo.
-    scratch.in_tmp.clear();
-    let mut changed = scratch.dirty;
-    for (k, &(_, signal)) in prog.in_ports.iter().enumerate() {
-        let planes = bus.read(signal)?.raw_masks();
-        if scratch.in_cache[k] != planes {
-            changed = true;
-        }
-        scratch.in_tmp.push(planes);
-    }
-    let mut ops = 0u64;
-    if changed {
-        for (k, &(net, _)) in prog.in_ports.iter().enumerate() {
-            let (v, u, z) = scratch.in_tmp[k];
-            scratch.in_cache[k] = (v, u, z);
-            let n = net as usize;
-            scratch.v[n] = v;
-            scratch.u[n] = u;
-            scratch.z[n] = z;
-        }
-        // 2. Present sequential outputs.
-        for &ci in comp.seq_cells() {
-            for (net, value) in comp.seq_outputs(ci) {
-                let (v, u, z) = value.raw_masks();
-                scratch.v[net] = v;
-                scratch.u[net] = u;
-                scratch.z[net] = z;
-            }
-        }
-        // 3. Pre-release shared tri-state nets.
-        for &n in &prog.shared_z {
-            let n = n as usize;
-            scratch.v[n] = 0;
-            scratch.u[n] = 0;
-            scratch.z[n] = prog.masks[n];
-        }
-        // 4. The flat op walk — the hot loop.
-        for op in &prog.ops {
-            exec_op(op, prog, scratch);
-        }
-        ops = prog.ops.len() as u64;
-        // The planes now hold every settled net, sequential inputs
-        // included: the next clock edge samples them there.
-        comp.mark_lowered_settle();
-        scratch.dirty = false;
-    }
-    // 5. Drive output ports (every wake, like the interpreter, so
-    // shared-signal resolution sees every driver's contribution).
+    let ops = settle_planes(prog, scratch, comp, |signal| bus.read(signal))?;
     for &(net, signal) in &prog.out_ports {
-        let n = net as usize;
-        let width = prog.masks[n].count_ones() as usize;
-        let value = LogicVector::from_raw_masks(width, scratch.v[n], scratch.u[n], scratch.z[n])
-            .map_err(SimError::from)?;
-        bus.drive(signal, value)?;
+        bus.drive(signal, Planes(prog, scratch).value(net as usize))?;
     }
     Ok(ops)
 }
@@ -794,7 +778,15 @@ impl LoweredProgram {
             let port = (net.index() as u32, *signal);
             match dir {
                 PortDir::In => prog.in_ports.push(port),
-                PortDir::Out => prog.out_ports.push(port),
+                PortDir::Out => {
+                    // Two drives of one signal in one settle resolve on
+                    // the bus; a lone unit on the direct path stores
+                    // its ports instead, so it must own each signal.
+                    if prog.out_ports.iter().any(|&(_, s)| s == *signal) {
+                        return Err("two `Out` ports drive one signal".into());
+                    }
+                    prog.out_ports.push(port);
+                }
                 PortDir::InOut => return Err("inout port cannot be lowered".into()),
             }
         }
@@ -1382,9 +1374,9 @@ impl LaneBatch {
         }
         for &ci in &self.macros {
             for (lane, state) in self.lane_state.iter().enumerate() {
-                for (net, value) in seq_outputs(&self.netlist, ci, &state[ci]) {
+                seq_outputs(&self.netlist, ci, &state[ci], |net, value| {
                     cols.scatter(net, lane, value);
-                }
+                });
             }
         }
         // The hot loop: every op advances 64 lanes at once.
@@ -1412,15 +1404,15 @@ impl LaneBatch {
                     lane,
                 };
                 let cell = std::slice::from_ref(ci);
-                clock_edge(&self.name, &self.netlist, cell, state, &inputs, None).map_err(|e| {
-                    match e {
+                clock_edge(&self.name, &self.netlist, cell, state, &inputs, Firing::All).map_err(
+                    |e| match e {
                         SimError::Protocol { component, message } => SimError::Protocol {
                             component,
                             message: format!("{message} (lane {lane})"),
                         },
                         e => e,
-                    }
-                })?;
+                    },
+                )?;
             }
         }
         let (val, def) = (&self.cols.val, &self.cols.def);
@@ -1533,10 +1525,7 @@ mod tests {
             // Write inputs straight into the input nets.
             for (k, v) in combo.iter().enumerate() {
                 let (net, _) = prog.in_ports[k];
-                let (pv, pu, pz) = v.raw_masks();
-                scratch.v[net as usize] = pv;
-                scratch.u[net as usize] = pu;
-                scratch.z[net as usize] = pz;
+                scratch.nets[net as usize] = v.raw_masks();
             }
             for op in &prog.ops {
                 exec_op(op, &prog, &mut scratch);
@@ -1544,14 +1533,8 @@ mod tests {
             let expect = prim.eval_comb(&combo).unwrap();
             for (k, e) in expect.iter().enumerate() {
                 let (net, _) = prog.out_ports[k];
-                let n = net as usize;
-                let got = LogicVector::from_raw_masks(
-                    e.width(),
-                    scratch.v[n],
-                    scratch.u[n],
-                    scratch.z[n],
-                )
-                .unwrap();
+                let (v, u, z) = scratch.nets[net as usize];
+                let got = LogicVector::from_raw_masks(e.width(), v, u, z).unwrap();
                 assert_eq!(got, *e, "{prim:?} on {combo:?}");
             }
         }
@@ -1630,12 +1613,7 @@ mod tests {
                 let expect = prim.eval_comb(&[hi, lo]).unwrap()[0];
                 // Nets 0 (`hi`) and 1 (`lo`), pins LSB-first.
                 let planes = [hi.raw_masks(), lo.raw_masks()];
-                let (v, u, z) = (
-                    planes.map(|p| p.0),
-                    planes.map(|p| p.1),
-                    planes.map(|p| p.2),
-                );
-                let (gv, gu, gz) = eval_table(&[(1, 5), (0, 6)], &table, 0x7, &v, &u, &z);
+                let (gv, gu, gz) = eval_table(&[(1, 5), (0, 6)], &table, 0x7, &planes);
                 let got = LogicVector::from_raw_masks(3, gv, gu, gz).unwrap();
                 assert_eq!(got, expect, "{n_x} X bits");
                 if table[0] == 5 {
@@ -1989,6 +1967,121 @@ mod tests {
         let stats = lo.stats();
         assert!(stats.lowered_settles > 0, "lowered walk must have run");
         assert!(stats.ops_executed > 0, "word ops must have executed");
+    }
+
+    #[test]
+    fn only_a_lone_lowered_unit_takes_the_direct_path() {
+        let (mut sim, din, q) = acc_sim(SchedMode::Lowered);
+        let (mut reference, rdin, rq) = acc_sim(SchedMode::EventDriven);
+        let cycle = |sim: &mut Simulator, reference: &mut Simulator, c: u64| {
+            sim.poke(din, c & 0xF).unwrap();
+            reference.poke(rdin, c & 0xF).unwrap();
+            sim.step().unwrap();
+            reference.step().unwrap();
+            assert_eq!(sim.peek(q).unwrap(), reference.peek(rq).unwrap(), "{c}");
+        };
+        for c in 0..4 {
+            cycle(&mut sim, &mut reference, c);
+        }
+        assert!(sim.on_direct_path());
+        // Poking the unit's own output gives that signal a second
+        // driver: the rank walk takes over, and hands back once the
+        // poke is gone.
+        sim.poke(q, 3).unwrap();
+        reference.poke(rq, 3).unwrap();
+        cycle(&mut sim, &mut reference, 4);
+        assert!(!sim.on_direct_path());
+        sim.unpoke(q);
+        reference.unpoke(rq);
+        for c in 5..9 {
+            cycle(&mut sim, &mut reference, c);
+        }
+        assert!(sim.on_direct_path());
+        // A second component puts the design on the rank walk.
+        let en = sim.add_signal("en", 1).unwrap();
+        let y = sim.add_signal("y", 4).unwrap();
+        sim.add_component(Clamp { en, y });
+        sim.poke(en, 1).unwrap();
+        for c in 9..12 {
+            sim.poke(din, c).unwrap();
+            sim.step().unwrap();
+        }
+        assert!(!sim.on_direct_path());
+        assert_eq!(sim.peek(y).unwrap().to_u64(), Some(0));
+    }
+
+    #[test]
+    fn two_out_ports_on_one_signal_resolve_in_every_mode() {
+        // `y1 = x` and `y2 = !x` both drive `y`: every mode resolves the
+        // two drives to X. Such a unit keeps interpreted evaluation.
+        let entity = Entity::builder("fork")
+            .port("x", PortDir::In, 1)
+            .unwrap()
+            .port("y1", PortDir::Out, 1)
+            .unwrap()
+            .port("y2", PortDir::Out, 1)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut nl = Netlist::new(entity);
+        let [x, y1, y2] = ["x", "y1", "y2"].map(|n| nl.add_net(n, 1).unwrap());
+        nl.add_cell("u_buf", Prim::Buf { width: 1 }, vec![x], vec![y1])
+            .unwrap();
+        nl.add_cell("u_not", Prim::Not { width: 1 }, vec![x], vec![y2])
+            .unwrap();
+        for (p, n) in [("x", x), ("y1", y1), ("y2", y2)] {
+            nl.bind_port(p, n).unwrap();
+        }
+        let run = |mode| {
+            let mut sim = Simulator::with_mode(mode);
+            let xs = sim.add_signal("x", 1).unwrap();
+            let y = sim.add_signal("y", 1).unwrap();
+            let map = [("x", xs), ("y1", y), ("y2", y)];
+            let dut = NetlistComponent::new("dut", nl.clone(), sim.bus(), &map).unwrap();
+            sim.add_component(dut);
+            sim.set_telemetry(TelemetryLevel::Counters);
+            sim.reset().unwrap();
+            let mut seen = Vec::new();
+            for c in 0..4 {
+                sim.poke(xs, c & 1).unwrap();
+                sim.step().unwrap();
+                seen.push(sim.peek(y).unwrap());
+            }
+            (seen, sim.stats())
+        };
+        let (reference, _) = run(SchedMode::FullSweep);
+        assert_eq!(reference, vec![LogicVector::unknown(1).unwrap(); 4]);
+        let (lowered, stats) = run(SchedMode::Lowered);
+        assert_eq!(lowered, reference);
+        assert!(stats.notes.iter().any(|n| n.contains("two `Out` ports")));
+    }
+
+    #[test]
+    fn settles_after_a_reset_present_the_reset_state() {
+        // After a reset the planes still hold the pre-reset accumulator,
+        // and the inputs have not changed: the input memo must not
+        // answer. The first reset records the poke's driver link, so the
+        // settle after it rebuilds the plan; the second is a plain
+        // wake-all settle.
+        let run = |mode| {
+            let (mut sim, din, q) = acc_sim(mode);
+            let mut seen = Vec::new();
+            for _ in 0..2 {
+                for _ in 0..3 {
+                    sim.poke(din, 3).unwrap();
+                    sim.step().unwrap();
+                }
+                sim.reset().unwrap();
+                for _ in 0..2 {
+                    sim.poke(din, 3).unwrap();
+                    sim.settle().unwrap();
+                    seen.push(sim.peek(q).unwrap().to_u64());
+                }
+            }
+            seen
+        };
+        assert_eq!(run(SchedMode::Lowered), run(SchedMode::FullSweep));
+        assert_eq!(run(SchedMode::Lowered), vec![Some(0); 4]);
     }
 
     #[test]

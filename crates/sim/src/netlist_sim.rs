@@ -27,10 +27,29 @@ impl EdgeInputs for [LogicVector] {
     }
 }
 
-/// The `(net index, value)` pairs one sequential cell presents on its
-/// output nets, in pin order. The (at most three) entries are owned, so
-/// presenting them allocates nothing and borrows nothing.
-pub(crate) type SeqOutputs = std::iter::Take<std::array::IntoIter<(usize, LogicVector), 3>>;
+/// The clock domains that present an edge at one step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Firing<'a> {
+    /// Every domain.
+    All,
+    /// The named domains ([`Component::tick_domains`]).
+    Named(&'a [&'a str]),
+    /// The domains whose period divides base step `t`: the scheduler's
+    /// `ClockDomain::fires_at`, read off the netlist's own domain table
+    /// (a simulator rejects a domain declared with two periods), so no
+    /// name list is built.
+    At(u64),
+}
+
+impl Firing<'_> {
+    fn fires(self, domain: &hdp_hdl::ClockDomain) -> bool {
+        match self {
+            Firing::All => true,
+            Firing::Named(names) => names.contains(&domain.name()),
+            Firing::At(t) => t.is_multiple_of(domain.period().max(1)),
+        }
+    }
+}
 
 /// Per-cell state of sequential primitives: the one macro model, run by
 /// the interpreter, the lowered engine and, one copy per lane, the lane
@@ -90,12 +109,19 @@ impl SeqState {
     }
 }
 
-/// The values sequential cell `ci` presents on its output nets from
-/// `state`: the one presentation of sequential state, shared by the
-/// interpreter ([`NetlistComponent::eval`]), the lowered engine
-/// (`lower::exec_settle`) and each lane of the lane engine. Empty for
-/// combinational cells.
-pub(crate) fn seq_outputs(netlist: &Netlist, ci: usize, state: &SeqState) -> SeqOutputs {
+/// Hands `emit` the `(net index, value)` pairs sequential cell `ci`
+/// presents on its output nets from `state`, in pin order: the one
+/// presentation of sequential state, shared by the interpreter
+/// ([`NetlistComponent::eval`]), the lowered engine (`lower::exec_walk`)
+/// and each lane of the lane engine. Nothing for combinational cells.
+/// A callback rather than an iterator: nothing is built per cell, which
+/// the lowered engine pays for on every walk after an edge.
+pub(crate) fn seq_outputs(
+    netlist: &Netlist,
+    ci: usize,
+    state: &SeqState,
+    mut emit: impl FnMut(usize, LogicVector),
+) {
     let outs = netlist.cells()[ci].outputs();
     let flag = |b: bool| LogicVector::from_u64(u64::from(b), 1).expect("1 bit");
     let word = |w: Option<u64>| {
@@ -106,20 +132,16 @@ pub(crate) fn seq_outputs(netlist: &Netlist, ci: usize, state: &SeqState) -> Seq
         )
         .expect("stored words fit their width")
     };
-    let (pairs, n) = match state {
-        SeqState::None => ([(0, flag(false)); 3], 0),
-        SeqState::Reg(v) => ([(outs[0].index(), *v); 3], 1),
-        SeqState::Bram { out, .. } => ([(outs[0].index(), word(*out)); 3], 1),
-        SeqState::Queue { depth, data, .. } => (
-            [
-                (outs[0].index(), word(data.front().copied())),
-                (outs[1].index(), flag(data.is_empty())),
-                (outs[2].index(), flag(data.len() >= *depth)),
-            ],
-            3,
-        ),
-    };
-    pairs.into_iter().take(n)
+    match state {
+        SeqState::None => {}
+        SeqState::Reg(v) => emit(outs[0].index(), *v),
+        SeqState::Bram { out, .. } => emit(outs[0].index(), word(*out)),
+        SeqState::Queue { depth, data, .. } => {
+            emit(outs[0].index(), word(data.front().copied()));
+            emit(outs[1].index(), flag(data.is_empty()));
+            emit(outs[2].index(), flag(data.len() >= *depth));
+        }
+    }
 }
 
 /// Runs an [`hdp_hdl::Netlist`] as a simulated [`Component`].
@@ -387,6 +409,18 @@ impl NetlistComponent {
         self.planes_current = true;
     }
 
+    /// Whether the lowered engine ran this component's last settle, so
+    /// its unit's planes, not the net cache, hold the settled nets.
+    pub(crate) fn planes_current(&self) -> bool {
+        self.planes_current
+    }
+
+    /// Records that the unit's planes were replaced by fresh ones (a plan
+    /// install): they hold no settle until the next lowered walk.
+    pub(crate) fn drop_planes(&mut self) {
+        self.planes_current = false;
+    }
+
     /// The clock edge of a lowered unit. It samples `planes` when the
     /// lowered engine ran the last settle, and the net cache when an
     /// interpreted (event-driven) settle did: an edge always samples the
@@ -394,7 +428,7 @@ impl NetlistComponent {
     pub(crate) fn lowered_tick(
         &mut self,
         planes: &impl EdgeInputs,
-        firing: Option<&[&str]>,
+        firing: Firing<'_>,
     ) -> Result<(), SimError> {
         if !self.planes_current {
             return self.tick_cells(firing);
@@ -410,10 +444,11 @@ impl NetlistComponent {
         )
     }
 
-    /// The settled value of an internal net, for white-box assertions.
-    /// After a settle the lowered engine ran, the settled values live
-    /// in its planes and this reads the stale interpreter cache: probe
-    /// under [`crate::SchedMode::EventDriven`] or `FullSweep`.
+    /// The interpreter's value of an internal net, for white-box
+    /// assertions. After a settle the lowered engine ran, the settled
+    /// values live in its planes and this cache is stale: read nets
+    /// through [`crate::Simulator::net_value`], which picks whichever
+    /// engine settled last.
     #[must_use]
     pub fn net_value(&self, name: &str) -> Option<LogicVector> {
         let id = self.netlist.find_net(name)?;
@@ -455,17 +490,18 @@ impl NetlistComponent {
             .collect()
     }
 
-    /// The values sequential cell `ci` presents on its output nets
-    /// ([`seq_outputs`] over this component's state).
-    pub(crate) fn seq_outputs(&self, ci: usize) -> SeqOutputs {
-        seq_outputs(&self.netlist, ci, &self.seq_state[ci])
+    /// Hands `emit` the values sequential cell `ci` presents on its
+    /// output nets ([`seq_outputs`] over this component's state).
+    pub(crate) fn seq_outputs(&self, ci: usize, emit: impl FnMut(usize, LogicVector)) {
+        seq_outputs(&self.netlist, ci, &self.seq_state[ci], emit);
     }
 
     fn drive_seq_outputs(&mut self) {
-        for i in 0..self.seq_cells.len() {
-            for (net, v) in self.seq_outputs(self.seq_cells[i]) {
-                self.net_values[net] = v;
-            }
+        for &ci in &self.seq_cells {
+            let net_values = &mut self.net_values;
+            seq_outputs(&self.netlist, ci, &self.seq_state[ci], |net, v| {
+                net_values[net] = v;
+            });
         }
     }
 
@@ -589,14 +625,24 @@ impl NetlistComponent {
         if self.seq_dirty {
             self.seq_dirty = false;
             for i in 0..self.seq_cells.len() {
-                for (net, v) in self.seq_outputs(self.seq_cells[i]) {
-                    if v != self.net_values[net] {
-                        self.net_values[net] = v;
-                        if self.track_activity {
-                            self.activity[net] += 1;
+                let ci = self.seq_cells[i];
+                // A cell presents at most three nets; schedule the
+                // readers of those that changed once they are stored.
+                let (mut changed, mut n) = ([0usize; 3], 0);
+                let (net_values, activity) = (&mut self.net_values, &mut self.activity);
+                let track = self.track_activity;
+                seq_outputs(&self.netlist, ci, &self.seq_state[ci], |net, v| {
+                    if v != net_values[net] {
+                        net_values[net] = v;
+                        if track {
+                            activity[net] += 1;
                         }
-                        self.schedule_net_fanout(net);
+                        changed[n] = net;
+                        n += 1;
                     }
+                });
+                for &net in &changed[..n] {
+                    self.schedule_net_fanout(net);
                 }
             }
         }
@@ -650,7 +696,7 @@ impl NetlistComponent {
     /// The interpreter's clock edge ([`Component::tick`] with every
     /// domain, [`Component::tick_domains`] with the firing ones): samples
     /// the net cache.
-    fn tick_cells(&mut self, firing: Option<&[&str]>) -> Result<(), SimError> {
+    fn tick_cells(&mut self, firing: Firing<'_>) -> Result<(), SimError> {
         debug_assert!(
             !self.planes_current,
             "the lowered engine settled last: tick through `lowered_tick`"
@@ -667,8 +713,8 @@ impl NetlistComponent {
     }
 }
 
-/// One clock edge over the sequential cells whose domain fires (`None`:
-/// every domain), sampling their inputs from `inputs`. This is the one
+/// One clock edge over the sequential cells whose domain fires,
+/// sampling their inputs from `inputs`. This is the one
 /// sequential model of every engine: the interpreter passes its net
 /// cache, the lowered engine its planes, and the lane engine one lane
 /// of its bit columns per call (its macros only). Protocol errors name the
@@ -679,7 +725,7 @@ pub(crate) fn clock_edge<I: EdgeInputs + ?Sized>(
     seq_cells: &[usize],
     seq_state: &mut [SeqState],
     inputs: &I,
-    firing: Option<&[&str]>,
+    firing: Firing<'_>,
 ) -> Result<(), SimError> {
     let protocol = |message: String| SimError::Protocol {
         component: component.to_owned(),
@@ -692,11 +738,8 @@ pub(crate) fn clock_edge<I: EdgeInputs + ?Sized>(
         inputs.word(net.index()).ok_or_else(err)
     };
     for &ci in seq_cells {
-        if let Some(firing) = firing {
-            let domain = &netlist.domains()[netlist.cell_domains()[ci]];
-            if !firing.contains(&domain.name()) {
-                continue;
-            }
+        if !firing.fires(&netlist.domains()[netlist.cell_domains()[ci]]) {
+            continue;
         }
         let cell = &netlist.cells()[ci];
         let ins = cell.inputs();
@@ -756,7 +799,7 @@ impl Component for NetlistComponent {
     }
 
     fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
-        self.tick_cells(None)
+        self.tick_cells(Firing::All)
     }
 
     fn clock_domains(&self) -> Vec<ClockDomain> {
@@ -768,7 +811,7 @@ impl Component for NetlistComponent {
     }
 
     fn tick_domains(&mut self, _bus: &mut SignalBus, firing: &[&str]) -> Result<(), SimError> {
-        self.tick_cells(Some(firing))
+        self.tick_cells(Firing::Named(firing))
     }
 
     fn reset(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
@@ -1152,5 +1195,29 @@ mod tests {
         assert_eq!(dut.net_value("q").unwrap().to_u64(), Some(3));
         assert_eq!(dut.net_value("d").unwrap().to_u64(), Some(4));
         assert!(dut.net_value("nonexistent").is_none());
+    }
+
+    #[test]
+    fn simulator_net_value_reads_whichever_engine_settled_last() {
+        let probe = |mode| {
+            let mut sim = Simulator::with_mode(mode);
+            let q = sim.add_signal("q", 8).unwrap();
+            let dut =
+                NetlistComponent::new("dut", counter_netlist(), sim.bus(), &[("q", q)]).unwrap();
+            let id = sim.add_component(dut);
+            sim.reset().unwrap();
+            sim.run(5).unwrap();
+            assert_eq!(sim.peek(q).unwrap().to_u64(), Some(5), "{mode:?}");
+            let net = |name| sim.net_value(id, name).and_then(|v| v.to_u64());
+            (net("q"), net("d"), sim.net_value(id, "nonexistent"))
+        };
+        for mode in crate::SchedMode::ALL {
+            assert_eq!(probe(mode), (Some(5), Some(6), None), "{mode:?}");
+        }
+        // A component that is not a netlist has no nets.
+        let mut sim = Simulator::new();
+        let q = sim.add_signal("q", 8).unwrap();
+        let other = sim.add_component(crate::probe::Monitor::with_capacity("mon", q, 1));
+        assert!(sim.net_value(other, "q").is_none());
     }
 }

@@ -22,15 +22,21 @@
 //!   planes: no virtual `eval` dispatch, no `BusAccess` reads per net,
 //!   no `LogicVector` materialisation between cells. Components that
 //!   are not netlist interpreters (or whose shape cannot lower) keep
-//!   their virtual `eval` on the same walk. Designs the levelizer
-//!   cannot order (combinational cycles, [`Sensitivity::Always`]) fall
-//!   back transparently — and permanently — to the event-driven
-//!   scheduler; an invalidated schedule (newly discovered driver,
-//!   added components) falls back for one settle and rebuilds.
+//!   their virtual `eval` on the same walk. A design whose one
+//!   component is a lowered netlist (every service job without a VCD
+//!   recorder) skips the walk too: `poke`, `settle`, `step` and `peek`
+//!   run that unit straight on its planes, with no wake set, no
+//!   [`CompiledBus`], no arena and no commit (the direct path,
+//!   `settle_direct`); its counts and traces are the walk's. Designs
+//!   the levelizer cannot order (combinational cycles,
+//!   [`Sensitivity::Always`]) fall back transparently — and
+//!   permanently — to the event-driven scheduler; an invalidated
+//!   schedule (newly discovered driver, added components) falls back
+//!   for one settle and rebuilds.
 
 use crate::compiled::{CompiledBus, CompiledPlan, CompiledSchedule, SignalArena};
-use crate::lower::{exec_settle, LoweredProgram, LoweredScratch, Planes};
-use crate::netlist_sim::NetlistComponent;
+use crate::lower::{exec_settle, settle_planes, LoweredProgram, LoweredScratch, Planes};
+use crate::netlist_sim::{EdgeInputs as _, Firing, NetlistComponent};
 use crate::signal::{BusAccess as _, DRIVER_POKE};
 use crate::telemetry::{
     ComponentStats, FallbackCause, SignalStats, SimStats, Telemetry, TelemetryLevel, TraceEvent,
@@ -102,7 +108,9 @@ pub enum SchedMode {
     /// their protocol checks and error texts), sampling cell inputs
     /// straight from the settled planes. Components that are not netlist
     /// interpreters — or whose shape cannot lower (e.g. inout ports) —
-    /// keep their virtual `eval` on the same walk.
+    /// keep their virtual `eval` on the same walk. When the design is
+    /// one lowered netlist and nothing else, each settle runs that
+    /// netlist's op stream directly, without the walk around it.
     ///
     /// Settled values, VCD traces, telemetry toggle totals and error
     /// reports are bit-identical to [`SchedMode::EventDriven`], which
@@ -473,6 +481,26 @@ impl Simulator {
         (**self.components.get_mut(id.0)?)
             .as_any_mut()
             .downcast_mut::<T>()
+    }
+
+    /// The settled value of an internal net of a
+    /// [`NetlistComponent`], for white-box assertions: read from the
+    /// lowered unit's planes when the lowered engine ran the
+    /// component's last settle, and from the interpreter's net cache
+    /// otherwise, so it is the same in every [`SchedMode`].
+    ///
+    /// Returns `None` for a stale handle, a component that is not a
+    /// netlist interpreter, or a net the netlist does not have.
+    #[must_use]
+    pub fn net_value(&self, id: ComponentId, net: &str) -> Option<LogicVector> {
+        let comp = self.component::<NetlistComponent>(id)?;
+        match self.lowered.get(id.0).and_then(Option::as_ref) {
+            Some(unit) if comp.planes_current() => {
+                let net = comp.netlist().find_net(net)?;
+                Some(Planes(&unit.prog, &unit.scratch).value(net.index()))
+            }
+            _ => comp.net_value(net),
+        }
     }
 
     /// The number of clock cycles executed since the last reset.
@@ -869,6 +897,12 @@ impl Simulator {
                 self.telemetry
                     .record_fallback_settle(FallbackCause::Rebuild);
             }
+            // The interpreter settles now, maybe after a reset: the
+            // lowered input memos may describe stale sequential state,
+            // and the fresh plan's arena will not say so.
+            for unit in self.lowered.iter_mut().flatten() {
+                unit.scratch.dirty = true;
+            }
             self.settle_event()?;
             self.build_compiled();
             return Ok(());
@@ -901,6 +935,9 @@ impl Simulator {
                 self.telemetry.max_passes = self.telemetry.max_passes.max(1);
             }
             return Ok(());
+        }
+        if self.direct_ready() {
+            return self.settle_direct();
         }
         let mut plan = self.compiled.take().expect("freshness implies a plan");
         let res = match &mut plan.sched {
@@ -966,9 +1003,10 @@ impl Simulator {
     /// and [`hdp_hdl::LogicVector::resolve`] is commutative and
     /// associative, so fold order cannot change settled values.
     fn run_compiled(&mut self, sched: &mut CompiledSchedule) -> Result<bool, SimError> {
-        if sched.arena_stale {
+        if sched.arena_stale || sched.arena_lags {
             sched.arena.load_from(&self.bus);
             sched.arena_stale = false;
+            sched.arena_lags = false;
             // An event-driven settle (or reset / device mutation) ran
             // since the last walk: the lowered input memos may be
             // describing stale sequential state.
@@ -1112,6 +1150,108 @@ impl Simulator {
         self.seeds.clear();
         self.poked_signals.clear();
         Ok(true)
+    }
+
+    /// Whether the next lowered settle can take the direct path: the
+    /// design is one component, it lowered, and no signal the testbench
+    /// pokes has a second driver (whose resolution order the rank walk
+    /// pins). The plan's shape alone decides; there is no switch.
+    fn direct_ready(&self) -> bool {
+        self.components.len() == 1
+            && matches!(self.lowered.first(), Some(Some(_)))
+            && matches!(&self.compiled, Some(ActivePlan { sched: Ok(_), .. }))
+            && self.pokes.iter().all(|(id, _)| {
+                let drivers = self.bus.slot_drivers(id.index());
+                drivers.iter().all(|&d| d == DRIVER_POKE)
+            })
+    }
+
+    /// The direct path: one settle of a simulator whose only component
+    /// is a lowered unit, run straight on the unit's planes. The pokes
+    /// and the unit's `Out` ports are stored on the bus, so `peek`,
+    /// `bus()` and the clock edge see them; there is no wake set, no
+    /// [`CompiledBus`], no arena and no commit. Each observable count is
+    /// the rank walk's: the unit evaluates when the walk would wake it
+    /// (after an edge, on a poked or changed input, or promoted), the
+    /// input memo and the idle early return are the same, and every
+    /// drive and toggle lands on the same signal.
+    fn settle_direct(&mut self) -> Result<(), SimError> {
+        let telemetry_on = self.telemetry.on();
+        if telemetry_on {
+            self.telemetry.ensure_components(1);
+        }
+        let Simulator {
+            components,
+            bus,
+            pokes,
+            watchers,
+            always,
+            seeds,
+            poked_signals,
+            telemetry,
+            lowered,
+            compiled,
+            ..
+        } = self;
+        let (
+            Some(ActivePlan {
+                sched: Ok(sched), ..
+            }),
+            Some(Some(unit)),
+        ) = (compiled.as_mut(), lowered.first_mut())
+        else {
+            unreachable!("the direct path runs a lowered unit on an active plan");
+        };
+        if sched.arena_stale {
+            // An event-driven settle ran since the last lowered one: the
+            // input memo may describe stale sequential state.
+            unit.scratch.dirty = true;
+            sched.arena_stale = false;
+        }
+        sched.arena_lags = true;
+        let watched = |id: &SignalId| !watchers[id.index()].is_empty();
+        let mut woken =
+            !seeds.is_empty() || !always.is_empty() || poked_signals.iter().any(watched);
+        // Testbench pokes land first, with replace semantics.
+        for (id, value) in pokes.iter() {
+            if bus.store(*id, *value, DRIVER_POKE)? && watched(id) {
+                woken = true;
+            }
+        }
+        if woken {
+            let started = telemetry.timed().then(Instant::now);
+            let comp = interpreter(&mut components[0]);
+            let ops = settle_planes(&unit.prog, &mut unit.scratch, comp, |id| bus.read(id))?;
+            for &(net, signal) in &unit.prog.out_ports {
+                let value = Planes(&unit.prog, &unit.scratch).value(net as usize);
+                bus.store(signal, value, 0)?;
+            }
+            if telemetry_on {
+                let dur = started.map_or(0, |t| {
+                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+                });
+                telemetry.record_eval(0, dur);
+                telemetry.ops_executed += ops;
+                if started.is_some() {
+                    telemetry.push_span(TraceEvent {
+                        name: components[0].name().to_owned(),
+                        cat: "eval",
+                        ts_ns: telemetry.now_ns().saturating_sub(dur),
+                        dur_ns: dur,
+                        tid: 0,
+                    });
+                }
+            }
+        }
+        if telemetry_on {
+            telemetry.settles += 1;
+            telemetry.lowered_settles += 1;
+            telemetry.record_pass(if woken { &[0] } else { &[] });
+            telemetry.max_passes = telemetry.max_passes.max(1);
+        }
+        seeds.clear();
+        poked_signals.clear();
+        Ok(())
     }
 
     /// Freezes the current (settled) design into an active plan:
@@ -1530,6 +1670,11 @@ impl Simulator {
                 }
             }
             if compatible {
+                for (c, unit) in self.components.iter_mut().zip(&units) {
+                    if unit.is_some() {
+                        interpreter(c).drop_planes();
+                    }
+                }
                 self.lowered = units;
                 self.lowered_ready = true;
             }
@@ -1634,17 +1779,17 @@ impl Simulator {
         // A step where every domain presents an edge takes the exact
         // historical tick path; a single-rate design (all periods 1)
         // always does, so the multi-domain machinery costs it nothing.
-        let all_fire = self.single_rate || self.domains.iter().all(|d| d.fires_at(self.cycle));
-        let firing_names: Vec<String> = if all_fire {
-            Vec::new()
+        let cycle = self.cycle;
+        let all_fire = self.single_rate || self.domains.iter().all(|d| d.fires_at(cycle));
+        // Lowered units read the firing set off their netlist's domain
+        // periods; only `Component::tick_domains` needs the names, built
+        // on first use.
+        let unit_firing = if all_fire {
+            Firing::All
         } else {
-            self.domains
-                .iter()
-                .filter(|d| d.fires_at(self.cycle))
-                .map(|d| d.name.clone())
-                .collect()
+            Firing::At(cycle)
         };
-        let firing: Vec<&str> = firing_names.iter().map(String::as_str).collect();
+        let mut names: Option<Vec<&str>> = None;
         self.settle()?;
         // Track tick-phase drives on a clean pass so their watchers can
         // be woken (no in-repo tick drives signals, but the contract
@@ -1657,7 +1802,9 @@ impl Simulator {
                     if all_fire {
                         c.tick(&mut self.bus)?;
                     } else {
-                        c.tick_domains(&mut self.bus, &firing)?;
+                        let firing =
+                            names.get_or_insert_with(|| firing_names(&self.domains, cycle));
+                        c.tick_domains(&mut self.bus, firing)?;
                     }
                 }
             }
@@ -1670,11 +1817,15 @@ impl Simulator {
                         // sequential model on its own planes.
                         Some(unit) => {
                             let planes = Planes(&unit.prog, &unit.scratch);
-                            let firing = (!all_fire).then_some(&firing[..]);
-                            interpreter(&mut self.components[i]).lowered_tick(&planes, firing)?;
+                            interpreter(&mut self.components[i])
+                                .lowered_tick(&planes, unit_firing)?;
                         }
                         None if all_fire => self.components[i].tick(&mut self.bus)?,
-                        None => self.components[i].tick_domains(&mut self.bus, &firing)?,
+                        None => {
+                            let firing =
+                                names.get_or_insert_with(|| firing_names(&self.domains, cycle));
+                            self.components[i].tick_domains(&mut self.bus, firing)?;
+                        }
                     }
                 }
                 // The edge changed registered state: wake every clocked
@@ -1770,6 +1921,25 @@ impl Simulator {
         }
         Ok(false)
     }
+}
+
+#[cfg(test)]
+impl Simulator {
+    /// Whether the last lowered settle that did work ran on the direct
+    /// path (it left the arena behind the bus).
+    pub(crate) fn on_direct_path(&self) -> bool {
+        matches!(&self.compiled, Some(ActivePlan { sched: Ok(s), .. }) if s.arena_lags)
+    }
+}
+
+/// The names of the domains that fire at base step `t`, for
+/// [`Component::tick_domains`].
+fn firing_names(domains: &[ClockDomain], t: u64) -> Vec<&str> {
+    domains
+        .iter()
+        .filter(|d| d.fires_at(t))
+        .map(|d| d.name.as_str())
+        .collect()
 }
 
 /// Builder-style construction of a [`Simulator`].

@@ -388,6 +388,45 @@ impl SignalBus {
         self.dirty.push(slot);
     }
 
+    /// Stores a settled value straight into a slot, outside any pass:
+    /// the write of the scheduler's direct path, which settles a lone
+    /// lowered unit on its planes and has no second driver to resolve
+    /// against. It counts what a pass and its commit would: one drive,
+    /// and one toggle when the value changes. Returns whether it changed.
+    ///
+    /// # Errors
+    ///
+    /// As [`SignalBus::drive`]: an unknown signal or a width mismatch.
+    pub(crate) fn store(
+        &mut self,
+        id: SignalId,
+        value: LogicVector,
+        driver: usize,
+    ) -> Result<bool, SimError> {
+        let telemetry = self.telemetry;
+        let slot = self
+            .slots
+            .get_mut(id.0)
+            .ok_or(SimError::UnknownSignal { index: id.0 })?;
+        if slot.value.width() != value.width() {
+            return Err(SimError::SignalWidth {
+                signal: slot.name.clone(),
+                expected: slot.value.width(),
+                found: value.width(),
+            });
+        }
+        let changed = slot.value != value;
+        if changed {
+            slot.value = value;
+            slot.last_changer = driver;
+        }
+        if telemetry {
+            slot.drives += 1;
+            slot.toggles += u64::from(changed);
+        }
+        Ok(changed)
+    }
+
     /// Credits `n` drive events to a slot's telemetry counter. The
     /// compiled scheduler batches its per-settle drive counts through
     /// here because its drives land in the arena, not on the bus.

@@ -538,16 +538,21 @@ impl Telemetry {
     }
 
     /// Records one settle pass's wake-set size and forensics ring
-    /// entry.
+    /// entry. The entry leaving a full ring carries the new one, so a
+    /// warm ring allocates nothing.
     pub(crate) fn record_pass(&mut self, wake: &[usize]) {
         self.passes += 1;
         let n = wake.len() as u64;
         self.total_wake += n;
         self.max_wake = self.max_wake.max(n);
-        if self.wake_ring.len() == WAKE_FORENSICS_DEPTH {
-            self.wake_ring.pop_front();
-        }
-        self.wake_ring.push_back(wake.to_vec());
+        let mut entry = if self.wake_ring.len() == WAKE_FORENSICS_DEPTH {
+            self.wake_ring.pop_front().unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        entry.clear();
+        entry.extend_from_slice(wake);
+        self.wake_ring.push_back(entry);
     }
 
     /// Appends a span, honouring the recording cap.

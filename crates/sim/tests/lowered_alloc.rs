@@ -1,14 +1,18 @@
-//! A single-rate lowered cycle makes no heap allocation: the rank walk,
-//! the op replay, the presentation of sequential outputs and the clock
-//! edge all run on buffers sized before the first cycle. The same holds
-//! for a cycle of the 64-lane engine.
+//! A lowered cycle makes no heap allocation: the direct path of a lone
+//! lowered unit (single- and multi-rate), the rank walk, the op replay,
+//! the presentation of sequential outputs and the clock edge all run on
+//! buffers sized before the first cycle. The same holds for a cycle of
+//! the 64-lane engine.
 //!
 //! The test binary counts every allocation its own thread makes through
 //! a counting global allocator, so it lives in a file of its own.
 
 use hdp_hdl::prim::{GateOp, Prim};
 use hdp_hdl::{Entity, LogicVector, Netlist, PortDir};
-use hdp_sim::{LaneBatch, NetlistComponent, SchedMode, SignalId, Simulator, LANES};
+use hdp_sim::{
+    BusAccess, Component, LaneBatch, NetlistComponent, SchedMode, Sensitivity, SignalBus, SignalId,
+    SimError, Simulator, LANES,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -187,8 +191,51 @@ fn cycle(sim: &mut Simulator, ins: &[SignalId], outs: &[SignalId], c: u64, sink:
     sim.step().unwrap();
 }
 
-#[test]
-fn a_single_rate_lowered_cycle_makes_no_heap_allocation() {
+/// A component that does nothing: beside the design it puts the
+/// simulator on the rank walk instead of the direct path.
+struct Bystander;
+
+impl Component for Bystander {
+    fn name(&self) -> &str {
+        "bystander"
+    }
+    fn eval(&mut self, _bus: &mut dyn BusAccess) -> Result<(), SimError> {
+        Ok(())
+    }
+    fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
+        Ok(())
+    }
+    fn sensitivity(&self) -> Sensitivity {
+        Sensitivity::Signals(Vec::new())
+    }
+    fn is_clocked(&self) -> bool {
+        false
+    }
+}
+
+/// Runs 64 warm-up cycles, then returns the allocations of the next
+/// `n` cycles.
+fn cycle_allocations(
+    sim: &mut Simulator,
+    ins: &[SignalId],
+    outs: &[SignalId],
+    n: u64,
+    sink: &mut u64,
+) -> u64 {
+    // Warm up: build the schedule, lower the design and let every
+    // buffer reach its working size.
+    for c in 0..64 {
+        cycle(sim, ins, outs, c, sink);
+    }
+    let before = allocations();
+    for c in 64..64 + n {
+        cycle(sim, ins, outs, c, sink);
+    }
+    allocations() - before
+}
+
+/// A lowered simulator of [`design`], and its input and output signals.
+fn every_seq_sim() -> (Simulator, Vec<SignalId>, Vec<SignalId>) {
     let mut sim = Simulator::with_mode(SchedMode::Lowered);
     let mut map = Vec::new();
     for (name, width) in [
@@ -206,19 +253,132 @@ fn a_single_rate_lowered_cycle_makes_no_heap_allocation() {
     sim.add_component(dut);
     let ins: Vec<SignalId> = map[..3].iter().map(|&(_, id)| id).collect();
     let outs: Vec<SignalId> = map[3..].iter().map(|&(_, id)| id).collect();
+    (sim, ins, outs)
+}
+
+#[test]
+fn a_single_rate_lowered_cycle_makes_no_heap_allocation() {
+    // The design alone: the direct path.
+    let (mut sim, ins, outs) = every_seq_sim();
     let mut sink = 0u64;
-    // Warm up: build the schedule, lower the design and let every
-    // buffer reach its working size.
-    for c in 0..64 {
-        cycle(&mut sim, &ins, &outs, c, &mut sink);
-    }
-    let before = allocations();
-    for c in 64..320 {
-        cycle(&mut sim, &ins, &outs, c, &mut sink);
-    }
-    let made = allocations() - before;
-    assert_eq!(made, 0, "256 lowered cycles allocated {made} times");
+    let made = cycle_allocations(&mut sim, &ins, &outs, 256, &mut sink);
+    assert_eq!(made, 0, "256 direct-path cycles allocated {made} times");
     assert!(sim.compile_fallback_reason().is_none());
+    assert_ne!(sink, 0);
+    // Beside a second component: the rank walk.
+    let (mut sim, ins, outs) = every_seq_sim();
+    sim.add_component(Bystander);
+    let made = cycle_allocations(&mut sim, &ins, &outs, 256, &mut sink);
+    assert_eq!(made, 0, "256 rank-walk cycles allocated {made} times");
+    assert!(sim.compile_fallback_reason().is_none());
+}
+
+/// [`design`]'s FIFO, counter and block RAM again, with the counter in
+/// a second domain `half` of period 2 (only registers may leave `clk`),
+/// so every other step fires `clk` alone.
+fn two_rate_design() -> Netlist {
+    let entity = Entity::builder("two_rate")
+        .port("push", PortDir::In, 1)
+        .unwrap()
+        .port("pop", PortDir::In, 1)
+        .unwrap()
+        .port("wdata", PortDir::In, 8)
+        .unwrap()
+        .port("front", PortDir::Out, 8)
+        .unwrap()
+        .port("ram", PortDir::Out, 8)
+        .unwrap()
+        .port("count", PortDir::Out, 4)
+        .unwrap()
+        .build()
+        .unwrap();
+    let mut nl = Netlist::new(entity);
+    let half = nl.add_domain("half", 2).unwrap();
+    let mut net = |name: &str, width| nl.add_net(name, width).unwrap();
+    let [push, pop, f_empty, f_full] = ["push", "pop", "f_empty", "f_full"].map(|n| net(n, 1));
+    let [wdata, front, ram] = ["wdata", "front", "ram"].map(|n| net(n, 8));
+    let [q, q1] = ["q", "q1"].map(|n| net(n, 4));
+    let addr = net("addr", 2);
+    nl.add_cell(
+        "u_fifo",
+        Prim::FifoMacro { depth: 4, width: 8 },
+        vec![push, pop, wdata],
+        vec![front, f_empty, f_full],
+    )
+    .unwrap();
+    nl.add_cell_in_domain(
+        "u_count",
+        Prim::Reg {
+            width: 4,
+            has_enable: false,
+            reset_value: 0,
+        },
+        vec![q1],
+        vec![q],
+        half,
+    )
+    .unwrap();
+    nl.add_cell("u_inc", Prim::Inc { width: 4 }, vec![q], vec![q1])
+        .unwrap();
+    nl.add_cell(
+        "u_addr",
+        Prim::Slice {
+            in_width: 4,
+            low: 1,
+            len: 2,
+        },
+        vec![q],
+        vec![addr],
+    )
+    .unwrap();
+    nl.add_cell(
+        "u_ram",
+        Prim::BlockRam {
+            addr_width: 2,
+            data_width: 8,
+        },
+        vec![push, addr, wdata, addr],
+        vec![ram],
+    )
+    .unwrap();
+    for (p, n) in [
+        ("push", push),
+        ("pop", pop),
+        ("wdata", wdata),
+        ("front", front),
+        ("ram", ram),
+        ("count", q),
+    ] {
+        nl.bind_port(p, n).unwrap();
+    }
+    nl
+}
+
+#[test]
+fn a_two_rate_direct_path_cycle_makes_no_heap_allocation() {
+    let mut sim = Simulator::with_mode(SchedMode::Lowered);
+    let mut map = Vec::new();
+    for (name, width) in [
+        ("push", 1),
+        ("pop", 1),
+        ("wdata", 8),
+        ("front", 8),
+        ("ram", 8),
+        ("count", 4),
+    ] {
+        map.push((name, sim.add_signal(name, width).unwrap()));
+    }
+    let dut = NetlistComponent::new("dut", two_rate_design(), sim.bus(), &map).unwrap();
+    sim.add_component(dut);
+    let ins: Vec<SignalId> = map[..3].iter().map(|&(_, id)| id).collect();
+    let outs: Vec<SignalId> = map[3..].iter().map(|&(_, id)| id).collect();
+    let mut sink = 0u64;
+    let made = cycle_allocations(&mut sim, &ins, &outs, 24, &mut sink);
+    assert_eq!(made, 0, "24 two-rate cycles allocated {made} times");
+    assert!(sim.compile_fallback_reason().is_none());
+    // 88 steps, the `half` domain fired on 44 of them.
+    let count = sim.peek(outs[2]).unwrap().to_u64();
+    assert_eq!(count, Some(44 % 16));
     assert_ne!(sink, 0);
 }
 
