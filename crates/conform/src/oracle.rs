@@ -1,8 +1,9 @@
 //! The oracle stack and the differential cycle engine.
 //!
-//! A design conforms when every oracle — the four scheduler/evaluator
+//! A design conforms when every oracle — the five scheduler/evaluator
 //! paths of `hdp-sim` (including the lowered word-level op-stream
-//! mode) plus the executable VHDL model of `hdp_hdl::interp` —
+//! mode, alone and on the rank walk) plus the executable VHDL model of
+//! `hdp_hdl::interp` —
 //! produces bit-identical output-port traces for the same stimulus.
 //! Errors participate in the comparison too:
 //! *error parity* (every oracle failing at the same cycle) is
@@ -11,16 +12,20 @@
 
 use hdp_hdl::interp::VhdlInterp;
 use hdp_hdl::{LogicVector, Netlist, PortDir};
-use hdp_sim::{LaneBatch, NetlistComponent, SchedMode, SignalId, Simulator, LANES};
+use hdp_sim::{
+    BusAccess, Component, LaneBatch, NetlistComponent, SchedMode, Sensitivity, SignalBus, SignalId,
+    SimError, Simulator, LANES,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Display labels of the oracle stack, in comparison order. The
 /// first entry is the reference the others are compared against.
-pub const ORACLE_LABELS: [&str; 5] = [
+pub const ORACLE_LABELS: [&str; 6] = [
     "full_sweep",
     "event_driven",
     "lowered",
+    "lowered_walk",
     "levelized",
     "vhdl_interp",
 ];
@@ -143,10 +148,37 @@ enum Oracle {
     },
 }
 
+/// A component that reads nothing, drives nothing and has no clock
+/// edge. Beside the design it changes no value and no wake-up; it only
+/// makes the simulator two components, so a `Lowered` settle takes the
+/// rank walk instead of the one-unit direct path.
+struct Inert;
+
+impl Component for Inert {
+    fn name(&self) -> &str {
+        "inert"
+    }
+    fn eval(&mut self, _bus: &mut dyn BusAccess) -> Result<(), SimError> {
+        Ok(())
+    }
+    fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
+        Ok(())
+    }
+    fn sensitivity(&self) -> Sensitivity {
+        Sensitivity::Signals(Vec::new())
+    }
+    fn is_clocked(&self) -> bool {
+        false
+    }
+}
+
+/// A simulator oracle: `netlist` in `mode`, interpreted incrementally
+/// or not, with an [`Inert`] second component when `inert` is set.
 fn build_sim(
     netlist: &Netlist,
     mode: SchedMode,
     incremental: bool,
+    inert: bool,
     stim: &Stimulus,
 ) -> Result<Oracle, String> {
     let mut sim = Simulator::with_mode(mode);
@@ -180,6 +212,9 @@ fn build_sim(
         comp.set_incremental(false);
     }
     sim.add_component(comp);
+    if inert {
+        sim.add_component(Inert);
+    }
     Ok(Oracle::Sim {
         sim: Box::new(sim),
         inputs,
@@ -325,7 +360,7 @@ fn phase_all(
 
 /// Runs `netlist` through the full oracle stack under `stim`.
 ///
-/// Returns `None` when the design conforms: all five oracles produce
+/// Returns `None` when the design conforms: all six oracles produce
 /// bit-identical four-state output traces (or all fail at the same
 /// cycle). Returns the first [`Divergence`] otherwise. Oracle
 /// *construction* failures (e.g. the VHDL interpreter rejecting the
@@ -335,10 +370,11 @@ fn phase_all(
 #[must_use]
 pub fn check(netlist: &Netlist, stim: &Stimulus) -> Option<Divergence> {
     let built: Vec<Result<Oracle, String>> = vec![
-        build_sim(netlist, SchedMode::FullSweep, true, stim),
-        build_sim(netlist, SchedMode::EventDriven, true, stim),
-        build_sim(netlist, SchedMode::Lowered, true, stim),
-        build_sim(netlist, SchedMode::FullSweep, false, stim),
+        build_sim(netlist, SchedMode::FullSweep, true, false, stim),
+        build_sim(netlist, SchedMode::EventDriven, true, false, stim),
+        build_sim(netlist, SchedMode::Lowered, true, false, stim),
+        build_sim(netlist, SchedMode::Lowered, true, true, stim),
+        build_sim(netlist, SchedMode::FullSweep, false, false, stim),
         build_vhdl(netlist, stim),
     ];
     if built.iter().any(Result::is_err) {
@@ -448,7 +484,7 @@ pub fn check_lanes(netlist: &Netlist, stims: &[Stimulus]) -> Result<Option<Diver
     let mut lanes = LaneBatch::new("lanes", netlist).map_err(|e| e.to_string())?;
     let mut scalars = stims
         .iter()
-        .map(|s| build_sim(netlist, SchedMode::EventDriven, true, s))
+        .map(|s| build_sim(netlist, SchedMode::EventDriven, true, false, s))
         .collect::<Result<Vec<_>, _>>()?;
     let out_names: Vec<String> = netlist
         .entity()

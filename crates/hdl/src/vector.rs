@@ -338,7 +338,7 @@ impl LogicVector {
     /// This is the vector's storage representation: bit `i` of the
     /// vector is `Z` if `highz` has bit `i` set, else `X` if `unknown`
     /// has it set, else the `0`/`1` payload in `value`. Intended for
-    /// bulk storage layers (e.g. a packed signal arena) that want to
+    /// bulk storage layers (e.g. the lowered engine's net planes) that want to
     /// move whole vectors with word operations; round-trips through
     /// [`LogicVector::from_raw_masks`].
     #[must_use]

@@ -111,10 +111,9 @@ pub trait Component {
     /// state. Called one or more times per cycle; must be idempotent
     /// for fixed inputs.
     ///
-    /// The bus is handed out as [`BusAccess`] so the same
-    /// implementation serves both the delta-cycle schedulers (which
-    /// pass the exclusive [`SignalBus`]) and the lowered rank walk
-    /// (which passes its word-packed signal arena).
+    /// The bus is handed out as [`BusAccess`]; every scheduler, the
+    /// lowered rank walk included, passes the simulator's one
+    /// [`SignalBus`].
     ///
     /// # Errors
     ///

@@ -13,8 +13,8 @@
 //!   sensitive to a changed signal re-evaluate — with a full-sweep
 //!   reference mode and a lowered mode ([`SchedMode::Lowered`])
 //!   selectable via [`SchedMode`]. Lowered mode freezes the design
-//!   into a levelized rank schedule over a bit-packed signal arena,
-//!   settles in one walk, and runs every [`NetlistComponent`] on that
+//!   into a levelized rank schedule, settles in one walk over the
+//!   signal bus, and runs every [`NetlistComponent`] on that
 //!   walk as a flat word-level op stream executed straight against
 //!   `u64` planes. Every mode produces bit-identical traces.
 //! * [`LaneBatch`] — 64-way bit-parallel execution of one feed-forward

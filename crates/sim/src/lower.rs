@@ -17,9 +17,9 @@
 //! the input memo hits it presents the sequential state and replays
 //! the stream with no `Prim` dispatch, no per-pin `LogicVector` vectors
 //! and no heap scheduling. The output ports are the caller's: on the
-//! rank walk [`exec_settle`] reads and drives the ports through the
-//! walk's bus exactly like the interpreter's `eval_full`; a simulator
-//! whose one component is the unit stores them on its own bus (the
+//! rank walk [`exec_settle`] reads and drives the ports on the live
+//! signal bus exactly like the interpreter's `eval_full`; a simulator
+//! whose one component is the unit stores them on that bus instead (the
 //! scheduler's direct path). Either way the result is bit-identical by
 //! construction (each op implements the word-parallel form of the
 //! corresponding `Prim::eval_comb` X/Z semantics, including `Not`'s
@@ -42,7 +42,7 @@
 
 use crate::error::SimError;
 use crate::netlist_sim::{clock_edge, seq_outputs, EdgeInputs, Firing, NetlistComponent, SeqState};
-use crate::signal::{BusAccess, SignalId};
+use crate::signal::{SignalBus, SignalId};
 use hdp_hdl::prim::{CmpKind, GateOp, Prim};
 use hdp_hdl::{HdlError, LogicVector, NetId, Netlist, PortDir};
 
@@ -232,8 +232,8 @@ pub(crate) struct LoweredScratch {
     /// `(value, unknown, high-Z)` per net (index = `NetId::index()`).
     pub(crate) nets: Vec<NetPlanes>,
     /// Forces the next exec to re-run the ops and re-present the
-    /// sequential outputs (set after construction, clock edges and
-    /// event-driven fallbacks).
+    /// sequential outputs (set after construction and clock edges, and
+    /// by [`settle_planes`] whenever the planes are not current).
     pub(crate) dirty: bool,
 }
 
@@ -572,14 +572,22 @@ fn exec_walk(
 /// until the next interpreted eval, and the clock edge reads them
 /// through [`Planes`]. Returns the number of word ops executed (`0` on
 /// a memo hit). The `Out` ports are the caller's: the rank walk drives
-/// them onto its arena ([`exec_settle`]); a simulator whose one
-/// component is this unit stores them on its bus directly.
+/// them onto the bus ([`exec_settle`]); a simulator whose one
+/// component is this unit stores them on the bus directly.
+///
+/// The input memo holds only while the planes are the component's
+/// settled state: once an interpreted eval has run (a fallback settle,
+/// a mode switch, a reset) or a plan install replaced the planes, the
+/// next settle presents and walks in full.
 pub(crate) fn settle_planes(
     prog: &LoweredProgram,
     scratch: &mut LoweredScratch,
     comp: &mut NetlistComponent,
     read: impl Fn(SignalId) -> Result<LogicVector, SimError>,
 ) -> Result<u64, SimError> {
+    if !comp.planes_current() {
+        scratch.dirty = true;
+    }
     Ok(if latch_inputs(prog, scratch, read)? {
         exec_walk(prog, scratch, comp)
     } else {
@@ -587,8 +595,8 @@ pub(crate) fn settle_planes(
     })
 }
 
-/// Settles one lowered component against the rank walk's bus: the
-/// drop-in replacement for `NetlistComponent::eval`. It is
+/// Settles one lowered component against the live bus on the rank
+/// walk: the drop-in replacement for `NetlistComponent::eval`. It is
 /// [`settle_planes`] with its port I/O on `bus` — phase for phase the
 /// interpreter's `eval_full`, on flat planes. The `Out` ports are
 /// driven on every wake, memo hit or not, like the interpreter, so
@@ -598,7 +606,7 @@ pub(crate) fn exec_settle(
     prog: &LoweredProgram,
     scratch: &mut LoweredScratch,
     comp: &mut NetlistComponent,
-    bus: &mut impl BusAccess,
+    bus: &mut SignalBus,
 ) -> Result<u64, SimError> {
     let ops = settle_planes(prog, scratch, comp, |signal| bus.read(signal))?;
     for &(net, signal) in &prog.out_ports {

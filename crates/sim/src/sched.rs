@@ -14,30 +14,29 @@
 //!   bit-identical signal traces.
 //! * **Lowered** — after a validation settle the design is frozen
 //!   ahead of time: components are levelized into static ranks by
-//!   combinational depth, signals are flattened into a bit-packed
-//!   `u64`-word arena, and every subsequent settle is a single
-//!   in-order walk of the rank schedule instead of a delta-cycle loop.
-//!   On that walk every [`crate::NetlistComponent`] executes a flat
-//!   word-level op stream straight against `u64` value/unknown/high-Z
-//!   planes: no virtual `eval` dispatch, no `BusAccess` reads per net,
-//!   no `LogicVector` materialisation between cells. Components that
-//!   are not netlist interpreters (or whose shape cannot lower) keep
-//!   their virtual `eval` on the same walk. A design whose one
-//!   component is a lowered netlist (every service job without a VCD
-//!   recorder) skips the walk too: `poke`, `settle`, `step` and `peek`
-//!   run that unit straight on its planes, with no wake set, no
-//!   [`CompiledBus`], no arena and no commit (the direct path,
-//!   `settle_direct`); its counts and traces are the walk's. Designs
+//!   combinational depth, and every subsequent settle is a single
+//!   in-order walk of the rank schedule over the live [`SignalBus`]
+//!   (one pass) instead of a delta-cycle loop. On that walk every
+//!   [`crate::NetlistComponent`] executes a flat word-level op stream
+//!   straight against `u64` value/unknown/high-Z planes: no virtual
+//!   `eval` dispatch, no `BusAccess` reads per net, no `LogicVector`
+//!   materialisation between cells. Components that are not netlist
+//!   interpreters (or whose shape cannot lower) keep their virtual
+//!   `eval` on the same walk. A design whose one component is a
+//!   lowered netlist (every service job without a VCD recorder) skips
+//!   the walk too: `poke`, `settle`, `step` and `peek` run that unit
+//!   straight on its planes, with no wake set and no pass (the direct
+//!   path, `settle_direct`); its counts and traces are the walk's. Designs
 //!   the levelizer cannot order (combinational cycles,
 //!   [`Sensitivity::Always`]) fall back transparently — and
 //!   permanently — to the event-driven scheduler; an invalidated
 //!   schedule (newly discovered driver, added components) falls back
 //!   for one settle and rebuilds.
 
-use crate::compiled::{CompiledBus, CompiledPlan, CompiledSchedule, SignalArena};
+use crate::compiled::{CompiledPlan, CompiledSchedule};
 use crate::lower::{exec_settle, settle_planes, LoweredProgram, LoweredScratch, Planes};
 use crate::netlist_sim::{EdgeInputs as _, Firing, NetlistComponent};
-use crate::signal::{BusAccess as _, DRIVER_POKE};
+use crate::signal::DRIVER_POKE;
 use crate::telemetry::{
     ComponentStats, FallbackCause, SignalStats, SimStats, Telemetry, TelemetryLevel, TraceEvent,
 };
@@ -96,8 +95,8 @@ pub enum SchedMode {
     /// lowered to flat word-level op streams. After a validation
     /// settle the design is frozen into a levelized schedule
     /// (components sorted into static ranks by longest combinational
-    /// path) over a bit-packed signal arena, and each settle becomes
-    /// one in-order walk — no delta-cycle loop, no per-pass wake
+    /// path), and each settle becomes one in-order walk over the
+    /// signal bus — no delta-cycle loop, no per-pass wake
     /// bookkeeping. Each [`crate::NetlistComponent`] is translated
     /// once into a `Vec<LoweredOp>` over per-net `u64`
     /// value/unknown/high-Z planes, and its slot in the walk executes
@@ -183,9 +182,9 @@ struct ActivePlan {
     /// Component count at build time.
     n_comps: usize,
     /// `SignalBus::driver_link_count` at build time. The count is
-    /// monotonic, so any newly discovered `(signal, driver)` pair —
-    /// including ones the compiled walk itself observes and records —
-    /// invalidates the plan.
+    /// monotonic, so any newly discovered `(signal, component)` pair —
+    /// including one the rank walk itself drives — invalidates the
+    /// plan.
     links: usize,
     /// The levelized schedule, or the human-readable reason the design
     /// cannot be levelized (permanent event-driven fallback).
@@ -277,6 +276,9 @@ pub struct Simulator {
     /// Telemetry counters (all mutation behind a level check; zero
     /// counter traffic at [`TelemetryLevel::Off`]).
     telemetry: Telemetry,
+    /// Set by the direct path, cleared by the rank walk.
+    #[cfg(test)]
+    on_direct: bool,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -632,7 +634,8 @@ impl Simulator {
     pub fn poke(&mut self, id: SignalId, value: u64) -> Result<(), SimError> {
         let width = self.bus.width(id)?;
         let v = LogicVector::from_u64(value, width).map_err(SimError::from)?;
-        self.poke_vector(id, v)
+        self.set_poke(id, v);
+        Ok(())
     }
 
     /// Drives a signal from the testbench with an arbitrary logic value.
@@ -641,19 +644,25 @@ impl Simulator {
     ///
     /// Returns width or unknown-signal errors.
     pub fn poke_vector(&mut self, id: SignalId, value: LogicVector) -> Result<(), SimError> {
-        if self.bus.width(id)? != value.width() {
+        let width = self.bus.width(id)?;
+        if width != value.width() {
             return Err(SimError::SignalWidth {
                 signal: self.bus.name(id)?.to_owned(),
-                expected: self.bus.width(id)?,
+                expected: width,
                 found: value.width(),
             });
         }
+        self.set_poke(id, value);
+        Ok(())
+    }
+
+    /// Records a poke of a width-checked value.
+    fn set_poke(&mut self, id: SignalId, value: LogicVector) {
         match self.pokes.iter_mut().find(|(s, _)| *s == id) {
             Some((_, v)) => *v = value,
             None => self.pokes.push((id, value)),
         }
         self.poked_signals.push(id);
-        Ok(())
     }
 
     /// Stops driving a previously poked signal.
@@ -897,12 +906,6 @@ impl Simulator {
                 self.telemetry
                     .record_fallback_settle(FallbackCause::Rebuild);
             }
-            // The interpreter settles now, maybe after a reset: the
-            // lowered input memos may describe stale sequential state,
-            // and the fresh plan's arena will not say so.
-            for unit in self.lowered.iter_mut().flatten() {
-                unit.scratch.dirty = true;
-            }
             self.settle_event()?;
             self.build_compiled();
             return Ok(());
@@ -910,11 +913,7 @@ impl Simulator {
         if self.wake_all {
             // A full re-evaluation was requested (reset, mode switch,
             // device mutation): the event scheduler handles it with
-            // identical semantics; the arena just needs a reload
-            // before the next compiled walk.
-            if let Some(Ok(sched)) = self.compiled.as_mut().map(|p| p.sched.as_mut()) {
-                sched.arena_stale = true;
-            }
+            // identical semantics.
             if self.telemetry.on() {
                 self.telemetry
                     .record_fallback_settle(FallbackCause::WakeAll);
@@ -926,8 +925,7 @@ impl Simulator {
         // poked signal is promoted into `always`, so each poked signal
         // already holds its poke). Count the settle as the walk would.
         let idle = self.seeds.is_empty() && self.poked_signals.is_empty() && self.always.is_empty();
-        if idle && matches!(&self.compiled, Some(ActivePlan { sched: Ok(s), .. }) if !s.arena_stale)
-        {
+        if idle && matches!(&self.compiled, Some(ActivePlan { sched: Ok(_), .. })) {
             if self.telemetry.on() {
                 self.telemetry.settles += 1;
                 self.telemetry.lowered_settles += 1;
@@ -950,18 +948,14 @@ impl Simulator {
                 }
                 self.settle_event()
             }
-            Ok(sched) => match self.run_compiled(sched) {
+            Ok(sched) => match self.run_compiled(sched, plan.links) {
                 Ok(true) => Ok(()),
                 Ok(false) => {
                     // The walk observed a drive the schedule was not
-                    // built with. Nothing was committed; record the
-                    // links (bumping the link count so the stale plan
-                    // is rebuilt next settle) and re-run this settle
-                    // event-driven from the still-pending wake state.
-                    sched.arena_stale = true;
-                    for &(slot, driver) in &sched.new_links {
-                        self.bus.note_driver(slot, driver);
-                    }
+                    // built with and rolled its pass back. The bus has
+                    // recorded the link (so the stale plan is rebuilt
+                    // next settle); re-run this settle event-driven from
+                    // the still-pending wake state.
                     if self.telemetry.on() {
                         self.telemetry
                             .record_fallback_settle(FallbackCause::StaleDriver);
@@ -972,25 +966,20 @@ impl Simulator {
                     }
                     self.settle_event()
                 }
-                Err(e) => {
-                    sched.arena_stale = true;
-                    for &(slot, driver) in &sched.new_links {
-                        self.bus.note_driver(slot, driver);
-                    }
-                    Err(e)
-                }
+                Err(e) => Err(e),
             },
         };
         self.compiled = Some(plan);
         res
     }
 
-    /// Executes one settle as a single walk of the levelized schedule.
+    /// Executes one settle as a single pass over the live bus, walking
+    /// the levelized schedule.
     ///
-    /// Returns `Ok(true)` on success (changes committed to the bus),
-    /// `Ok(false)` if the walk discovered a driver the schedule was
-    /// not built with (nothing committed; caller falls back), or the
-    /// first component error (nothing committed).
+    /// Returns `Ok(true)` on success, `Ok(false)` if an evaluation
+    /// recorded a driver link beyond the schedule's `links` (the pass
+    /// is rolled back; the caller falls back), or the first component
+    /// error.
     ///
     /// Correctness of the single pass: every reader of a signal is
     /// ranked strictly above all of the signal's writers, and `eval`
@@ -998,21 +987,21 @@ impl Simulator {
     /// registered state — so by the time a component evaluates, every
     /// input it can observe already has its fixpoint value, and one
     /// rank-ordered walk reaches the same fixpoint the delta loop
-    /// would. Multi-driver resolution folds with the same
-    /// first-drive-replaces / later-drives-resolve rule as the bus,
-    /// and [`hdp_hdl::LogicVector::resolve`] is commutative and
-    /// associative, so fold order cannot change settled values.
-    fn run_compiled(&mut self, sched: &mut CompiledSchedule) -> Result<bool, SimError> {
-        if sched.arena_stale || sched.arena_lags {
-            sched.arena.load_from(&self.bus);
-            sched.arena_stale = false;
-            sched.arena_lags = false;
-            // An event-driven settle (or reset / device mutation) ran
-            // since the last walk: the lowered input memos may be
-            // describing stale sequential state.
-            for unit in self.lowered.iter_mut().flatten() {
-                unit.scratch.dirty = true;
-            }
+    /// would. The bus resolves multi-driver signals with its
+    /// first-drive-replaces / later-drives-resolve rule, and
+    /// [`hdp_hdl::LogicVector::resolve`] is commutative and
+    /// associative, so fold order cannot change settled values. Being
+    /// one pass, the bus's own bookkeeping gives each signal one
+    /// toggle when its settled value moved, its drive count and its
+    /// last changer.
+    fn run_compiled(
+        &mut self,
+        sched: &mut CompiledSchedule,
+        links: usize,
+    ) -> Result<bool, SimError> {
+        #[cfg(test)]
+        {
+            self.on_direct = false;
         }
         sched.begin_settle();
         let telemetry_on = self.telemetry.on();
@@ -1020,135 +1009,111 @@ impl Simulator {
             self.telemetry.ensure_components(self.components.len());
         }
         let mut evaluated: Vec<usize> = Vec::new();
-        {
-            let Simulator {
-                components,
-                bus,
-                pokes,
-                watchers,
-                always,
-                seeds,
-                poked_signals,
-                telemetry,
-                lowered,
-                ..
-            } = self;
-            // Wake set: pending seeds (tick aftermath), watchers of
-            // poked signals, and the always/promoted list. Peeked, not
-            // drained — on fallback the event settle must still see
-            // them.
-            for &i in seeds.iter() {
-                sched.wake(i);
+        let Simulator {
+            components,
+            bus,
+            pokes,
+            watchers,
+            always,
+            seeds,
+            poked_signals,
+            telemetry,
+            lowered,
+            ..
+        } = self;
+        bus.begin_pass();
+        // Wake set: pending seeds (tick aftermath), watchers of poked
+        // signals, and the always/promoted list. Peeked, not drained —
+        // on fallback the event settle must still see them.
+        for &i in seeds.iter() {
+            sched.wake(i);
+        }
+        for id in poked_signals.iter() {
+            for &w in &watchers[id.index()] {
+                sched.wake(w);
             }
-            for id in poked_signals.iter() {
-                for &w in &watchers[id.index()] {
-                    sched.wake(w);
-                }
-            }
-            for &i in always.iter() {
-                sched.wake(i);
-            }
-            // Testbench pokes land first, with replace semantics, just
-            // as they open every event-driven pass.
-            {
-                let mut cb = CompiledBus {
-                    sched: &mut *sched,
-                    bus,
-                    driver: DRIVER_POKE,
-                    telemetry: telemetry_on,
-                };
-                for (id, value) in pokes.iter() {
-                    cb.drive(*id, *value)?;
-                }
-            }
-            let mut cursor = 0usize;
-            while cursor < sched.changed.len() {
-                let slot = sched.changed[cursor];
-                cursor += 1;
+        }
+        for &i in always.iter() {
+            sched.wake(i);
+        }
+        // Testbench pokes land first, with replace semantics, just as
+        // they open every event-driven pass.
+        bus.set_driver(DRIVER_POKE);
+        for (id, value) in pokes.iter() {
+            bus.drive(*id, *value)?;
+        }
+        // Wakes the watchers of every slot that changed since `cursor`.
+        // The raw change list, not the settled-change filter: a slot a
+        // later resolve restored still woke its readers.
+        let mut cursor = 0usize;
+        let wake_changed = |bus: &SignalBus, sched: &mut CompiledSchedule, cursor: &mut usize| {
+            let changed = bus.changed_this_pass();
+            for &slot in &changed[*cursor..] {
                 for &w in &watchers[slot] {
                     sched.wake(w);
                 }
             }
-            // The rank walk. Readers rank above writers, so waking a
-            // watcher always targets a component later in the order.
-            for k in 0..sched.order.len() {
-                let i = sched.order[k] as usize;
-                if !sched.is_woken(i) {
-                    continue;
+            *cursor = changed.len();
+        };
+        wake_changed(bus, sched, &mut cursor);
+        // The rank walk. Readers rank above writers, so waking a
+        // watcher always targets a component later in the order.
+        for k in 0..sched.order.len() {
+            let i = sched.order[k] as usize;
+            if !sched.is_woken(i) {
+                continue;
+            }
+            if telemetry_on {
+                evaluated.push(i);
+            }
+            let started = telemetry.timed().then(Instant::now);
+            let mut lowered_ops = 0u64;
+            bus.set_driver(i);
+            let res = match lowered.get_mut(i).and_then(Option::as_mut) {
+                Some(unit) => {
+                    let comp = interpreter(&mut components[i]);
+                    exec_settle(&unit.prog, &mut unit.scratch, comp, bus)
+                        .map(|ops| lowered_ops = ops)
                 }
-                if telemetry_on {
-                    evaluated.push(i);
-                }
-                let started = telemetry.timed().then(Instant::now);
-                let mut lowered_ops = 0u64;
-                let res = {
-                    let mut cb = CompiledBus {
-                        sched: &mut *sched,
-                        bus,
-                        driver: i,
-                        telemetry: telemetry_on,
-                    };
-                    match lowered.get_mut(i).and_then(Option::as_mut) {
-                        Some(unit) => {
-                            let comp = interpreter(&mut components[i]);
-                            exec_settle(&unit.prog, &mut unit.scratch, comp, &mut cb)
-                                .map(|ops| lowered_ops = ops)
-                        }
-                        None => components[i].eval(&mut cb),
-                    }
-                };
-                if telemetry_on {
-                    let dur = started.map_or(0, |t| {
-                        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+                None => components[i].eval(bus),
+            };
+            if telemetry_on {
+                let dur = started.map_or(0, |t| {
+                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+                });
+                telemetry.record_eval(i, dur);
+                telemetry.ops_executed += lowered_ops;
+                if started.is_some() {
+                    telemetry.push_span(TraceEvent {
+                        name: components[i].name().to_owned(),
+                        cat: "eval",
+                        ts_ns: telemetry.now_ns().saturating_sub(dur),
+                        dur_ns: dur,
+                        tid: 0,
                     });
-                    telemetry.record_eval(i, dur);
-                    telemetry.ops_executed += lowered_ops;
-                    if started.is_some() {
-                        telemetry.push_span(TraceEvent {
-                            name: components[i].name().to_owned(),
-                            cat: "eval",
-                            ts_ns: telemetry.now_ns().saturating_sub(dur),
-                            dur_ns: dur,
-                            tid: 0,
-                        });
-                    }
-                }
-                res?;
-                if sched.stale {
-                    return Ok(false);
-                }
-                while cursor < sched.changed.len() {
-                    let slot = sched.changed[cursor];
-                    cursor += 1;
-                    for &w in &watchers[slot] {
-                        sched.wake(w);
-                    }
                 }
             }
-        }
-        // Commit: import the net per-settle changes onto the live bus
-        // so peeks, VCD monitors and the tick phase observe them with
-        // the usual dirty bookkeeping.
-        self.bus.begin_pass();
-        for idx in 0..sched.changed.len() {
-            let slot = sched.changed[idx];
-            let v = sched.arena.get(slot);
-            if self.bus.read(SignalId(slot))? != v {
-                self.bus.sync_compiled(slot, v, sched.changer[slot]);
+            res?;
+            // A drive the schedule was not built with (a conditional
+            // drive firing for the first time) invalidates the
+            // levelization: the new writer may sit at a later rank than
+            // its readers. Undo the pass; the settle re-runs
+            // event-driven with full semantics.
+            if bus.driver_link_count() != links {
+                bus.rollback_pass();
+                return Ok(false);
             }
-        }
-        for (slot, n) in sched.take_drive_counts() {
-            self.bus.add_drives(slot, n);
+            wake_changed(bus, sched, &mut cursor);
         }
         if telemetry_on {
-            self.telemetry.settles += 1;
-            self.telemetry.lowered_settles += 1;
-            self.telemetry.record_pass(&evaluated);
-            self.telemetry.max_passes = self.telemetry.max_passes.max(1);
-            self.bus.count_pass_toggles();
+            telemetry.settles += 1;
+            telemetry.lowered_settles += 1;
+            telemetry.record_pass(&evaluated);
+            telemetry.max_passes = telemetry.max_passes.max(1);
+            bus.count_pass_toggles();
         }
-        self.seeds.clear();
-        self.poked_signals.clear();
+        seeds.clear();
+        poked_signals.clear();
         Ok(true)
     }
 
@@ -1169,16 +1134,20 @@ impl Simulator {
     /// The direct path: one settle of a simulator whose only component
     /// is a lowered unit, run straight on the unit's planes. The pokes
     /// and the unit's `Out` ports are stored on the bus, so `peek`,
-    /// `bus()` and the clock edge see them; there is no wake set, no
-    /// [`CompiledBus`], no arena and no commit. Each observable count is
-    /// the rank walk's: the unit evaluates when the walk would wake it
-    /// (after an edge, on a poked or changed input, or promoted), the
-    /// input memo and the idle early return are the same, and every
-    /// drive and toggle lands on the same signal.
+    /// `bus()` and the clock edge see them; there is no wake set and no
+    /// pass. Each observable count is the rank walk's: the unit
+    /// evaluates when the walk would wake it (after an edge, on a poked
+    /// or changed input, or promoted), the input memo and the idle
+    /// early return are the same, and every drive and toggle lands on
+    /// the same signal.
     fn settle_direct(&mut self) -> Result<(), SimError> {
         let telemetry_on = self.telemetry.on();
         if telemetry_on {
             self.telemetry.ensure_components(1);
+        }
+        #[cfg(test)]
+        {
+            self.on_direct = true;
         }
         let Simulator {
             components,
@@ -1190,31 +1159,23 @@ impl Simulator {
             poked_signals,
             telemetry,
             lowered,
-            compiled,
             ..
         } = self;
-        let (
-            Some(ActivePlan {
-                sched: Ok(sched), ..
-            }),
-            Some(Some(unit)),
-        ) = (compiled.as_mut(), lowered.first_mut())
-        else {
-            unreachable!("the direct path runs a lowered unit on an active plan");
+        let Some(Some(unit)) = lowered.first_mut() else {
+            unreachable!("the direct path runs a lowered unit");
         };
-        if sched.arena_stale {
-            // An event-driven settle ran since the last lowered one: the
-            // input memo may describe stale sequential state.
-            unit.scratch.dirty = true;
-            sched.arena_stale = false;
-        }
-        sched.arena_lags = true;
         let watched = |id: &SignalId| !watchers[id.index()].is_empty();
         let mut woken =
             !seeds.is_empty() || !always.is_empty() || poked_signals.iter().any(watched);
-        // Testbench pokes land first, with replace semantics.
+        // Testbench pokes land first, with replace semantics. Only a
+        // signal poked since the last settle can have moved; with
+        // telemetry on, the rest are stored too, to count the drive the
+        // walk's re-drive would.
         for (id, value) in pokes.iter() {
-            if bus.store(*id, *value, DRIVER_POKE)? && watched(id) {
+            if (telemetry_on || poked_signals.contains(id))
+                && bus.store(*id, *value, DRIVER_POKE)?
+                && watched(id)
+            {
                 woken = true;
             }
         }
@@ -1408,8 +1369,7 @@ impl Simulator {
         for &r in &rank {
             rank_counts[r] += 1;
         }
-        let arena = SignalArena::build(&self.bus);
-        Ok(CompiledSchedule::new(arena, order, rank_counts))
+        Ok(CompiledSchedule::new(order, rank_counts))
     }
 
     /// Switches to [`SchedMode::Lowered`] and builds the schedule
@@ -1636,8 +1596,7 @@ impl Simulator {
             };
             self.bus.note_driver(slot as usize, d);
         }
-        let arena = SignalArena::build(&self.bus);
-        let sched = CompiledSchedule::new(arena, plan.order.clone(), plan.rank_counts.clone());
+        let sched = CompiledSchedule::new(plan.order.clone(), plan.rank_counts.clone());
         self.compiled = Some(ActivePlan {
             n_sigs: plan.n_sigs,
             n_comps: plan.n_comps,
@@ -1835,19 +1794,6 @@ impl Simulator {
                     self.seeds.extend_from_slice(&self.watchers[slot]);
                 }
                 if self.mode == SchedMode::Lowered {
-                    // Keep the rank walk's arena coherent
-                    // incrementally: a tick is allowed to drive signals
-                    // directly on the bus, and reloading the whole
-                    // arena every cycle would cost more than the walk
-                    // saves.
-                    if let Some(Ok(sched)) = self.compiled.as_mut().map(|p| p.sched.as_mut()) {
-                        if !sched.arena_stale {
-                            for slot in self.bus.dirty_slots() {
-                                let v = self.bus.read(SignalId(slot))?;
-                                sched.arena.set(slot, v);
-                            }
-                        }
-                    }
                     // A clock edge advanced every clocked interpreter's
                     // sequential state, which a lowered program's input
                     // memo cannot see: force those op streams to re-run.
@@ -1926,9 +1872,9 @@ impl Simulator {
 #[cfg(test)]
 impl Simulator {
     /// Whether the last lowered settle that did work ran on the direct
-    /// path (it left the arena behind the bus).
+    /// path rather than the rank walk.
     pub(crate) fn on_direct_path(&self) -> bool {
-        matches!(&self.compiled, Some(ActivePlan { sched: Ok(s), .. }) if s.arena_lags)
+        self.on_direct
     }
 }
 
@@ -2366,6 +2312,60 @@ mod tests {
             sim.settle().unwrap();
             assert_eq!(sim.peek(shared).unwrap().to_u64(), Some(0x11));
         }
+    }
+
+    #[test]
+    fn the_walk_wakes_readers_of_a_drive_a_resolve_undid() {
+        /// On every `sel` change, releases `y` to `Z` and drives 0x11
+        /// back over it within the same evaluation.
+        struct Handover {
+            sel: SignalId,
+            y: SignalId,
+        }
+        impl Component for Handover {
+            fn name(&self) -> &str {
+                "handover"
+            }
+            fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
+                bus.drive(self.y, LogicVector::high_z(8).map_err(SimError::from)?)?;
+                bus.drive_u64(self.y, 0x11)
+            }
+            fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
+                Ok(())
+            }
+            fn sensitivity(&self) -> Sensitivity {
+                Sensitivity::Signals(vec![self.sel])
+            }
+            fn is_clocked(&self) -> bool {
+                false
+            }
+        }
+        // The walk wakes the readers of every slot that moved during its
+        // pass, even one a later resolve restored; the delta loop wakes
+        // on settled changes only.
+        let reader_evals = |mode| {
+            let mut sim = Simulator::with_mode(mode);
+            let sel = sim.add_signal("sel", 1).unwrap();
+            let y = sim.add_signal("y", 8).unwrap();
+            let z = sim.add_signal("z", 8).unwrap();
+            sim.add_component(Handover { sel, y });
+            let evals = Arc::new(AtomicUsize::new(0));
+            sim.add_component(Inc {
+                name: "reader".into(),
+                a: y,
+                y: z,
+                evals: Some(Arc::clone(&evals)),
+            });
+            sim.poke(sel, 0).unwrap();
+            sim.reset().unwrap();
+            let before = evals.load(Ordering::Relaxed);
+            sim.poke(sel, 1).unwrap();
+            sim.settle().unwrap();
+            assert_eq!(sim.peek(z).unwrap().to_u64(), Some(0x12));
+            evals.load(Ordering::Relaxed) - before
+        };
+        assert_eq!(reader_evals(SchedMode::EventDriven), 0);
+        assert_eq!(reader_evals(SchedMode::Lowered), 1);
     }
 
     #[test]
@@ -2842,7 +2842,7 @@ mod tests {
             "levelizes while the drive is hidden"
         );
         // Enabling the driver mid-run invalidates the schedule: the
-        // walk aborts without committing, the settle re-runs
+        // walk rolls its pass back, the settle re-runs
         // event-driven, and the link is recorded for the rebuild.
         sim.poke(en, 1).unwrap();
         sim.settle().unwrap();
@@ -2859,6 +2859,38 @@ mod tests {
         sim.settle().unwrap();
         assert!(sim.stats().lowered_settles > before, "rank walks resume");
         assert!(sim.compile_fallback_reason().is_none());
+    }
+
+    #[test]
+    fn a_first_poke_after_the_build_keeps_the_rank_walk() {
+        // `c` is poked for the first time after the plan was built. A
+        // testbench driver orders no ranks, so the walk neither aborts
+        // nor leaves the plan to be rebuilt.
+        let mut sim = Simulator::with_mode(SchedMode::Lowered);
+        let a = sim.add_signal("a", 8).unwrap();
+        let c = sim.add_signal("c", 8).unwrap();
+        let y = sim.add_signal("y", 8).unwrap();
+        let z = sim.add_signal("z", 8).unwrap();
+        for (name, a, y) in [("i0", a, y), ("i1", y, z)] {
+            sim.add_component(Inc {
+                name: name.into(),
+                a,
+                y,
+                evals: None,
+            });
+        }
+        sim.set_telemetry(TelemetryLevel::Counters);
+        sim.poke(a, 4).unwrap();
+        sim.reset().unwrap();
+        let before = sim.stats();
+        sim.poke(a, 5).unwrap();
+        sim.poke(c, 1).unwrap();
+        sim.settle().unwrap();
+        sim.settle().unwrap();
+        let after = sim.stats();
+        assert_eq!(sim.peek(z).unwrap().to_u64(), Some(7));
+        assert_eq!(after.fallback_settles, before.fallback_settles);
+        assert_eq!(after.lowered_settles, before.lowered_settles + 2);
     }
 
     /// Drives `y` from `a` only while `go` is high, with no `drives()`
@@ -2889,6 +2921,57 @@ mod tests {
         fn is_clocked(&self) -> bool {
             false
         }
+    }
+
+    #[test]
+    fn stale_driver_walk_rolls_the_bus_back_before_the_rerun() {
+        // `Inc` reads `y` and ranks first: the schedule never saw
+        // `LateCopy` drive `y`. When `go` rises, the walk drives `go`
+        // and `y`, then aborts on the new link. The event-driven rerun
+        // must start from the bus as it was, so that `go` and `y`
+        // change (and toggle) again and `Inc` wakes on `y`.
+        let run = |mode| {
+            let mut sim = Simulator::with_mode(mode);
+            let go = sim.add_signal("go", 1).unwrap();
+            let a = sim.add_signal("a", 8).unwrap();
+            let y = sim.add_signal("y", 8).unwrap();
+            let z = sim.add_signal("z", 8).unwrap();
+            sim.add_component(Inc {
+                name: "inc".into(),
+                a: y,
+                y: z,
+                evals: None,
+            });
+            sim.add_component(LateCopy { go, a, y });
+            let rec = sim.add_component(crate::vcd::VcdRecorder::new("vcd", vec![go, a, y, z]));
+            sim.set_telemetry(TelemetryLevel::Counters);
+            sim.poke(go, 0).unwrap();
+            sim.poke(a, 40).unwrap();
+            sim.reset().unwrap();
+            sim.step().unwrap();
+            sim.poke(go, 1).unwrap();
+            sim.settle().unwrap();
+            let stats = sim.stats();
+            let values: Vec<LogicVector> = [go, a, y, z].map(|s| sim.peek(s).unwrap()).into();
+            let toggles: Vec<(String, u64)> = stats
+                .signals
+                .iter()
+                .map(|s| (s.name.clone(), s.toggles))
+                .collect();
+            sim.run(3).unwrap();
+            let vcd = sim
+                .component::<crate::vcd::VcdRecorder>(rec)
+                .unwrap()
+                .render(sim.bus());
+            (values, toggles, vcd, stats)
+        };
+        let (values, toggles, vcd, _) = run(SchedMode::EventDriven);
+        assert_eq!(values[3].to_u64(), Some(41), "inc saw the late drive");
+        let (lo_values, lo_toggles, lo_vcd, stats) = run(SchedMode::Lowered);
+        assert_eq!(stats.fallback_cause(FallbackCause::StaleDriver), 1);
+        assert_eq!(lo_values, values);
+        assert_eq!(lo_toggles, toggles);
+        assert_eq!(lo_vcd, vcd);
     }
 
     #[test]

@@ -21,11 +21,9 @@ pub(crate) const DRIVER_POKE: usize = usize::MAX;
 
 /// Signal read/drive access as seen from [`crate::Component::eval`].
 ///
-/// Two implementations exist: the exclusive [`SignalBus`] handed out
-/// by the delta-cycle schedulers, and the word-packed signal arena
-/// used by the [`crate::SchedMode::Lowered`] rank walk. Component
-/// implementations written against this trait run unchanged under
-/// every scheduling mode.
+/// The simulator hands every scheduler's evaluations its one
+/// [`SignalBus`] through this trait, so component implementations
+/// written against it run unchanged under every scheduling mode.
 pub trait BusAccess {
     /// Reads the current value of a signal.
     ///
@@ -131,7 +129,8 @@ pub struct SignalBus {
     /// Slots that newly gained a second distinct driver and have not
     /// yet been reported to the scheduler.
     new_shared: Vec<usize>,
-    /// Total `(slot, driver)` pairs ever recorded. The lowered
+    /// Total `(slot, component)` pairs ever recorded; testbench pokes
+    /// do not count, since no rank order depends on them. The lowered
     /// scheduler compares this against the count its rank schedule
     /// was built from to detect newly discovered drivers cheaply.
     driver_links: usize,
@@ -256,7 +255,7 @@ impl SignalBus {
         }
         if !slot.drivers.contains(&driver) {
             slot.drivers.push(driver);
-            self.driver_links += 1;
+            self.driver_links += usize::from(driver != DRIVER_POKE);
             if slot.drivers.len() == 2 {
                 self.new_shared.push(id.0);
             }
@@ -302,9 +301,29 @@ impl SignalBus {
         self.dirty.clear();
     }
 
+    /// Undoes the current pass: every slot written since
+    /// [`SignalBus::begin_pass`] gets its pass-start value back and the
+    /// pass's write and change flags are cleared. Driver links and
+    /// telemetry counts the pass recorded stay.
+    pub(crate) fn rollback_pass(&mut self) {
+        for &i in &self.touched {
+            let slot = &mut self.slots[i];
+            slot.value = slot.prev_value;
+        }
+        self.begin_pass();
+    }
+
     /// Whether any signal's settled value changed this pass.
     pub(crate) fn any_changed(&self) -> bool {
         self.dirty.iter().any(|&i| self.slots[i].changed)
+    }
+
+    /// Every slot that differed from its pass-start value at some point
+    /// this pass, in first-change order, including any a later resolve
+    /// restored. Grows during a pass, so a cursor into it sees each new
+    /// entry once.
+    pub(crate) fn changed_this_pass(&self) -> &[usize] {
+        &self.dirty
     }
 
     /// Slots (raw indices) whose settled value changed this pass.
@@ -337,7 +356,8 @@ impl SignalBus {
         self.slots[slot].last_changer
     }
 
-    /// Total `(slot, driver)` pairs ever recorded (monotonic).
+    /// Total `(slot, component)` pairs ever recorded (monotonic;
+    /// pokes excluded).
     pub(crate) fn driver_link_count(&self) -> usize {
         self.driver_links
     }
@@ -368,30 +388,10 @@ impl SignalBus {
         (s.name.as_str(), s.toggles, s.drives)
     }
 
-    /// Imports one settled value computed by the compiled scheduler's
-    /// arena walk. The compiled settle resolves multi-driver conflicts
-    /// inside its own arena and commits only the net per-settle change,
-    /// so this bypasses the per-pass resolve path: it snapshots
-    /// `prev_value`, installs the new value and raises the same
-    /// written/changed/dirty bookkeeping a [`SignalBus::drive`] would,
-    /// keeping `dirty_slots` (and thus toggle counting and tick wake
-    /// seeding) identical in shape to an event-driven pass.
-    pub(crate) fn sync_compiled(&mut self, slot: usize, value: LogicVector, changer: usize) {
-        let s = &mut self.slots[slot];
-        s.prev_value = s.value;
-        s.value = value;
-        s.written_this_pass = true;
-        s.changed = true;
-        s.queued_dirty = true;
-        s.last_changer = changer;
-        self.touched.push(slot);
-        self.dirty.push(slot);
-    }
-
     /// Stores a settled value straight into a slot, outside any pass:
     /// the write of the scheduler's direct path, which settles a lone
     /// lowered unit on its planes and has no second driver to resolve
-    /// against. It counts what a pass and its commit would: one drive,
+    /// against. It counts what the rank walk's pass would: one drive,
     /// and one toggle when the value changes. Returns whether it changed.
     ///
     /// # Errors
@@ -427,25 +427,16 @@ impl SignalBus {
         Ok(changed)
     }
 
-    /// Credits `n` drive events to a slot's telemetry counter. The
-    /// compiled scheduler batches its per-settle drive counts through
-    /// here because its drives land in the arena, not on the bus.
-    pub(crate) fn add_drives(&mut self, slot: usize, n: u64) {
-        if self.telemetry {
-            self.slots[slot].drives += n;
-        }
-    }
-
-    /// Records a `(slot, driver)` link observed by the compiled
-    /// scheduler outside a bus drive. Bumps the monotonic link count
-    /// (invalidating schedules snapshotted against the old count) and
-    /// feeds the shared-slot promotion queue exactly as a live
-    /// [`SignalBus::drive`] would.
+    /// Records a `(slot, driver)` link outside a bus drive (a plan
+    /// install replaying its links). Bumps the monotonic link count for
+    /// a component driver (invalidating schedules snapshotted against
+    /// the old count) and feeds the shared-slot promotion queue exactly
+    /// as a live [`SignalBus::drive`] would.
     pub(crate) fn note_driver(&mut self, slot: usize, driver: usize) {
         let s = &mut self.slots[slot];
         if !s.drivers.contains(&driver) {
             s.drivers.push(driver);
-            self.driver_links += 1;
+            self.driver_links += usize::from(driver != DRIVER_POKE);
             if s.drivers.len() == 2 {
                 self.new_shared.push(slot);
             }

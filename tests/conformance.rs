@@ -1,9 +1,10 @@
 //! Fixed-seed differential conformance sweep.
 //!
 //! Samples 200 designs from the metagen design space — including the
-//! multi-clock `async_fifo` family — and demands that all five
-//! oracles — three simulator scheduling modes, the levelized netlist
-//! path and the VHDL-text interpreter — agree bit-for-bit on every
+//! multi-clock `async_fifo` family — and demands that all six
+//! oracles — three simulator scheduling modes, the lowered mode again
+//! on the rank walk, the levelized netlist path and the VHDL-text
+//! interpreter — agree bit-for-bit on every
 //! output, every cycle. This is the committed, deterministic slice of
 //! what the `conform` fuzz binary explores with arbitrary seeds.
 
