@@ -79,8 +79,9 @@ fn model_sim() {
     );
 }
 
-/// The three scheduler modes on the blur frame, asserted bit-identical
-/// to the full sweep before any time is measured.
+/// The scheduler modes on the blur frame, the sweep under both
+/// interpreter strategies, asserted bit-identical to the
+/// evaluate-everything sweep before any time is measured.
 fn sched_modes() {
     let frame = Frame::noise(32, 8, PixelFormat::Gray8, 11);
     let run = |mode: SchedMode, incremental: bool| {
@@ -89,7 +90,7 @@ fn sched_modes() {
         run_design_sim(&mut sim, sink, budget(&frame, 1))
     };
     let reference = run(SchedMode::FullSweep, false);
-    for mode in [SchedMode::EventDriven, SchedMode::Lowered] {
+    for mode in SchedMode::ALL {
         assert_eq!(
             run(mode, true),
             reference,
@@ -99,11 +100,16 @@ fn sched_modes() {
     }
     for (mode, incremental) in [
         (SchedMode::FullSweep, false),
-        (SchedMode::EventDriven, true),
+        (SchedMode::FullSweep, true),
         (SchedMode::Lowered, true),
     ] {
+        let interpreter = if incremental {
+            "incremental"
+        } else {
+            "eval_all"
+        };
         report(
-            &format!("sched_mode_blur_frame/{}", mode.label()),
+            &format!("sched_mode_blur_frame/{}/{interpreter}", mode.label()),
             &sample(SAMPLES, || run(mode, incremental)),
         );
     }
@@ -115,7 +121,7 @@ fn sched_modes() {
 fn sched_batch() {
     const BATCH: usize = 8;
     let frame = Frame::noise(32, 8, PixelFormat::Gray8, 12);
-    let spec = blur_spec(&frame).mode(SchedMode::EventDriven);
+    let spec = blur_spec(&frame).mode(SchedMode::FullSweep);
     let build_batch = || {
         (0..BATCH)
             .map(|_| build_design_sim(&spec).unwrap())

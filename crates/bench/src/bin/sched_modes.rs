@@ -1,49 +1,57 @@
-//! Scheduling-mode performance matrix, the start of the perf
-//! trajectory record: times the blur-filter frame workload under the
-//! full-sweep, event-driven and lowered schedulers, plus the
-//! multi-design batch runner at 1 and N worker threads and the 64-way
-//! bit-parallel [`LaneBatch`] engine, and writes the numbers to
+//! Scheduling-mode matrix, the start of the perf trajectory record:
+//! times the blur-filter frame workload under the full-sweep and
+//! lowered schedulers, separates the mechanisms behind the difference
+//! into paired figures, and times the 64-way bit-parallel
+//! [`LaneBatch`] engine against scalar runs; writes the numbers to
 //! `BENCH_sched_modes.json`.
 //!
 //! Every configuration is asserted bit-identical against the
-//! full-sweep reference before any time is measured; every lane of
-//! the packed run is asserted bit-identical against its own scalar
-//! event-driven run. Every figure is a [`hdp_bench::timing`] sample
-//! (median and quartiles); the packed and scalar lane runs are timed
-//! in alternating pairs. The process exits non-zero when the median
-//! per-pair, per-lane speedup over the scalar event-driven run falls
+//! evaluate-everything full-sweep reference before any time is
+//! measured; every lane of the packed run is asserted bit-identical
+//! against its own scalar full-sweep run. Every figure is a
+//! [`hdp_bench::timing`] sample (median and quartiles) of runs only:
+//! each simulator is built and reset outside the timed region. The
+//! mechanism figures time their two sides in alternating pairs and
+//! report the per-pair ratio, each isolating one mechanism:
+//!
+//! * `incremental_over_eval_all` — the incremental netlist
+//!   interpreter over the evaluate-everything one, both on the full
+//!   sweep;
+//! * `lowered_over_full_sweep` — the lowered scheduler (rank walk and
+//!   op streams) over the full sweep, both with the incremental
+//!   interpreter.
+//!
+//! The process exits non-zero when the median per-pair, per-lane
+//! speedup of the packed lanes over the scalar full-sweep run falls
 //! below `LOWERED_SPEEDUP_FLOOR` (8x).
 
-use hdp_bench::timing::{paired, sample, sample_with, Sample, SAMPLES};
-use hdp_bench::{build_design_sim, run_design_batch, run_design_sim, DesignSimSpec};
+use hdp_bench::timing::{paired, paired_with, Sample, SAMPLES};
+use hdp_bench::{build_design_sim, run_design_sim, DesignSimSpec};
 use hdp_conform::Json;
 use hdp_core::pixel::{Frame, PixelFormat};
 use hdp_hdl::prim::{GateOp, Prim};
 use hdp_hdl::{Entity, LogicVector, Netlist, PortDir};
 use hdp_metagen::design::{DesignKind, DesignParams, Style};
-use hdp_sim::{LaneBatch, NetlistComponent, SchedMode, Simulator, TelemetryLevel, LANES};
+use hdp_sim::{
+    ComponentId, LaneBatch, NetlistComponent, SchedMode, Simulator, TelemetryLevel, LANES,
+};
 use std::process::ExitCode;
 
 const WIDTH: usize = 32;
 const HEIGHT: usize = 8;
 const GAP: u32 = 1;
-const BATCH: usize = 8;
 /// Lane workload shape: a feed-forward add/xor pipeline.
 const LANE_STAGES: usize = 24;
 const LANE_WIDTH: usize = 16;
 const LANE_CYCLES: usize = 256;
 const SUMMARY_JSON: &str = "BENCH_sched_modes.json";
 /// Runs on a shared 2-vCPU host measure a median per-pair speedup of
-/// about 60x per packed lane. The floor sits well below that, so a
+/// about 95x per packed lane. The floor sits well below that, so a
 /// noisy shared runner cannot fail an honest run, while a real
 /// regression of the lowered/lane path cannot pass.
 const LOWERED_SPEEDUP_FLOOR: f64 = 8.0;
 
-fn build(
-    frame: &Frame,
-    mode: SchedMode,
-    incremental: bool,
-) -> (hdp_sim::Simulator, hdp_sim::ComponentId) {
+fn build(frame: &Frame, mode: SchedMode, incremental: bool) -> (Simulator, ComponentId) {
     let spec = DesignSimSpec::new(
         DesignKind::Blur,
         Style::Pattern,
@@ -117,10 +125,10 @@ fn lane_pipeline() -> Netlist {
     nl
 }
 
-/// One scalar event-driven run of the lane workload, returning the
+/// One scalar full-sweep run of the lane workload, returning the
 /// settled `dout` trace.
 fn scalar_lane_run(nl: &Netlist, stim: &[u64]) -> Vec<LogicVector> {
-    let mut sim = Simulator::with_mode(SchedMode::EventDriven);
+    let mut sim = Simulator::with_mode(SchedMode::FullSweep);
     let din = sim.add_signal("din", LANE_WIDTH).unwrap();
     let dout = sim.add_signal("dout", LANE_WIDTH).unwrap();
     let comp = NetlistComponent::new(
@@ -173,46 +181,54 @@ fn fmt(s: &Sample) -> String {
 fn main() -> ExitCode {
     let frame = Frame::noise(WIDTH, HEIGHT, PixelFormat::Gray8, 11);
     let budget = budget(&frame);
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    // Always record a >=2-worker point, even on single-core hosts
-    // (there it measures scheduling overhead rather than speedup).
-    let threads = host.clamp(2, 8);
+    let run = |(mut sim, sink): (Simulator, ComponentId)| run_design_sim(&mut sim, sink, budget);
 
     // Bit-identity gate: no timing without agreement.
-    let reference = {
-        let (mut sim, sink) = build(&frame, SchedMode::FullSweep, false);
-        run_design_sim(&mut sim, sink, budget)
-    };
-    for mode in [SchedMode::EventDriven, SchedMode::Lowered] {
-        let (mut sim, sink) = build(&frame, mode, true);
+    let reference = run(build(&frame, SchedMode::FullSweep, false));
+    for mode in SchedMode::ALL {
         assert_eq!(
-            run_design_sim(&mut sim, sink, budget),
+            run(build(&frame, mode, true)),
             reference,
-            "{} must match the full sweep bit for bit",
+            "{} must match the evaluate-everything full sweep bit for bit",
             mode.label()
         );
     }
 
     println!("Scheduling-mode matrix — blur 32x8, gap {GAP} (median [IQR] of {SAMPLES} samples)");
     println!();
-    // Timed runs stay at TelemetryLevel::Off (the zero-cost default);
-    // a separate instrumented run per mode records the activity shape
+    // Runs only, in alternating pairs; timed runs stay at
+    // TelemetryLevel::Off (the zero-cost default).
+    let interpreter = paired_with(
+        SAMPLES,
+        (|| build(&frame, SchedMode::FullSweep, true), run),
+        (|| build(&frame, SchedMode::FullSweep, false), run),
+    );
+    let scheduler = paired_with(
+        SAMPLES,
+        (|| build(&frame, SchedMode::Lowered, true), run),
+        (|| build(&frame, SchedMode::FullSweep, true), run),
+    );
+    let single = [
+        ("full_sweep_eval_all", interpreter.b.scaled(1e3)),
+        ("full_sweep", scheduler.b.scaled(1e3)),
+        ("lowered", scheduler.a.scaled(1e3)),
+    ];
+    for (label, ms) in &single {
+        println!("  {label:<20} {} ms/frame", fmt(ms));
+    }
+    println!();
+    let mechanisms = [
+        ("incremental_over_eval_all", interpreter.speedup),
+        ("lowered_over_full_sweep", scheduler.speedup),
+    ];
+    for (label, ratio) in &mechanisms {
+        println!("  {label:<26} {}x (per pair)", fmt(ratio));
+    }
+    // A separate instrumented run per mode records the activity shape
     // behind each number: activity totals and the rank walk's share of
-    // the settles. The full sweep runs the legacy evaluate-everything
-    // interpreter as the baseline.
-    let mut single = Vec::new();
-    let mut shapes = Vec::new();
-    for mode in SchedMode::ALL {
-        let label = mode.label();
-        let incremental = mode != SchedMode::FullSweep;
-        let ms = sample(SAMPLES, || {
-            let (mut sim, sink) = build(&frame, mode, incremental);
-            run_design_sim(&mut sim, sink, budget)
-        })
-        .scaled(1e3);
-        println!("  {label:<14} {} ms/frame", fmt(&ms));
-        single.push((label, ms.to_json()));
-        let (mut sim, sink) = build(&frame, mode, incremental);
+    // the settles.
+    let shapes = SchedMode::ALL.map(|mode| {
+        let (mut sim, sink) = build(&frame, mode, true);
         sim.set_telemetry(TelemetryLevel::Counters);
         std::hint::black_box(run_design_sim(&mut sim, sink, budget));
         let stats = sim.stats();
@@ -225,63 +241,11 @@ fn main() -> ExitCode {
             ("lowered_settles", Json::Num(stats.lowered_settles)),
             ("ops_executed", Json::Num(stats.ops_executed)),
         ]);
-        shapes.push((label, shape));
-    }
-
-    // Batch: the frame-throughput workload. Built once per timing run
-    // inside the closure so construction cost is paid equally.
-    let batch_frames_1 = run_design_batch(
-        (0..BATCH)
-            .map(|_| build(&frame, SchedMode::EventDriven, true))
-            .collect(),
-        budget,
-        1,
-    );
-    let batch_frames_n = run_design_batch(
-        (0..BATCH)
-            .map(|_| build(&frame, SchedMode::EventDriven, true))
-            .collect(),
-        budget,
-        threads,
-    );
-    assert_eq!(
-        batch_frames_1, batch_frames_n,
-        "batch results must not depend on worker count"
-    );
-    println!();
-    let mut batch = Vec::new();
-    // Simulations are consumed by a batch run; they are rebuilt for
-    // every call, and only the run itself is timed.
-    for t in [1usize, threads] {
-        let ms = sample_with(
-            SAMPLES,
-            || {
-                (0..BATCH)
-                    .map(|_| build(&frame, SchedMode::EventDriven, true))
-                    .collect::<Vec<_>>()
-            },
-            |sims| run_design_batch(sims, budget, t),
-        )
-        .scaled(1e3);
-        println!("  batch x{BATCH}, {t:>2} thread(s) {} ms", fmt(&ms));
-        batch.push((t, ms));
-    }
-    let speedup = batch[0].1.median / batch[1].1.median;
-    println!();
-    if host == 1 {
-        println!(
-            "  batch thread-scaling skipped: single-core host (x{BATCH} on {} threads measured {speedup:.2}x, overhead only)",
-            batch[1].0
-        );
-    } else {
-        println!(
-            "  batch speedup {speedup:.2}x on {} threads (event-driven baseline)",
-            batch[1].0
-        );
-    }
+        (mode.label(), shape)
+    });
 
     // 64-way lane engine: one packed run carries 64 independent
-    // stimuli, refereed lane by lane against scalar event-driven runs
+    // stimuli, refereed lane by lane against scalar full-sweep runs
     // before any timing.
     let pipe = lane_pipeline();
     let mut stims: Vec<Vec<u64>> = Vec::with_capacity(LANES);
@@ -301,7 +265,7 @@ fn main() -> ExitCode {
         assert_eq!(
             packed_traces[k],
             scalar_lane_run(&pipe, stim),
-            "lane {k} must match its scalar event-driven run bit for bit"
+            "lane {k} must match its scalar full-sweep run bit for bit"
         );
     }
     let lanes = paired(
@@ -311,31 +275,22 @@ fn main() -> ExitCode {
     );
     let (packed_ms, scalar_ms) = (lanes.a.scaled(1e3), lanes.b.scaled(1e3));
     // One packed run does the work of `LANES` scalar runs.
-    let lowered_speedup = lanes.speedup.scaled(LANES as f64);
+    let lane_speedup = lanes.speedup.scaled(LANES as f64);
     println!();
     println!(
         "  lane64 pipeline ({LANE_STAGES} stages x {LANE_WIDTH} bits, {LANE_CYCLES} cycles): \
-         packed {} ms for {LANES} lanes, scalar event-driven {} ms/run",
+         packed {} ms for {LANES} lanes, scalar full-sweep {} ms/run",
         fmt(&packed_ms),
         fmt(&scalar_ms)
     );
     println!(
-        "  lowered speedup {}x vs event-driven (per packed lane, per pair)",
-        fmt(&lowered_speedup)
+        "  lane speedup {}x vs the scalar full sweep (per packed lane, per pair)",
+        fmt(&lane_speedup)
     );
 
     let num = |n: usize| Json::Num(n as u64);
-    let mut batch_json = vec![
-        ("designs".to_owned(), num(BATCH)),
-        ("mode".to_owned(), Json::Str("event_driven".into())),
-    ];
-    batch_json.extend(
-        batch
-            .iter()
-            .map(|(t, ms)| (format!("threads_{t}_ms"), ms.to_json())),
-    );
     let report = Json::obj([
-        ("schema", Json::Str("hdp-bench-sched-modes-v2".into())),
+        ("schema", Json::Str("hdp-bench-sched-modes-v3".into())),
         (
             "workload",
             Json::obj([
@@ -346,8 +301,14 @@ fn main() -> ExitCode {
                 ("samples", num(SAMPLES)),
             ]),
         ),
-        ("single_sim_ms_per_frame", Json::obj(single)),
-        ("batch", Json::Obj(batch_json)),
+        (
+            "single_sim_ms_per_frame",
+            Json::obj(single.map(|(label, ms)| (label, ms.to_json()))),
+        ),
+        (
+            "mechanisms",
+            Json::obj(mechanisms.map(|(label, ratio)| (label, ratio.to_json()))),
+        ),
         ("telemetry", Json::obj(shapes)),
         (
             "lane64",
@@ -357,29 +318,17 @@ fn main() -> ExitCode {
                 ("cycles", num(LANE_CYCLES)),
                 ("lanes", num(LANES)),
                 ("packed_ms", packed_ms.to_json()),
-                ("scalar_event_ms", scalar_ms.to_json()),
+                ("scalar_sweep_ms", scalar_ms.to_json()),
             ]),
         ),
-        ("lowered_speedup_vs_event", lowered_speedup.to_json()),
-        // A one-worker host cannot measure thread scaling; a sub-1.0
-        // "speedup" there is scheduling overhead, not a regression.
-        (
-            "batch_speedup",
-            if host == 1 {
-                Json::Str("skipped_single_core".into())
-            } else {
-                Json::Float(speedup)
-            },
-        ),
-        ("batch_threads", num(threads)),
-        ("host_threads", num(host)),
+        ("lane_speedup_vs_sweep", lane_speedup.to_json()),
     ]);
     std::fs::write(SUMMARY_JSON, format!("{report:#}\n")).expect("write BENCH_sched_modes.json");
     println!("wrote {SUMMARY_JSON}");
-    let lowered_speedup = lowered_speedup.median;
-    if lowered_speedup.is_nan() || lowered_speedup < LOWERED_SPEEDUP_FLOOR {
+    let lane_speedup = lane_speedup.median;
+    if lane_speedup.is_nan() || lane_speedup < LOWERED_SPEEDUP_FLOOR {
         eprintln!(
-            "sched_modes: FAIL: lowered_speedup_vs_event {lowered_speedup:.2} below the floor {LOWERED_SPEEDUP_FLOOR}"
+            "sched_modes: FAIL: lane_speedup_vs_sweep {lane_speedup:.2} below the floor {LOWERED_SPEEDUP_FLOOR}"
         );
         return ExitCode::FAILURE;
     }

@@ -293,7 +293,7 @@ mod tests {
         let sims: Vec<_> = (0..5)
             .map(|i| {
                 let mode = if i % 2 == 0 {
-                    SchedMode::EventDriven
+                    SchedMode::FullSweep
                 } else {
                     SchedMode::Lowered
                 };

@@ -191,8 +191,18 @@ pub fn sample_with<I, T>(
 /// first on even pairs and `b` first on odd ones, plus the sample of
 /// per-pair speedups of `a` over `b`.
 pub fn paired<A, B>(n: usize, mut a: impl FnMut() -> A, mut b: impl FnMut() -> B) -> Paired {
-    let mut ta = Timer::new(|| (), |()| a());
-    let mut tb = Timer::new(|| (), |()| b());
+    paired_with(n, (|| (), |()| a()), (|| (), |()| b()))
+}
+
+/// [`paired`] over routines that each consume a fresh input from their
+/// own setup, given as `(setup, routine)`. Only the routines are timed.
+pub fn paired_with<IA, A, IB, B>(
+    n: usize,
+    a: (impl FnMut() -> IA, impl FnMut(IA) -> A),
+    b: (impl FnMut() -> IB, impl FnMut(IB) -> B),
+) -> Paired {
+    let mut ta = Timer::new(a.0, a.1);
+    let mut tb = Timer::new(b.0, b.1);
     let (mut sa, mut sb, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
     for pair in 0..n {
         let (x, y) = if pair % 2 == 0 {

@@ -4,29 +4,29 @@
 //! This crate closes the loop between the pattern generators
 //! (`hdp-metagen`), the simulator (`hdp-sim`) and the VHDL emitter
 //! (`hdp-hdl`): it samples random-but-valid designs from the metagen
-//! design space, drives each one with random stimulus through six
+//! design space, drives each one with random stimulus through five
 //! independent oracles, and demands bit-for-bit agreement every
 //! cycle on every output port:
 //!
 //! 1. `full_sweep` — the simulator re-evaluating every component
-//!    per delta cycle (the reference),
-//! 2. `event_driven` — sensitivity-based scheduling,
-//! 3. `lowered` — the lowered engine on a one-component simulator
+//!    per delta cycle, with the incremental netlist interpreter (the
+//!    reference),
+//! 2. `lowered` — the lowered engine on a one-component simulator
 //!    (the direct path: the flat word-level op stream settles straight
 //!    on its planes instead of the netlist interpreter),
-//! 4. `lowered_walk` — the same engine with an inert second component
+//! 3. `lowered_walk` — the same engine with an inert second component
 //!    attached, so every settle takes the levelized rank walk over the
 //!    signal bus,
-//! 5. `levelized` — the non-incremental [`NetlistComponent`] fast
-//!    path,
-//! 6. `vhdl_interp` — an interpreter executing the *emitted VHDL
+//! 4. `levelized` — the full sweep with the non-incremental
+//!    [`NetlistComponent`] (every pass evaluates the whole netlist),
+//! 5. `vhdl_interp` — an interpreter executing the *emitted VHDL
 //!    text* ([`hdp_hdl::interp::VhdlInterp`]), so the comparison
 //!    covers the emitter as well as the netlist semantics.
 //!
-//! [`check_lanes`] adds a throughput-oriented seventh angle: up to 64
+//! [`check_lanes`] adds a throughput-oriented sixth angle: up to 64
 //! random stimuli packed one-per-bit into a single
 //! [`hdp_sim::LaneBatch`] run, each lane refereed against its own
-//! scalar event-driven simulation. Designs the lane engine cannot
+//! scalar full-sweep simulation. Designs the lane engine cannot
 //! pack — tri-state nets, `inout` ports, multi-clock-domain
 //! netlists — are reported as out-of-scope, not as failures.
 //!

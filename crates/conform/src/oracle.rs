@@ -1,6 +1,6 @@
 //! The oracle stack and the differential cycle engine.
 //!
-//! A design conforms when every oracle — the five scheduler/evaluator
+//! A design conforms when every oracle — the four scheduler/evaluator
 //! paths of `hdp-sim` (including the lowered word-level op-stream
 //! mode, alone and on the rank walk) plus the executable VHDL model of
 //! `hdp_hdl::interp` —
@@ -21,9 +21,8 @@ use rand::Rng;
 
 /// Display labels of the oracle stack, in comparison order. The
 /// first entry is the reference the others are compared against.
-pub const ORACLE_LABELS: [&str; 6] = [
+pub const ORACLE_LABELS: [&str; 5] = [
     "full_sweep",
-    "event_driven",
     "lowered",
     "lowered_walk",
     "levelized",
@@ -360,7 +359,7 @@ fn phase_all(
 
 /// Runs `netlist` through the full oracle stack under `stim`.
 ///
-/// Returns `None` when the design conforms: all six oracles produce
+/// Returns `None` when the design conforms: all five oracles produce
 /// bit-identical four-state output traces (or all fail at the same
 /// cycle). Returns the first [`Divergence`] otherwise. Oracle
 /// *construction* failures (e.g. the VHDL interpreter rejecting the
@@ -371,7 +370,6 @@ fn phase_all(
 pub fn check(netlist: &Netlist, stim: &Stimulus) -> Option<Divergence> {
     let built: Vec<Result<Oracle, String>> = vec![
         build_sim(netlist, SchedMode::FullSweep, true, false, stim),
-        build_sim(netlist, SchedMode::EventDriven, true, false, stim),
         build_sim(netlist, SchedMode::Lowered, true, false, stim),
         build_sim(netlist, SchedMode::Lowered, true, true, stim),
         build_sim(netlist, SchedMode::FullSweep, false, false, stim),
@@ -451,7 +449,7 @@ pub fn check(netlist: &Netlist, stim: &Stimulus) -> Option<Divergence> {
 
 /// Differentially checks up to [`LANES`] stimuli at once: one 64-way
 /// bit-parallel [`LaneBatch`] run of `netlist`, each lane compared
-/// cycle-for-cycle against its own scalar event-driven simulation of
+/// cycle-for-cycle against its own scalar full-sweep simulation of
 /// the same stimulus. This is the fuzzing fast path — one packed run
 /// covers 64 random stimuli — with the scalar scheduler as the
 /// per-lane referee.
@@ -484,7 +482,7 @@ pub fn check_lanes(netlist: &Netlist, stims: &[Stimulus]) -> Result<Option<Diver
     let mut lanes = LaneBatch::new("lanes", netlist).map_err(|e| e.to_string())?;
     let mut scalars = stims
         .iter()
-        .map(|s| build_sim(netlist, SchedMode::EventDriven, true, false, s))
+        .map(|s| build_sim(netlist, SchedMode::FullSweep, true, false, s))
         .collect::<Result<Vec<_>, _>>()?;
     let out_names: Vec<String> = netlist
         .entity()
@@ -514,7 +512,7 @@ pub fn check_lanes(netlist: &Netlist, stims: &[Stimulus]) -> Result<Option<Diver
                     port: None,
                     details: vec![
                         (format!("lane{l}"), "ok".to_owned()),
-                        ("event_driven".to_owned(), format!("error: {e}")),
+                        ("full_sweep".to_owned(), format!("error: {e}")),
                     ],
                 }));
             }
@@ -529,7 +527,7 @@ pub fn check_lanes(netlist: &Netlist, stims: &[Stimulus]) -> Result<Option<Diver
                         port: Some(name.clone()),
                         details: vec![
                             (format!("lane{l}"), packed.to_string()),
-                            ("event_driven".to_owned(), trace[pi].to_string()),
+                            ("full_sweep".to_owned(), trace[pi].to_string()),
                         ],
                     }));
                 }

@@ -40,8 +40,14 @@ pub fn assoc_bram(
     }
     let w = params.data_width;
     let aw = state_bits(params.depth.next_power_of_two().max(2));
-    if key_width < aw || key_width + w + 1 > 64 {
+    if key_width < aw {
         return Err(HdlError::InvalidWidth { width: key_width });
+    }
+    if key_width + w + 1 > 64 {
+        // Key, value and valid bit must share one 64-bit slot word.
+        return Err(HdlError::InvalidWidth {
+            width: key_width + w + 1,
+        });
     }
     let tag_width = key_width - aw; // high key bits stored as the tag
     let slot_width = 1 + tag_width.max(1) + w; // valid + tag + value

@@ -313,9 +313,11 @@ impl DesignSpec {
     /// generates for the family. Every width axis stops at the HDL's
     /// net limit ([`hdp_hdl::MAX_WIDTH`], also four times the
     /// sampler's 16 bits); width adapters draw their narrow side from
-    /// 1–8 bits. Only upper bounds are checked: a zero width or an
-    /// inconsistent key width is a generator error, and the committed
-    /// reproducers pin such specs as findings.
+    /// 1–8 bits. An associative container (family 7) also bounds its
+    /// key width so that key, data and valid bit fit the generator's
+    /// 64-bit slot word. Only upper bounds are checked: a zero width or
+    /// a key narrower than the address is a generator error, and the
+    /// committed reproducers pin such specs as findings.
     ///
     /// # Errors
     ///
@@ -352,6 +354,15 @@ impl DesignSpec {
             if value > max {
                 return Err(SpecError { axis, value, max });
             }
+        }
+        // Key, data and valid bit share the generator's 64-bit slot word.
+        let slot_key = (widest - 1).saturating_sub(self.data_width as u64);
+        if self.family == 7 && self.key_width as u64 > slot_key {
+            return Err(SpecError {
+                axis: "key_width",
+                value: self.key_width as u64,
+                max: slot_key,
+            });
         }
         Ok(())
     }
@@ -543,6 +554,30 @@ mod tests {
             assert_eq!(da.label, db.label);
             assert_eq!(da.netlist.cells().len(), db.netlist.cells().len());
         }
+    }
+
+    #[test]
+    fn an_assoc_key_must_fit_the_slot_word_beside_the_data() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut spec = sample_spec_in(&mut rng, 7);
+        spec.data_width = 60;
+        spec.key_width = 3;
+        assert_eq!(spec.validate(), Ok(()));
+        spec.key_width = 9;
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError {
+                axis: "key_width",
+                value: 9,
+                max: 3
+            })
+        );
+        // The generator names the summed slot width, not the key's.
+        let err = spec.instantiate().unwrap_err().to_string();
+        assert!(err.contains("70"), "{err}");
+        // Other families keep their own key width bound.
+        spec.family = 6;
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! | option      | values                                          | default   |
 //! |-------------|-------------------------------------------------|-----------|
-//! | `mode`      | `lowered`, `event_driven`, `full_sweep`         | `lowered` |
+//! | `mode`      | `lowered`, `full_sweep`                         | `lowered` |
 //! | `vcd`       | return a VCD waveform (disables plan reuse)     | `false`   |
 //! | `telemetry` | return a telemetry summary                      | `false`   |
 //! | `verify`    | re-run cache-free under full sweep and compare  | `false`   |
@@ -29,7 +29,7 @@
 //! Besides job submissions, the layer answers two control verbs:
 //!
 //! * `{"verb": "stats"}` returns the service's live
-//!   [`hdp-service-metrics-v4`](crate::metrics::METRICS_SCHEMA)
+//!   [`hdp-service-metrics-v5`](crate::metrics::METRICS_SCHEMA)
 //!   snapshot — counters, cache state and latency histograms — as a
 //!   single-line document.
 //! * `{"verb": "select", "constraints": {…}}` answers a §3.4
@@ -512,7 +512,7 @@ mod tests {
             "{\"telemetry\":true}",
             "{\"vcd\":true}",
             "{\"verify\":true,\"span\":true}",
-            "{\"mode\":\"event_driven\",\"telemetry\":true,\"vcd\":true,\"verify\":true,\"span\":true}",
+            "{\"mode\":\"full_sweep\",\"telemetry\":true,\"vcd\":true,\"verify\":true,\"span\":true}",
         ];
         let mut sections = 0;
         for seed in 0..24 {
@@ -568,15 +568,15 @@ mod tests {
         let line = job_line(
             3,
             4,
-            "{\"mode\":\"event_driven\",\"vcd\":true,\"verify\":true}",
+            "{\"mode\":\"full_sweep\",\"vcd\":true,\"verify\":true}",
         );
         let (_, opts) = parse_job(&line).unwrap();
-        assert_eq!(opts.mode, SchedMode::EventDriven);
+        assert_eq!(opts.mode, SchedMode::FullSweep);
         assert!(opts.vcd);
         assert!(opts.verify);
         assert!(!opts.telemetry);
         // The removed modes are rejected by name, not silently mapped.
-        for gone in ["parallel", "compiled"] {
+        for gone in ["parallel", "compiled", "event_driven"] {
             let line = job_line(3, 4, &format!("{{\"mode\":\"{gone}\"}}"));
             assert!(
                 matches!(
@@ -727,6 +727,31 @@ mod tests {
             0,
             "requests that never reach the optimiser count as neither"
         );
+    }
+
+    #[test]
+    fn an_assoc_key_that_overflows_the_slot_word_is_a_field_error() {
+        // Key, data and valid bit must fit one 64-bit slot word: with
+        // 60 data bits the widest key is 3, and a 9-bit key is refused
+        // at the wire, not by the generator.
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut spec = sample_spec_in(&mut rng, 7);
+        let netlist = spec.instantiate().unwrap();
+        let stimulus = Stimulus::sample(&netlist, 2, &mut rng);
+        spec.data_width = 60;
+        spec.key_width = 9;
+        let line = wire::job_to_json(&Case { spec, stimulus });
+        assert!(matches!(
+            parse_job(&line),
+            Err(WireError::Field { path, .. }) if path == "design.key_width"
+        ));
+        let service = Service::new(4);
+        let doc = Json::parse(&handle_line(&service, &line)).unwrap();
+        let error = doc.get("error").unwrap();
+        assert_eq!(error.get("stage").and_then(Json::as_str), Some("wire"));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("design.key_width"), "{message}");
+        assert_eq!(service.metrics().get(Counter::ErrorsBuild), 0);
     }
 
     #[test]

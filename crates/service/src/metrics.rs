@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The schema identifier of every metrics snapshot document.
-pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v4";
+pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v5";
 
 /// Log2 buckets per latency histogram. Bucket `i` holds durations in
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket absorbs everything
@@ -135,8 +135,6 @@ pub enum Counter {
     VerifyFailures,
     /// Jobs executed under [`SchedMode::Lowered`].
     ModeLowered,
-    /// Jobs executed under [`SchedMode::EventDriven`].
-    ModeEventDriven,
     /// Jobs executed under [`SchedMode::FullSweep`].
     ModeFullSweep,
     /// Simulator settles absorbed from per-job telemetry (sampled).
@@ -145,7 +143,7 @@ pub enum Counter {
     SimDeltaPasses,
     /// Lowered op-stream settles absorbed from per-job telemetry.
     SimLoweredSettles,
-    /// Event-driven fallback settles absorbed from per-job telemetry.
+    /// Full-sweep fallback settles absorbed from per-job telemetry.
     SimFallbackSettles,
     /// Word-level ops executed, absorbed from per-job telemetry.
     SimOpsExecuted,
@@ -165,7 +163,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 25;
 
     /// Every counter, in table order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -182,7 +180,6 @@ impl Counter {
         Counter::JobsVerify,
         Counter::VerifyFailures,
         Counter::ModeLowered,
-        Counter::ModeEventDriven,
         Counter::ModeFullSweep,
         Counter::SimSettles,
         Counter::SimDeltaPasses,
@@ -214,7 +211,6 @@ impl Counter {
             Counter::JobsVerify => "jobs_verify",
             Counter::VerifyFailures => "verify_failures",
             Counter::ModeLowered => "mode_lowered",
-            Counter::ModeEventDriven => "mode_event_driven",
             Counter::ModeFullSweep => "mode_full_sweep",
             Counter::SimSettles => "sim_settles",
             Counter::SimDeltaPasses => "sim_delta_passes",
@@ -235,7 +231,6 @@ impl Counter {
     pub fn for_mode(mode: SchedMode) -> Counter {
         match mode {
             SchedMode::Lowered => Counter::ModeLowered,
-            SchedMode::EventDriven => Counter::ModeEventDriven,
             SchedMode::FullSweep => Counter::ModeFullSweep,
         }
     }

@@ -49,15 +49,18 @@ impl ClockDomain {
 
 /// What wakes a component's [`Component::eval`] during settling.
 ///
-/// The event-driven scheduler evaluates a component only when a signal
-/// it is sensitive to changed in the previous delta pass (plus once
+/// The lowered scheduler's rank walk evaluates a component only when a
+/// signal it is sensitive to changed earlier in the walk (plus once
 /// after every clock edge for clocked components, and once after
-/// reset). [`Sensitivity::Always`] opts out of that filtering and
-/// restores full-sweep behaviour for one component — the safe default
-/// for implementations that predate the sensitivity API.
+/// reset), and ranks it above every writer of those signals.
+/// [`Sensitivity::Always`] opts out of that filtering: its reads are
+/// unknown, so no rank order is safe and the design settles by full
+/// sweep instead — the safe default for implementations that predate
+/// the sensitivity API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sensitivity {
-    /// Evaluate in every settle pass (full-sweep semantics).
+    /// Evaluate in every settle pass (full-sweep semantics; a lowered
+    /// simulator holding such a component falls back to the sweep).
     Always,
     /// Evaluate only when one of these signals changes. An empty list
     /// is valid and means `eval` depends on registered state alone:
@@ -85,14 +88,18 @@ pub enum Sensitivity {
 ///
 /// ## Scheduling contract
 ///
-/// Under the event-driven scheduler (the default,
-/// [`crate::SchedMode::EventDriven`]) two further declarations matter:
+/// The full sweep (the default, [`crate::SchedMode::FullSweep`])
+/// evaluates and ticks every component and needs nothing more. Under
+/// the lowered scheduler ([`crate::SchedMode::Lowered`]) two further
+/// declarations matter:
 ///
 /// * [`Component::sensitivity`] names the signals whose changes require
-///   re-evaluation. Every signal `eval` *reads* must be listed —
-///   listing extra signals merely costs spurious wake-ups, omitting a
-///   read signal produces stale outputs. The default is
-///   [`Sensitivity::Always`], which is always correct.
+///   re-evaluation, and orders the rank walk: a reader ranks above
+///   every writer of what it reads. Every signal `eval` *reads* must be
+///   listed — listing extra signals merely costs spurious wake-ups,
+///   omitting a read signal produces stale outputs. The default is
+///   [`Sensitivity::Always`], which is always correct (it keeps the
+///   design on the sweep).
 /// * [`Component::is_clocked`] splits sequential from combinational
 ///   components: a component returning `false` promises its `tick` is
 ///   a no-op and its `eval` output never depends on clock edges, so

@@ -9,14 +9,15 @@
 //!
 //! * [`Simulator`] — two-phase clocked scheduler: combinational
 //!   settling to a fixpoint (delta cycles), then a synchronous clock
-//!   edge. Settling is event-driven by default — only components
-//!   sensitive to a changed signal re-evaluate — with a full-sweep
-//!   reference mode and a lowered mode ([`SchedMode::Lowered`])
-//!   selectable via [`SchedMode`]. Lowered mode freezes the design
-//!   into a levelized rank schedule, settles in one walk over the
-//!   signal bus, and runs every [`NetlistComponent`] on that
-//!   walk as a flat word-level op stream executed straight against
-//!   `u64` planes. Every mode produces bit-identical traces.
+//!   edge. Settling is a full sweep by default — every component
+//!   re-evaluates each delta pass until nothing changes — with a
+//!   lowered mode ([`SchedMode::Lowered`]) selectable via
+//!   [`SchedMode`]. Lowered mode freezes the design into a levelized
+//!   rank schedule, settles in one walk over the signal bus that
+//!   evaluates only the components a change woke, and runs every
+//!   [`NetlistComponent`] on that walk as a flat word-level op stream
+//!   executed straight against `u64` planes. Both modes produce
+//!   bit-identical traces.
 //! * [`LaneBatch`] — 64-way bit-parallel execution of one feed-forward
 //!   netlist: [`LANES`] independent stimulus lanes are packed one per
 //!   bit of a `u64` word per net-bit column, so a single settle/tick
@@ -69,16 +70,16 @@
 //!
 //! ## Choosing a scheduler
 //!
-//! All three [`SchedMode`]s run the same designs and produce
-//! bit-identical settled values; they differ only in how the settle
-//! phase finds the fixpoint. The default event-driven mode needs no
-//! setup:
+//! Both [`SchedMode`]s run the same designs and produce bit-identical
+//! settled values; they differ only in how the settle phase finds the
+//! fixpoint. The default full sweep is the executable reference model
+//! and needs no setup:
 //!
 //! ```
 //! use hdp_sim::{SchedMode, SimBuilder, devices::FifoCore};
 //!
 //! # fn main() -> Result<(), hdp_sim::SimError> {
-//! let mut b = SimBuilder::new(); // SchedMode::EventDriven
+//! let mut b = SimBuilder::new(); // SchedMode::FullSweep
 //! let push = b.signal("push", 1)?;
 //! let pop = b.signal("pop", 1)?;
 //! let wdata = b.signal("wdata", 8)?;
@@ -87,25 +88,8 @@
 //! let full = b.signal("full", 1)?;
 //! b.component(FifoCore::new("u_fifo", 16, 8, push, pop, wdata, rdata, empty, full));
 //! let mut sim = b.build()?;
-//! assert_eq!(sim.mode(), SchedMode::EventDriven);
+//! assert_eq!(sim.mode(), SchedMode::FullSweep);
 //! sim.step()?;
-//! # Ok(())
-//! # }
-//! ```
-//!
-//! The full sweep is the executable reference model, useful when
-//! debugging a suspected scheduling problem:
-//!
-//! ```
-//! use hdp_sim::{SchedMode, SimBuilder};
-//!
-//! # fn main() -> Result<(), hdp_sim::SimError> {
-//! let mut b = SimBuilder::with_mode(SchedMode::FullSweep);
-//! let clk_count = b.signal("unused", 4)?;
-//! let mut sim = b.build()?;
-//! sim.poke(clk_count, 3)?;
-//! sim.step()?;
-//! assert_eq!(sim.peek(clk_count)?.to_u64(), Some(3));
 //! # Ok(())
 //! # }
 //! ```
@@ -113,7 +97,7 @@
 //! Lowered mode freezes the design after a validation settle and
 //! replaces the delta loop with one walk of a levelized schedule —
 //! the fastest mode for fixed netlists simulated over many cycles.
-//! Designs it cannot levelize fall back to event-driven evaluation
+//! Designs it cannot levelize fall back to the full sweep
 //! transparently ([`Simulator::compile_fallback_reason`] says why):
 //!
 //! ```

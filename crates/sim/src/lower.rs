@@ -1081,7 +1081,7 @@ struct LaneReg {
 /// single lowered settle per delta and a single tick per clock edge.
 ///
 /// The combinational half is the scalar lowered engine's op stream (one
-/// front end, [`LoweredProgram`]) executed over bit columns. Registers
+/// front end, `LoweredProgram`) executed over bit columns. Registers
 /// keep lane-packed column state; block RAMs, FIFOs and LIFOs keep the
 /// interpreter's state once per lane and tick through its clock edge, so
 /// a macro behaves, and fails, exactly as in the scalar engines.
@@ -1147,7 +1147,7 @@ impl LaneBatch {
                 );
             return Err(refuse(format!(
                 "{culprit} (lanes share one clock edge; multi-domain designs need the \
-                 event-driven scheduler)"
+                 scalar scheduler)"
             )));
         }
         let prog = LoweredProgram::lower_netlist(netlist).map_err(|e| refuse(e.to_string()))?;
@@ -1960,17 +1960,17 @@ mod tests {
     }
 
     #[test]
-    fn lowered_mode_is_bit_identical_to_event_driven() {
-        let (mut ev, ev_din, ev_q) = acc_sim(SchedMode::EventDriven);
+    fn lowered_mode_is_bit_identical_to_the_sweep() {
+        let (mut sw, sw_din, sw_q) = acc_sim(SchedMode::FullSweep);
         let (mut lo, lo_din, lo_q) = acc_sim(SchedMode::Lowered);
         lo.set_telemetry(TelemetryLevel::Counters);
         for c in 0..20u64 {
             let v = (c * 5 + 3) & 0xF;
-            ev.poke(ev_din, v).unwrap();
+            sw.poke(sw_din, v).unwrap();
             lo.poke(lo_din, v).unwrap();
-            ev.step().unwrap();
+            sw.step().unwrap();
             lo.step().unwrap();
-            assert_eq!(ev.peek(ev_q).unwrap(), lo.peek(lo_q).unwrap(), "cycle {c}");
+            assert_eq!(sw.peek(sw_q).unwrap(), lo.peek(lo_q).unwrap(), "cycle {c}");
         }
         let stats = lo.stats();
         assert!(stats.lowered_settles > 0, "lowered walk must have run");
@@ -1980,7 +1980,7 @@ mod tests {
     #[test]
     fn only_a_lone_lowered_unit_takes_the_direct_path() {
         let (mut sim, din, q) = acc_sim(SchedMode::Lowered);
-        let (mut reference, rdin, rq) = acc_sim(SchedMode::EventDriven);
+        let (mut reference, rdin, rq) = acc_sim(SchedMode::FullSweep);
         let cycle = |sim: &mut Simulator, reference: &mut Simulator, c: u64| {
             sim.poke(din, c & 0xF).unwrap();
             reference.poke(rdin, c & 0xF).unwrap();
@@ -2132,7 +2132,7 @@ mod tests {
             "warm sims keep lowered mode"
         );
 
-        let (mut reference, rdin, rq) = acc_sim(SchedMode::EventDriven);
+        let (mut reference, rdin, rq) = acc_sim(SchedMode::FullSweep);
         for c in 0..12u64 {
             let v = (c * 7 + 1) & 0xF;
             warm.poke(wdin, v).unwrap();
@@ -2160,7 +2160,7 @@ mod tests {
         }
         let plan = cold.export_plan().unwrap();
         let (mut warm, wdin, wq) = acc_sim(SchedMode::Lowered);
-        let (mut reference, rdin, rq) = acc_sim(SchedMode::EventDriven);
+        let (mut reference, rdin, rq) = acc_sim(SchedMode::FullSweep);
         for c in 0..12u64 {
             // No poke right after the install: the edge that follows
             // must not sample the installed unit's empty planes.
@@ -2259,17 +2259,12 @@ mod tests {
     fn same_in_every_mode(nl: &Netlist, rows: &[Row]) -> (Run, crate::SimStats) {
         let (mut sim, ins, outs) = port_sim(nl.clone(), SchedMode::FullSweep);
         let reference = run_rows(&mut sim, &ins, &outs, rows);
-        for mode in [SchedMode::EventDriven, SchedMode::Lowered] {
-            let (mut sim, ins, outs) = port_sim(nl.clone(), mode);
-            let got = run_rows(&mut sim, &ins, &outs, rows);
-            assert_eq!(got, reference, "{mode:?} against the full sweep");
-            if mode == SchedMode::Lowered {
-                let stats = sim.stats();
-                assert!(stats.lowered_settles > 0, "the rank walk ran");
-                return (got, stats);
-            }
-        }
-        unreachable!("the loop returns on the lowered run")
+        let (mut sim, ins, outs) = port_sim(nl.clone(), SchedMode::Lowered);
+        let got = run_rows(&mut sim, &ins, &outs, rows);
+        assert_eq!(got, reference, "lowered against the full sweep");
+        let stats = sim.stats();
+        assert!(stats.lowered_settles > 0, "the rank walk ran");
+        (got, stats)
     }
 
     /// Rows of `n` idle cycles (every input 0) followed by `tail`.
@@ -2475,7 +2470,7 @@ mod tests {
 
     #[test]
     fn first_edge_after_reset_samples_the_reset_settle() {
-        // Cycle 0 resets through an event-driven settle (the planes
+        // Cycle 0 resets through a full-sweep settle (the planes
         // are still all-X), and its edge pushes defined data: reading
         // the planes there would raise "undefined fifo write data".
         let nl = one_cell(Prim::FifoMacro { depth: 4, width: 8 });
@@ -2505,7 +2500,7 @@ mod tests {
         let (reference, _) = mid(SchedMode::FullSweep);
         let (lowered, wake_alls) = mid(SchedMode::Lowered);
         assert_eq!(lowered, reference);
-        assert!(wake_alls > 0, "the mid-run reset settled event-driven");
+        assert!(wake_alls > 0, "the mid-run reset settled by sweep");
     }
 
     #[test]
@@ -2552,11 +2547,11 @@ mod tests {
         };
         let (reference, _) = run(&[(0, false, SchedMode::FullSweep)]);
         let (switched, stats) = run(&[
-            (5, false, SchedMode::EventDriven),
+            (5, false, SchedMode::FullSweep),
             (8, true, SchedMode::Lowered),
             (12, true, SchedMode::FullSweep),
             (15, false, SchedMode::Lowered),
-            (19, true, SchedMode::EventDriven),
+            (19, true, SchedMode::FullSweep),
             (20, false, SchedMode::Lowered),
         ]);
         assert_eq!(switched, reference);
@@ -2858,13 +2853,12 @@ mod tests {
         // or 1 against 0, which is X.
         let din = |t: &[(LogicVector, LogicVector)]| t.iter().map(|p| p.0).collect::<Vec<_>>();
         assert_eq!(din(&lowered), din(&reference));
-        assert_eq!(din(&lowered), din(&run(SchedMode::EventDriven).0));
         // What the accumulator adds while `din` is X differs: the rank
         // walk evaluates the clamp (a writer) before the accumulator (a
-        // reader), so the accumulator reads the resolved X; the delta
-        // loops re-drive the poke at the start of each pass and
-        // evaluate in registration order, so it reads the poked 1. The
-        // lowered trace is pinned as the rank walk produces it.
+        // reader), so the accumulator reads the resolved X; the sweep
+        // re-drives the poke at the start of each pass and evaluates in
+        // registration order, so it reads the poked 1. The lowered
+        // trace is pinned as the rank walk produces it.
         let expected = [
             "\"0001\"\"0000\"",
             "\"0001\"\"0001\"",

@@ -423,7 +423,7 @@ impl NetlistComponent {
 
     /// The clock edge of a lowered unit. It samples `planes` when the
     /// lowered engine ran the last settle, and the net cache when an
-    /// interpreted (event-driven) settle did: an edge always samples the
+    /// interpreted (full-sweep) settle did: an edge always samples the
     /// settle that came before it, whichever engine ran it.
     pub(crate) fn lowered_tick(
         &mut self,

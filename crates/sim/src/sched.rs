@@ -1,22 +1,23 @@
 //! The clocked delta-cycle scheduler.
 //!
-//! Three interchangeable scheduling strategies share one set of
+//! Two interchangeable scheduling strategies share one set of
 //! semantics (see [`SchedMode`]):
 //!
-//! * **Event-driven** (default) — components declare the signals their
-//!   `eval` reads ([`crate::Sensitivity`]); each delta pass evaluates
-//!   only the components sensitive to a signal that changed in the
-//!   previous pass. Clocked components are additionally woken once
-//!   after every clock edge, everything after reset.
-//! * **Full sweep** — every component is evaluated in every delta
-//!   pass. Retained as the executable reference model: the other
-//!   schedulers are required (and property-tested) to produce
-//!   bit-identical signal traces.
+//! * **Full sweep** (default) — every component is evaluated in every
+//!   delta pass until no signal changes. It is the executable
+//!   reference model, and the one delta loop: the lowered mode falls
+//!   back to it, and is required (and property-tested) to produce
+//!   bit-identical signal traces. A [`crate::NetlistComponent`]
+//!   evaluated with inputs that did not change is cheap by default
+//!   (its interpreter is incremental), so sweeping costs little over
+//!   evaluating only the components a change woke.
 //! * **Lowered** — after a validation settle the design is frozen
 //!   ahead of time: components are levelized into static ranks by
 //!   combinational depth, and every subsequent settle is a single
 //!   in-order walk of the rank schedule over the live [`SignalBus`]
-//!   (one pass) instead of a delta-cycle loop. On that walk every
+//!   (one pass) instead of a delta-cycle loop. The walk evaluates only
+//!   components a change woke, read off their declared
+//!   [`crate::Sensitivity`]. On that walk every
 //!   [`crate::NetlistComponent`] executes a flat word-level op stream
 //!   straight against `u64` value/unknown/high-Z planes: no virtual
 //!   `eval` dispatch, no `BusAccess` reads per net, no `LogicVector`
@@ -29,9 +30,9 @@
 //!   path, `settle_direct`); its counts and traces are the walk's. Designs
 //!   the levelizer cannot order (combinational cycles,
 //!   [`Sensitivity::Always`]) fall back transparently — and
-//!   permanently — to the event-driven scheduler; an invalidated
-//!   schedule (newly discovered driver, added components) falls back
-//!   for one settle and rebuilds.
+//!   permanently — to the full sweep; an invalidated schedule (newly
+//!   discovered driver, added components) falls back for one settle
+//!   and rebuilds.
 
 use crate::compiled::{CompiledPlan, CompiledSchedule};
 use crate::lower::{exec_settle, settle_planes, LoweredProgram, LoweredScratch, Planes};
@@ -86,19 +87,18 @@ impl Fnv1a {
 /// Scheduling strategy of a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
-    /// Evaluate only components sensitive to changed signals.
+    /// Evaluate every component in every delta pass until no signal
+    /// changes (the reference mode, and the lowered mode's fallback).
     #[default]
-    EventDriven,
-    /// Evaluate every component in every delta pass (reference mode).
     FullSweep,
     /// Ahead-of-time compiled evaluation with netlist interpreters
     /// lowered to flat word-level op streams. After a validation
     /// settle the design is frozen into a levelized schedule
     /// (components sorted into static ranks by longest combinational
     /// path), and each settle becomes one in-order walk over the
-    /// signal bus — no delta-cycle loop, no per-pass wake
-    /// bookkeeping. Each [`crate::NetlistComponent`] is translated
-    /// once into a `Vec<LoweredOp>` over per-net `u64`
+    /// signal bus — no delta-cycle loop — that evaluates only the
+    /// components a change woke. Each [`crate::NetlistComponent`] is
+    /// translated once into a `Vec<LoweredOp>` over per-net `u64`
     /// value/unknown/high-Z planes, and its slot in the walk executes
     /// that straight-line stream — no per-cell virtual dispatch, no
     /// `BusAccess` facade between cells, no `LogicVector` allocation
@@ -112,8 +112,8 @@ pub enum SchedMode {
     /// netlist's op stream directly, without the walk around it.
     ///
     /// Settled values, VCD traces, telemetry toggle totals and error
-    /// reports are bit-identical to [`SchedMode::EventDriven`], which
-    /// the mode falls back to transparently: *permanently* for designs
+    /// reports are bit-identical to [`SchedMode::FullSweep`], which
+    /// it falls back to transparently: *permanently* for designs
     /// that cannot be levelized — a combinational cycle, or any
     /// component declaring [`Sensitivity::Always`] (see
     /// [`Simulator::compile_fallback_reason`]) — and for *one settle*
@@ -126,19 +126,13 @@ pub enum SchedMode {
 
 impl SchedMode {
     /// Every mode, in the order benches and reports list them.
-    pub const ALL: [SchedMode; 3] = [
-        SchedMode::FullSweep,
-        SchedMode::EventDriven,
-        SchedMode::Lowered,
-    ];
+    pub const ALL: [SchedMode; 2] = [SchedMode::FullSweep, SchedMode::Lowered];
 
-    /// The mode's wire and report name: `full_sweep`, `event_driven`
-    /// or `lowered`.
+    /// The mode's wire and report name: `full_sweep` or `lowered`.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             SchedMode::FullSweep => "full_sweep",
-            SchedMode::EventDriven => "event_driven",
             SchedMode::Lowered => "lowered",
         }
     }
@@ -187,7 +181,7 @@ struct ActivePlan {
     /// plan.
     links: usize,
     /// The levelized schedule, or the human-readable reason the design
-    /// cannot be levelized (permanent event-driven fallback).
+    /// cannot be levelized (permanent full-sweep fallback).
     sched: Result<CompiledSchedule, String>,
 }
 
@@ -210,8 +204,8 @@ fn interpreter(c: &mut Box<dyn AnyComponent>) -> &mut NetlistComponent {
 ///
 /// Owns the [`SignalBus`] and the component instances and advances
 /// them cycle by cycle. See the crate-level example, and
-/// [`SimBuilder`] for construction that freezes the event scheduler's
-/// sensitivity tables before the first step.
+/// [`SimBuilder`] for construction that freezes the sensitivity tables
+/// before the first step.
 #[derive(Default)]
 pub struct Simulator {
     bus: SignalBus,
@@ -241,12 +235,8 @@ pub struct Simulator {
     wake_all: bool,
     /// Whether any component declared [`Sensitivity::Always`] — such
     /// components may read arbitrary signals, so no static rank order
-    /// is safe and [`SchedMode::Lowered`] falls back to event-driven.
+    /// is safe and [`SchedMode::Lowered`] falls back to the sweep.
     has_always: bool,
-    /// Reusable wake/next buffers for the settle loops (hoisted out of
-    /// the per-pass hot path to avoid allocator churn).
-    scratch_wake: Vec<usize>,
-    scratch_next: Vec<usize>,
     /// The frozen plan for [`SchedMode::Lowered`], built after a
     /// validation settle. `None` until the first lowered settle or
     /// after invalidation.
@@ -293,7 +283,7 @@ impl std::fmt::Debug for Simulator {
 }
 
 impl Simulator {
-    /// Creates an empty simulator with the default (event-driven)
+    /// Creates an empty simulator with the default (full-sweep)
     /// scheduler.
     #[must_use]
     pub fn new() -> Self {
@@ -582,7 +572,7 @@ impl Simulator {
         let mut notes = t.notes.clone();
         if let Some(reason) = self.compile_fallback_reason() {
             notes.push(format!(
-                "lowered: permanently falling back to event-driven — {reason}"
+                "lowered: permanently falling back to the full sweep — {reason}"
             ));
         }
         SimStats {
@@ -698,13 +688,14 @@ impl Simulator {
     pub fn settle(&mut self) -> Result<(), SimError> {
         match self.mode {
             SchedMode::FullSweep => self.settle_sweep(),
-            SchedMode::EventDriven => self.settle_event(),
             SchedMode::Lowered => self.settle_compiled(),
         }
     }
 
-    /// Reference settle: every component, every pass.
+    /// The delta loop: every component, every pass, until no signal
+    /// changes. The reference settle, and the lowered mode's fallback.
     fn settle_sweep(&mut self) -> Result<(), SimError> {
+        self.ensure_tables()?;
         // A full sweep subsumes any pending targeted wake-ups.
         self.seeds.clear();
         self.poked_signals.clear();
@@ -721,25 +712,33 @@ impl Simulator {
             for (id, value) in &self.pokes {
                 self.bus.drive(*id, *value)?;
             }
+            let n = self.components.len();
+            if telemetry_on {
+                pass_count += 1;
+                self.telemetry.record_pass(0..n);
+            }
+            let pass_t0 = self.telemetry.timed().then(|| self.telemetry.now_ns());
             for (i, c) in self.components.iter_mut().enumerate() {
                 self.bus.set_driver(i);
                 let started = self.telemetry.timed().then(Instant::now);
                 c.eval(&mut self.bus)?;
                 if telemetry_on {
-                    let dur = started.map_or(0, |t| {
-                        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                    });
-                    self.telemetry.record_eval(i, dur);
+                    self.telemetry.record_eval_since(i, started, c.name());
                 }
             }
+            if let Some(t0) = pass_t0 {
+                self.telemetry.push_span(TraceEvent {
+                    name: format!("pass ({n} woken)"),
+                    cat: "pass",
+                    ts_ns: t0,
+                    dur_ns: self.telemetry.now_ns().saturating_sub(t0),
+                    tid: 0,
+                });
+            }
             if telemetry_on {
-                pass_count += 1;
-                self.telemetry.passes += 1;
-                let n = self.components.len() as u64;
-                self.telemetry.total_wake += n;
-                self.telemetry.max_wake = self.telemetry.max_wake.max(n);
                 self.bus.count_pass_toggles();
             }
+            self.promote_co_drivers();
             if !self.bus.any_changed() {
                 if telemetry_on {
                     self.telemetry.max_passes = self.telemetry.max_passes.max(pass_count);
@@ -753,139 +752,23 @@ impl Simulator {
         Err(self.no_convergence())
     }
 
-    /// Collects the pending wake set (wake-all, seeds and poked-signal
-    /// watchers) into `wake` and clears the pending state.
-    fn collect_wake(&mut self, wake: &mut Vec<usize>) {
-        wake.clear();
-        if self.wake_all {
-            wake.extend(0..self.components.len());
-            self.seeds.clear();
-        } else {
-            wake.append(&mut self.seeds);
-            for id in self.poked_signals.drain(..) {
-                wake.extend_from_slice(&self.watchers[id.index()]);
-            }
-        }
-        self.wake_all = false;
-        self.poked_signals.clear();
-    }
-
-    /// Post-pass bookkeeping after each event-driven pass: promote
-    /// co-drivers of newly shared signals and collect the next pass's
-    /// wake set from the dirty slots.
-    ///
-    /// A signal that just gained a second driver needs all its drivers
-    /// co-evaluated from now on, or per-pass resolution would see
-    /// partial contributions.
-    fn pass_followup(&mut self, next: &mut Vec<usize>) {
-        next.clear();
+    /// Promotes the drivers of every signal that just gained a second
+    /// driver into `always`. The sweep evaluates them all anyway; a
+    /// later rank walk must wake them together too, or its single pass
+    /// would resolve a partial set of contributions.
+    fn promote_co_drivers(&mut self) {
         for slot in self.bus.take_new_shared() {
             for &d in self.bus.slot_drivers(slot) {
                 if d != DRIVER_POKE && !self.promoted[d] {
                     self.promoted[d] = true;
                     self.always.push(d);
-                    next.push(d);
                 }
             }
         }
-        for slot in self.bus.dirty_slots() {
-            next.extend_from_slice(&self.watchers[slot]);
-        }
-    }
-
-    /// Event-driven settle: evaluate only woken components.
-    fn settle_event(&mut self) -> Result<(), SimError> {
-        self.ensure_tables()?;
-        // Reuse the wake/next buffers across settles: the settle loop
-        // runs twice per clock cycle, and reallocating both vectors in
-        // every pass showed up as allocator churn on long runs.
-        let mut wake = std::mem::take(&mut self.scratch_wake);
-        let mut next = std::mem::take(&mut self.scratch_next);
-        self.collect_wake(&mut wake);
-        let res = self.settle_event_loop(&mut wake, &mut next);
-        wake.clear();
-        next.clear();
-        self.scratch_wake = wake;
-        self.scratch_next = next;
-        res
-    }
-
-    fn settle_event_loop(
-        &mut self,
-        wake: &mut Vec<usize>,
-        next: &mut Vec<usize>,
-    ) -> Result<(), SimError> {
-        let telemetry_on = self.telemetry.on();
-        if telemetry_on {
-            self.telemetry.settles += 1;
-            self.telemetry.ensure_components(self.components.len());
-        }
-        let mut pass_count: u64 = 0;
-        for _ in 0..DELTA_LIMIT {
-            self.bus.begin_pass();
-            self.bus.set_driver(DRIVER_POKE);
-            for (id, value) in &self.pokes {
-                self.bus.drive(*id, *value)?;
-            }
-            // Components evaluate in registration order, exactly as the
-            // full sweep would order them.
-            wake.extend_from_slice(&self.always);
-            wake.sort_unstable();
-            wake.dedup();
-            if telemetry_on {
-                pass_count += 1;
-                self.telemetry.record_pass(wake);
-            }
-            let pass_t0 = self.telemetry.timed().then(|| self.telemetry.now_ns());
-            for &i in wake.iter() {
-                self.bus.set_driver(i);
-                let started = self.telemetry.timed().then(Instant::now);
-                self.components[i].eval(&mut self.bus)?;
-                if telemetry_on {
-                    let dur = started.map_or(0, |t| {
-                        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                    });
-                    self.telemetry.record_eval(i, dur);
-                    if started.is_some() {
-                        self.telemetry.push_span(TraceEvent {
-                            name: self.components[i].name().to_owned(),
-                            cat: "eval",
-                            ts_ns: self.telemetry.now_ns().saturating_sub(dur),
-                            dur_ns: dur,
-                            tid: 0,
-                        });
-                    }
-                }
-            }
-            if let Some(t0) = pass_t0 {
-                self.telemetry.push_span(TraceEvent {
-                    name: format!("pass ({} woken)", wake.len()),
-                    cat: "pass",
-                    ts_ns: t0,
-                    dur_ns: self.telemetry.now_ns().saturating_sub(t0),
-                    tid: 0,
-                });
-            }
-            if telemetry_on {
-                self.bus.count_pass_toggles();
-            }
-            self.pass_followup(next);
-            if next.is_empty() {
-                if telemetry_on {
-                    self.telemetry.max_passes = self.telemetry.max_passes.max(pass_count);
-                }
-                return Ok(());
-            }
-            std::mem::swap(wake, next);
-        }
-        if telemetry_on {
-            self.telemetry.max_passes = self.telemetry.max_passes.max(pass_count);
-        }
-        Err(self.no_convergence())
     }
 
     /// Lowered settle: one walk of the frozen rank schedule, with
-    /// transparent event-driven fallback whenever the plan is missing,
+    /// transparent full-sweep fallback whenever the plan is missing,
     /// stale, unbuildable, or a full re-evaluation is pending.
     fn settle_compiled(&mut self) -> Result<(), SimError> {
         self.ensure_tables()?;
@@ -896,29 +779,26 @@ impl Simulator {
                 && p.links == self.bus.driver_link_count()
         });
         if !fresh {
-            // (Re)build: run one full event-driven settle so the bus's
-            // driver links record every writer the current state
-            // exercises, then freeze the schedule from the settled
-            // design.
+            // (Re)build: sweep one settle so the bus's driver links
+            // record every writer the current state exercises, then
+            // freeze the schedule from the settled design.
             self.compiled = None;
-            self.wake_all = true;
             if self.telemetry.on() {
                 self.telemetry
                     .record_fallback_settle(FallbackCause::Rebuild);
             }
-            self.settle_event()?;
+            self.settle_sweep()?;
             self.build_compiled();
             return Ok(());
         }
         if self.wake_all {
             // A full re-evaluation was requested (reset, mode switch,
-            // device mutation): the event scheduler handles it with
-            // identical semantics.
+            // device mutation): the sweep is one.
             if self.telemetry.on() {
                 self.telemetry
                     .record_fallback_settle(FallbackCause::WakeAll);
             }
-            return self.settle_event();
+            return self.settle_sweep();
         }
         // Nothing pending: the walk would wake no component, and its
         // re-drive of the pokes changes nothing (a second driver of a
@@ -929,7 +809,7 @@ impl Simulator {
             if self.telemetry.on() {
                 self.telemetry.settles += 1;
                 self.telemetry.lowered_settles += 1;
-                self.telemetry.record_pass(&[]);
+                self.telemetry.record_pass([]);
                 self.telemetry.max_passes = self.telemetry.max_passes.max(1);
             }
             return Ok(());
@@ -940,13 +820,13 @@ impl Simulator {
         let mut plan = self.compiled.take().expect("freshness implies a plan");
         let res = match &mut plan.sched {
             Err(_) => {
-                // Permanent fallback (cycle / Always): event-driven
-                // with the same observable semantics.
+                // Permanent fallback (cycle / Always): the sweep, with
+                // the same observable semantics.
                 if self.telemetry.on() {
                     self.telemetry
                         .record_fallback_settle(FallbackCause::NonLevelizable);
                 }
-                self.settle_event()
+                self.settle_sweep()
             }
             Ok(sched) => match self.run_compiled(sched, plan.links) {
                 Ok(true) => Ok(()),
@@ -954,17 +834,16 @@ impl Simulator {
                     // The walk observed a drive the schedule was not
                     // built with and rolled its pass back. The bus has
                     // recorded the link (so the stale plan is rebuilt
-                    // next settle); re-run this settle event-driven from
-                    // the still-pending wake state.
+                    // next settle); re-run this settle as a sweep.
                     if self.telemetry.on() {
                         self.telemetry
                             .record_fallback_settle(FallbackCause::StaleDriver);
                         self.telemetry.note_once(
                             "lowered: schedule invalidated by a newly discovered driver; \
-                             settle re-ran event-driven and the schedule will be rebuilt",
+                             settle re-ran as a full sweep and the schedule will be rebuilt",
                         );
                     }
-                    self.settle_event()
+                    self.settle_sweep()
                 }
                 Err(e) => Err(e),
             },
@@ -1023,8 +902,8 @@ impl Simulator {
         } = self;
         bus.begin_pass();
         // Wake set: pending seeds (tick aftermath), watchers of poked
-        // signals, and the always/promoted list. Peeked, not drained —
-        // on fallback the event settle must still see them.
+        // signals, and the always/promoted list. Peeked, not drained:
+        // they are cleared once the walk completes.
         for &i in seeds.iter() {
             sched.wake(i);
         }
@@ -1037,7 +916,7 @@ impl Simulator {
             sched.wake(i);
         }
         // Testbench pokes land first, with replace semantics, just as
-        // they open every event-driven pass.
+        // they open every pass of the sweep.
         bus.set_driver(DRIVER_POKE);
         for (id, value) in pokes.iter() {
             bus.drive(*id, *value)?;
@@ -1078,27 +957,14 @@ impl Simulator {
                 None => components[i].eval(bus),
             };
             if telemetry_on {
-                let dur = started.map_or(0, |t| {
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                });
-                telemetry.record_eval(i, dur);
+                telemetry.record_eval_since(i, started, components[i].name());
                 telemetry.ops_executed += lowered_ops;
-                if started.is_some() {
-                    telemetry.push_span(TraceEvent {
-                        name: components[i].name().to_owned(),
-                        cat: "eval",
-                        ts_ns: telemetry.now_ns().saturating_sub(dur),
-                        dur_ns: dur,
-                        tid: 0,
-                    });
-                }
             }
             res?;
             // A drive the schedule was not built with (a conditional
             // drive firing for the first time) invalidates the
             // levelization: the new writer may sit at a later rank than
-            // its readers. Undo the pass; the settle re-runs
-            // event-driven with full semantics.
+            // its readers. Undo the pass; the settle re-runs as a sweep.
             if bus.driver_link_count() != links {
                 bus.rollback_pass();
                 return Ok(false);
@@ -1108,7 +974,7 @@ impl Simulator {
         if telemetry_on {
             telemetry.settles += 1;
             telemetry.lowered_settles += 1;
-            telemetry.record_pass(&evaluated);
+            telemetry.record_pass(evaluated);
             telemetry.max_passes = telemetry.max_passes.max(1);
             bus.count_pass_toggles();
         }
@@ -1188,26 +1054,14 @@ impl Simulator {
                 bus.store(signal, value, 0)?;
             }
             if telemetry_on {
-                let dur = started.map_or(0, |t| {
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                });
-                telemetry.record_eval(0, dur);
+                telemetry.record_eval_since(0, started, components[0].name());
                 telemetry.ops_executed += ops;
-                if started.is_some() {
-                    telemetry.push_span(TraceEvent {
-                        name: components[0].name().to_owned(),
-                        cat: "eval",
-                        ts_ns: telemetry.now_ns().saturating_sub(dur),
-                        dur_ns: dur,
-                        tid: 0,
-                    });
-                }
             }
         }
         if telemetry_on {
             telemetry.settles += 1;
             telemetry.lowered_settles += 1;
-            telemetry.record_pass(if woken { &[0] } else { &[] });
+            telemetry.record_pass(0..usize::from(woken));
             telemetry.max_passes = telemetry.max_passes.max(1);
         }
         seeds.clear();
@@ -1376,7 +1230,7 @@ impl Simulator {
     /// immediately (the build settle runs now rather than lazily at
     /// the next settle). Returns whether a rank schedule is
     /// active; `false` means the design cannot be levelized and every
-    /// settle will transparently use the event-driven scheduler — see
+    /// settle will transparently use the full sweep — see
     /// [`Simulator::compile_fallback_reason`] for why. Results are
     /// bit-identical either way.
     ///
@@ -1395,7 +1249,7 @@ impl Simulator {
     }
 
     /// Why [`SchedMode::Lowered`] permanently fell back to
-    /// event-driven evaluation, if it did. `None` while a rank
+    /// the full sweep, if it did. `None` while a rank
     /// schedule is active, or before one was ever built.
     #[must_use]
     pub fn compile_fallback_reason(&self) -> Option<&str> {
@@ -1487,7 +1341,7 @@ impl Simulator {
     /// per-component op streams. `None` while no rank schedule is
     /// active (mode is not [`SchedMode::Lowered`],
     /// [`Simulator::compile`] has not run, or the design permanently
-    /// fell back to event-driven evaluation).
+    /// fell back to the full sweep).
     ///
     /// The plan is plain data — hash it, cache it, ship it to another
     /// simulator of the same design via [`Simulator::install_plan`].
@@ -1767,7 +1621,7 @@ impl Simulator {
                     }
                 }
             }
-            SchedMode::EventDriven | SchedMode::Lowered => {
+            SchedMode::Lowered => {
                 for idx in 0..self.clocked.len() {
                     let i = self.clocked[idx];
                     self.bus.set_driver(i);
@@ -1793,22 +1647,20 @@ impl Simulator {
                 for slot in self.bus.dirty_slots() {
                     self.seeds.extend_from_slice(&self.watchers[slot]);
                 }
-                if self.mode == SchedMode::Lowered {
-                    // A clock edge advanced every clocked interpreter's
-                    // sequential state, which a lowered program's input
-                    // memo cannot see: force those op streams to re-run.
-                    // On a partial-firing multi-rate step the memos are
-                    // surrendered even for components whose domains sat
-                    // out — the honest cost of domain filtering, surfaced
-                    // as a fallback cause rather than hidden.
-                    if !all_fire && telemetry_on {
-                        self.telemetry.record_cause(FallbackCause::MultiDomain);
-                    }
-                    for idx in 0..self.clocked.len() {
-                        let i = self.clocked[idx];
-                        if let Some(unit) = self.lowered.get_mut(i).and_then(Option::as_mut) {
-                            unit.scratch.dirty = true;
-                        }
+                // A clock edge advanced every clocked interpreter's
+                // sequential state, which a lowered program's input memo
+                // cannot see: force those op streams to re-run. On a
+                // partial-firing multi-rate step the memos are
+                // surrendered even for components whose domains sat out
+                // — the honest cost of domain filtering, surfaced as a
+                // fallback cause rather than hidden.
+                if !all_fire && telemetry_on {
+                    self.telemetry.record_cause(FallbackCause::MultiDomain);
+                }
+                for idx in 0..self.clocked.len() {
+                    let i = self.clocked[idx];
+                    if let Some(unit) = self.lowered.get_mut(i).and_then(Option::as_mut) {
+                        unit.scratch.dirty = true;
                     }
                 }
             }
@@ -1891,10 +1743,10 @@ fn firing_names(domains: &[ClockDomain], t: u64) -> Vec<&str> {
 /// Builder-style construction of a [`Simulator`].
 ///
 /// Registers signals, components and initial pokes up front, then
-/// [`SimBuilder::build`] freezes the event scheduler's sensitivity
-/// tables once, validates every declared sensitivity against the
-/// signal set, and applies power-on reset — so the returned simulator
-/// never rebuilds tables mid-run.
+/// [`SimBuilder::build`] freezes the sensitivity tables once,
+/// validates every declared sensitivity against the signal set, and
+/// applies power-on reset — so the returned simulator never rebuilds
+/// tables mid-run.
 ///
 /// ```
 /// use hdp_sim::{SimBuilder, devices::FifoCore};
@@ -1923,7 +1775,7 @@ pub struct SimBuilder {
 }
 
 impl SimBuilder {
-    /// Starts an empty builder (event-driven mode).
+    /// Starts an empty builder (full-sweep mode).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -2220,8 +2072,8 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_skips_unaffected_components() {
-        let mut sim = Simulator::new();
+    fn the_walk_skips_unaffected_components() {
+        let mut sim = Simulator::with_mode(SchedMode::Lowered);
         let a = sim.add_signal("a", 8).unwrap();
         let y = sim.add_signal("y", 8).unwrap();
         let evals = Arc::new(AtomicUsize::new(0));
@@ -2341,8 +2193,8 @@ mod tests {
             }
         }
         // The walk wakes the readers of every slot that moved during its
-        // pass, even one a later resolve restored; the delta loop wakes
-        // on settled changes only.
+        // pass, even one a later resolve restored, and settles to the
+        // sweep's values.
         let reader_evals = |mode| {
             let mut sim = Simulator::with_mode(mode);
             let sel = sim.add_signal("sel", 1).unwrap();
@@ -2364,7 +2216,7 @@ mod tests {
             assert_eq!(sim.peek(z).unwrap().to_u64(), Some(0x12));
             evals.load(Ordering::Relaxed) - before
         };
-        assert_eq!(reader_evals(SchedMode::EventDriven), 0);
+        reader_evals(SchedMode::FullSweep);
         assert_eq!(reader_evals(SchedMode::Lowered), 1);
     }
 
@@ -2423,13 +2275,13 @@ mod tests {
 
     #[test]
     fn mode_switch_mid_run_stays_consistent() {
-        let (mut sim, q) = counter_sim(SchedMode::EventDriven);
+        let (mut sim, q) = counter_sim(SchedMode::FullSweep);
+        sim.run(3).unwrap();
+        sim.set_mode(SchedMode::Lowered);
         sim.run(3).unwrap();
         sim.set_mode(SchedMode::FullSweep);
         sim.run(3).unwrap();
         sim.set_mode(SchedMode::Lowered);
-        sim.run(3).unwrap();
-        sim.set_mode(SchedMode::EventDriven);
         sim.run(3).unwrap();
         assert_eq!(sim.peek(q).unwrap().to_u64(), Some(12));
     }
@@ -2591,7 +2443,7 @@ mod tests {
 
     #[test]
     fn no_convergence_forensics_capture_wake_sets() {
-        let (mut sim, sels) = oscillator_farm(SchedMode::EventDriven, 2);
+        let (mut sim, sels) = oscillator_farm(SchedMode::FullSweep, 2);
         sim.set_telemetry(TelemetryLevel::Counters);
         for sel in &sels {
             sim.poke(*sel, 1).unwrap();
@@ -2612,7 +2464,7 @@ mod tests {
 
     #[test]
     fn telemetry_off_leaves_stats_empty() {
-        let (mut sim, _) = counter_sim(SchedMode::EventDriven);
+        let (mut sim, _) = counter_sim(SchedMode::FullSweep);
         sim.run(20).unwrap();
         assert_eq!(sim.telemetry_level(), TelemetryLevel::Off);
         let stats = sim.stats();
@@ -2622,7 +2474,7 @@ mod tests {
 
     #[test]
     fn telemetry_counters_accumulate() {
-        let (mut sim, _) = counter_sim(SchedMode::EventDriven);
+        let (mut sim, _) = counter_sim(SchedMode::FullSweep);
         sim.set_telemetry(TelemetryLevel::Counters);
         sim.run(10).unwrap();
         let stats = sim.stats();
@@ -2648,19 +2500,15 @@ mod tests {
 
     #[test]
     fn telemetry_toggles_identical_across_all_modes() {
-        let runs: Vec<SimStats> = [
-            SchedMode::EventDriven,
-            SchedMode::FullSweep,
-            SchedMode::Lowered,
-        ]
-        .into_iter()
-        .map(|mode| {
-            let (mut sim, _) = multi_counter_sim(mode, 8);
-            sim.set_telemetry(TelemetryLevel::Counters);
-            sim.run(25).unwrap();
-            sim.stats()
-        })
-        .collect();
+        let runs: Vec<SimStats> = SchedMode::ALL
+            .into_iter()
+            .map(|mode| {
+                let (mut sim, _) = multi_counter_sim(mode, 8);
+                sim.set_telemetry(TelemetryLevel::Counters);
+                sim.run(25).unwrap();
+                sim.stats()
+            })
+            .collect();
         let reference = &runs[0];
         for stats in &runs[1..] {
             assert_eq!(stats.total_toggles(), reference.total_toggles());
@@ -2674,19 +2522,20 @@ mod tests {
         }
         // Drive counts are eval-proportional: strictly higher under the
         // full sweep (every component re-drives every pass).
-        let (event, sweep) = (&runs[0], &runs[1]);
-        assert!(sweep.total_drives() > event.total_drives());
+        let (sweep, lowered) = (&runs[0], &runs[1]);
+        assert!(sweep.total_drives() > lowered.total_drives());
     }
 
     #[test]
     fn telemetry_full_records_spans() {
-        let (mut sim, _) = multi_counter_sim(SchedMode::EventDriven, 8);
+        let (mut sim, _) = multi_counter_sim(SchedMode::FullSweep, 8);
         sim.set_telemetry(TelemetryLevel::Full);
         sim.run(5).unwrap();
         let stats = sim.stats();
         assert!(!stats.trace.is_empty());
         let cats: std::collections::HashSet<&str> = stats.trace.iter().map(|ev| ev.cat).collect();
         assert!(cats.contains("step"), "{cats:?}");
+        assert!(cats.contains("pass"), "{cats:?}");
         assert!(cats.contains("eval"), "{cats:?}");
         assert!(
             stats.components.iter().any(|c| c.eval_ns > 0),
@@ -2751,8 +2600,8 @@ mod tests {
         let reason = sim.compile_fallback_reason().unwrap();
         assert!(reason.contains("combinational cycle"), "{reason}");
         // The fallback is transparent: runs keep working and results
-        // are bit-identical to a plain event-driven simulation.
-        let (mut reference, ref_sels) = oscillator_farm(SchedMode::EventDriven, 1);
+        // are bit-identical to a plain full-sweep simulation.
+        let (mut reference, ref_sels) = oscillator_farm(SchedMode::FullSweep, 1);
         sim.run(5).unwrap();
         reference.run(5).unwrap();
         assert_eq!(
@@ -2842,8 +2691,8 @@ mod tests {
             "levelizes while the drive is hidden"
         );
         // Enabling the driver mid-run invalidates the schedule: the
-        // walk rolls its pass back, the settle re-runs
-        // event-driven, and the link is recorded for the rebuild.
+        // walk rolls its pass back, the settle re-runs as a sweep, and
+        // the link is recorded for the rebuild.
         sim.poke(en, 1).unwrap();
         sim.settle().unwrap();
         assert_eq!(sim.peek(y).unwrap().to_u64(), Some(1));
@@ -2852,8 +2701,8 @@ mod tests {
             notes.iter().any(|n| n.contains("newly discovered driver")),
             "{notes:?}"
         );
-        // Next settle rebuilds the plan (event-driven), the one after
-        // walks the rebuilt schedule.
+        // Next settle rebuilds the plan (a sweep), the one after walks
+        // the rebuilt schedule.
         sim.settle().unwrap();
         let before = sim.stats().lowered_settles;
         sim.settle().unwrap();
@@ -2927,9 +2776,9 @@ mod tests {
     fn stale_driver_walk_rolls_the_bus_back_before_the_rerun() {
         // `Inc` reads `y` and ranks first: the schedule never saw
         // `LateCopy` drive `y`. When `go` rises, the walk drives `go`
-        // and `y`, then aborts on the new link. The event-driven rerun
-        // must start from the bus as it was, so that `go` and `y`
-        // change (and toggle) again and `Inc` wakes on `y`.
+        // and `y`, then aborts on the new link. The sweep that re-runs
+        // the settle must start from the bus as it was, so that `go`
+        // and `y` change (and toggle) again and `Inc` sees `y`.
         let run = |mode| {
             let mut sim = Simulator::with_mode(mode);
             let go = sim.add_signal("go", 1).unwrap();
@@ -2965,7 +2814,7 @@ mod tests {
                 .render(sim.bus());
             (values, toggles, vcd, stats)
         };
-        let (values, toggles, vcd, _) = run(SchedMode::EventDriven);
+        let (values, toggles, vcd, _) = run(SchedMode::FullSweep);
         assert_eq!(values[3].to_u64(), Some(41), "inc saw the late drive");
         let (lo_values, lo_toggles, lo_vcd, stats) = run(SchedMode::Lowered);
         assert_eq!(stats.fallback_cause(FallbackCause::StaleDriver), 1);
@@ -2978,9 +2827,9 @@ mod tests {
     fn edge_after_a_stale_driver_fallback_samples_that_settle() {
         // A register loads `a0` when `a1` is high. `a0` is driven only
         // by `LateCopy`, first at cycle 4: that settle's walk aborts
-        // and re-runs event-driven, and the edge after it must load
-        // the value the event-driven settle computed (the planes still
-        // hold `a0 = X`, `a1 = 0`).
+        // and re-runs as a sweep, and the edge after it must load the
+        // value the sweep computed (the planes still hold `a0 = X`,
+        // `a1 = 0`).
         let run = |mode| {
             let entity = hdp_hdl::Entity::builder("r")
                 .port("a0", hdp_hdl::PortDir::In, 8)
@@ -3037,7 +2886,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_vcd_trace_is_bit_identical_to_event_driven() {
+    fn lowered_vcd_trace_is_bit_identical_to_the_sweep() {
         let render = |mode: SchedMode| -> String {
             let mut sim = Simulator::with_mode(mode);
             let q = sim.add_signal("q", 8).unwrap();
@@ -3064,7 +2913,7 @@ mod tests {
                 .unwrap()
                 .render(sim.bus())
         };
-        assert_eq!(render(SchedMode::Lowered), render(SchedMode::EventDriven));
+        assert_eq!(render(SchedMode::Lowered), render(SchedMode::FullSweep));
     }
 
     /// The counter rig without reset, for plan-reuse tests that need
@@ -3279,8 +3128,8 @@ mod tests {
 
     #[test]
     fn extra_domain_changes_design_signature() {
-        let (sim_a, _) = counter_sim(SchedMode::EventDriven);
-        let (mut sim_b, _) = counter_sim(SchedMode::EventDriven);
+        let (sim_a, _) = counter_sim(SchedMode::FullSweep);
+        let (mut sim_b, _) = counter_sim(SchedMode::FullSweep);
         let base = sim_a.design_signature();
         assert_eq!(base, sim_b.design_signature());
         sim_b.add_clock_domain("rd", 2).unwrap();

@@ -95,7 +95,7 @@ struct Slot {
     last_changer: usize,
     /// Every distinct driver ever seen on this signal. Nearly always
     /// one entry; growing past one flags the signal as shared so the
-    /// event scheduler can keep all its drivers co-evaluated.
+    /// rank walk can keep all its drivers co-evaluated.
     drivers: Vec<usize>,
     /// Telemetry: settled-value changes (counted once per pass, at
     /// pass end, so transient intra-pass states never count).
@@ -122,9 +122,9 @@ pub struct SignalBus {
     /// total signal count).
     touched: Vec<usize>,
     /// Slots that at some point this pass differed from their
-    /// pass-start value — candidates for the event scheduler's wake
-    /// set. Filter by each slot's `changed` flag: a later resolve may
-    /// have restored the original value.
+    /// pass-start value — what the rank walk wakes readers of. Filter
+    /// by each slot's `changed` flag for settled changes: a later
+    /// resolve may have restored the original value.
     dirty: Vec<usize>,
     /// Slots that newly gained a second distinct driver and have not
     /// yet been reported to the scheduler.

@@ -28,9 +28,9 @@
 //!
 //! Because every scheduling mode produces bit-identical signal traces,
 //! the *settled toggle counts* ([`SignalStats::toggles`]) are
-//! identical across `FullSweep` and `EventDriven`. `FullSweep`
-//! evaluates every component in every pass by definition, so its eval
-//! counts are the upper bound the event scheduler is measured against.
+//! identical across modes. `FullSweep` evaluates every component in
+//! every pass by definition, so its eval counts are the upper bound the
+//! lowered scheduler is measured against.
 //!
 //! [`crate::SchedMode::Lowered`] settles in a single rank walk, so it
 //! has no delta passes to count per-pass activity against: each
@@ -62,19 +62,19 @@ const TRACE_EVENT_CAP: usize = 1_000_000;
 /// notes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackCause {
-    /// The rank schedule was missing or stale, so the settle ran
-    /// event-driven to (re)discover driver links before freezing a
+    /// The rank schedule was missing or stale, so the settle ran as a
+    /// full sweep to (re)discover driver links before freezing a
     /// schedule. Every lowered-mode simulator pays at least one.
     Rebuild,
     /// A full re-evaluation was pending (reset, mode switch, device
-    /// mutation), which the event scheduler handles.
+    /// mutation), which the full sweep handles.
     WakeAll,
     /// The design cannot be levelized (combinational cycle or
     /// [`crate::Sensitivity::Always`]); every settle permanently falls
-    /// back to event-driven evaluation.
+    /// back to the full sweep.
     NonLevelizable,
     /// A rank walk observed a `(signal, driver)` link the schedule
-    /// was not built with; the settle re-ran event-driven and the
+    /// was not built with; the settle re-ran as a full sweep and the
     /// schedule is rebuilt.
     StaleDriver,
     /// A component kept its interpreted `eval` on the lowered rank
@@ -84,8 +84,8 @@ pub enum FallbackCause {
     /// A multi-rate step fired only a subset of the clock domains, so
     /// the lowered fast path surrendered its input memos (every lowered
     /// clocked unit is re-marked dirty even though its own domain may
-    /// not have ticked) — the event-driven-shaped cost multiple clock
-    /// domains impose on the lowered scheduler.
+    /// not have ticked) — the cost multiple clock domains impose on the
+    /// lowered scheduler.
     MultiDomain,
 }
 
@@ -181,7 +181,7 @@ pub struct ComponentStats {
     /// Number of `eval` calls.
     pub evals: u64,
     /// Number of settle passes that ran while this component was
-    /// *not* evaluated — the event scheduler's savings over a sweep.
+    /// *not* evaluated — the rank walk's savings over a sweep.
     pub skips: u64,
     /// Cumulative `eval` wall-clock time (0 below
     /// [`TelemetryLevel::Full`]).
@@ -228,7 +228,7 @@ pub struct SimStats {
     pub components: Vec<ComponentStats>,
     /// Per-signal activity, in declaration order.
     pub signals: Vec<SignalStats>,
-    /// Lowered-mode settles that fell back to the event scheduler
+    /// Lowered-mode settles that fell back to the full sweep
     /// (build/validation settles, invalidated schedules, designs that
     /// cannot be levelized).
     pub fallback_settles: u64,
@@ -537,21 +537,45 @@ impl Telemetry {
         self.comp_ns[component] += dur_ns;
     }
 
+    /// Records one evaluation of `component` (named `name`) that began
+    /// at `started`, which is set only while spans are recorded: its
+    /// duration, and at [`TelemetryLevel::Full`] its `eval` span.
+    pub(crate) fn record_eval_since(
+        &mut self,
+        component: usize,
+        started: Option<Instant>,
+        name: &str,
+    ) {
+        let dur = started.map_or(0, |t| {
+            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
+        self.record_eval(component, dur);
+        if started.is_some() {
+            self.push_span(TraceEvent {
+                name: name.to_owned(),
+                cat: "eval",
+                ts_ns: self.now_ns().saturating_sub(dur),
+                dur_ns: dur,
+                tid: 0,
+            });
+        }
+    }
+
     /// Records one settle pass's wake-set size and forensics ring
     /// entry. The entry leaving a full ring carries the new one, so a
     /// warm ring allocates nothing.
-    pub(crate) fn record_pass(&mut self, wake: &[usize]) {
-        self.passes += 1;
-        let n = wake.len() as u64;
-        self.total_wake += n;
-        self.max_wake = self.max_wake.max(n);
+    pub(crate) fn record_pass(&mut self, wake: impl IntoIterator<Item = usize>) {
         let mut entry = if self.wake_ring.len() == WAKE_FORENSICS_DEPTH {
             self.wake_ring.pop_front().unwrap_or_default()
         } else {
             Vec::new()
         };
         entry.clear();
-        entry.extend_from_slice(wake);
+        entry.extend(wake);
+        let n = entry.len() as u64;
+        self.passes += 1;
+        self.total_wake += n;
+        self.max_wake = self.max_wake.max(n);
         self.wake_ring.push_back(entry);
     }
 
@@ -565,7 +589,7 @@ impl Telemetry {
         }
     }
 
-    /// Records one settle that fell back to the event scheduler,
+    /// Records one settle that fell back to the full sweep,
     /// attributing it to a typed cause.
     #[inline]
     pub(crate) fn record_fallback_settle(&mut self, cause: FallbackCause) {
@@ -658,7 +682,7 @@ mod tests {
         let mut t = Telemetry::default();
         t.set_level(TelemetryLevel::Counters);
         for i in 0..10 {
-            t.record_pass(&[i]);
+            t.record_pass([i]);
         }
         assert_eq!(t.wake_ring.len(), WAKE_FORENSICS_DEPTH);
         assert_eq!(t.wake_ring.back().unwrap(), &vec![9]);

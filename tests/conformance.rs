@@ -1,9 +1,9 @@
 //! Fixed-seed differential conformance sweep.
 //!
 //! Samples 200 designs from the metagen design space — including the
-//! multi-clock `async_fifo` family — and demands that all six
-//! oracles — three simulator scheduling modes, the lowered mode again
-//! on the rank walk, the levelized netlist path and the VHDL-text
+//! multi-clock `async_fifo` family — and demands that all five
+//! oracles — the two simulator scheduling modes, the lowered mode
+//! again on the rank walk, the levelized netlist path and the VHDL-text
 //! interpreter — agree bit-for-bit on every
 //! output, every cycle. This is the committed, deterministic slice of
 //! what the `conform` fuzz binary explores with arbitrary seeds.
@@ -98,7 +98,7 @@ fn two_hundred_sampled_designs_conform_across_all_oracles() {
     );
 }
 
-/// The 64-way lane engine against per-lane event-driven referees over
+/// The 64-way lane engine against per-lane full-sweep referees over
 /// its own fixed-seed sample: every lane of every packable design must
 /// match its scalar run, and the packed designs must cover every
 /// sequential primitive and the truth table. Only designs outside the
@@ -148,7 +148,7 @@ fn two_hundred_sampled_designs_conform_lane_packed() {
 /// Every `wr:rd` period ratio the sampler draws, at two depths, must
 /// conform across the full five-oracle stack: the deterministic
 /// multi-domain interleaving has to come out bit-identical whether
-/// the ticks are dispatched by the full sweep, the event queue, the
+/// the ticks are dispatched by the full sweep, the
 /// lowered op streams (which fall back to interpreted ticks on
 /// partial firings), the levelized path or the VHDL-text
 /// interpreter's per-rail clock stepping.

@@ -357,11 +357,11 @@ proptest! {
         prop_assert_eq!(hi.concat(&lo).unwrap(), vx);
     }
 
-    /// The event-driven scheduler is bit-identical to the retained
-    /// full-sweep reference on a complete randomized pipeline: same
-    /// per-signal waveforms (VCD), same delivered frames.
+    /// The lowered scheduler is bit-identical to the full-sweep
+    /// reference on a complete randomized pipeline: same per-signal
+    /// waveforms (VCD), same delivered frames.
     #[test]
-    fn event_scheduler_matches_sweep_on_pipeline(
+    fn lowered_scheduler_matches_sweep_on_pipeline(
         pixels in prop::collection::vec(0u64..256, 1..32),
         gap in 0u32..3,
         op in prop::sample::select(vec![
@@ -386,22 +386,19 @@ proptest! {
             let frames = sim.component::<VideoOut>(p.sink).unwrap().frames().to_vec();
             (vcd, frames)
         };
-        let (event_vcd, event_frames) = run(SchedMode::EventDriven);
-        let (sweep_vcd, sweep_frames) = run(SchedMode::FullSweep);
-        prop_assert_eq!(&event_frames, &sweep_frames);
-        prop_assert_eq!(&event_vcd, &sweep_vcd);
-        // The lowered rank walk must reproduce the same waveforms and
+        // The lowered rank walk must reproduce the sweep's waveforms and
         // frames bit for bit.
+        let (sweep_vcd, sweep_frames) = run(SchedMode::FullSweep);
         let (lowered_vcd, lowered_frames) = run(SchedMode::Lowered);
-        prop_assert_eq!(&lowered_frames, &event_frames);
-        prop_assert_eq!(&lowered_vcd, &event_vcd);
+        prop_assert_eq!(&lowered_frames, &sweep_frames);
+        prop_assert_eq!(&lowered_vcd, &sweep_vcd);
     }
 
     /// The scheduler modes also agree cycle by cycle on a random
     /// container driven through its iterator: every observable signal
     /// settles to the same value after every step.
     #[test]
-    fn event_scheduler_matches_sweep_on_container_ops(
+    fn lowered_scheduler_matches_sweep_on_container_ops(
         ops in prop::collection::vec(queue_op(), 1..60),
         use_stack in any::<bool>(),
     ) {
@@ -467,16 +464,15 @@ proptest! {
             }
             trace
         };
-        let reference = run(SchedMode::EventDriven);
-        prop_assert_eq!(&run(SchedMode::FullSweep), &reference);
+        let reference = run(SchedMode::FullSweep);
         prop_assert_eq!(&run(SchedMode::Lowered), &reference);
     }
 
     /// Several independent randomized pipelines in ONE simulator: the
     /// design family with genuinely disjoint connectivity, whose rank
     /// schedule interleaves components of unrelated pipelines. Frames
-    /// and waveforms of the lowered rank walk must match the delta-cycle
-    /// schedulers bit for bit.
+    /// and waveforms of the lowered rank walk must match the full sweep
+    /// bit for bit.
     #[test]
     fn lowered_scheduler_matches_on_multi_pipeline(
         pixels in prop::collection::vec(0u64..256, 1..16),
@@ -513,21 +509,17 @@ proptest! {
                 .collect();
             (vcd, frames)
         };
-        let (event_vcd, event_frames) = run(SchedMode::EventDriven);
         let (sweep_vcd, sweep_frames) = run(SchedMode::FullSweep);
-        prop_assert_eq!(&event_frames, &sweep_frames);
-        prop_assert_eq!(&event_vcd, &sweep_vcd);
         let (lowered_vcd, lowered_frames) = run(SchedMode::Lowered);
-        prop_assert_eq!(&lowered_frames, &event_frames);
-        prop_assert_eq!(&lowered_vcd, &event_vcd);
+        prop_assert_eq!(&lowered_frames, &sweep_frames);
+        prop_assert_eq!(&lowered_vcd, &sweep_vcd);
     }
 
     /// Telemetry invariants on the multi-pipeline family: settled
     /// per-signal toggle counts are identical across all modes (every
-    /// mode produces bit-identical waveforms), the sweep's eval counts
-    /// upper-bound the event scheduler's, the lowered rank walk never
-    /// evaluates more than the event scheduler, and
-    /// `TelemetryLevel::Off` leaves stats completely empty.
+    /// mode produces bit-identical waveforms), the lowered rank walk
+    /// never evaluates more than the sweep, and `TelemetryLevel::Off`
+    /// leaves stats completely empty.
     #[test]
     fn telemetry_invariants_on_multi_pipeline(
         pixels in prop::collection::vec(0u64..256, 1..8),
@@ -549,20 +541,16 @@ proptest! {
             sim.run((gap as u64 + 4) * n as u64 + 10).unwrap();
             sim.stats()
         };
-        let reference = run(SchedMode::EventDriven, TelemetryLevel::Counters);
-        prop_assert!(reference.total_evals() > 0);
         let sweep = run(SchedMode::FullSweep, TelemetryLevel::Counters);
+        prop_assert!(sweep.total_evals() > 0);
         let lowered = run(SchedMode::Lowered, TelemetryLevel::Counters);
-        for (label, stats) in [("sweep", &sweep), ("lowered", &lowered)] {
-            prop_assert_eq!(stats.total_toggles(), reference.total_toggles());
-            for (s, rs) in stats.signals.iter().zip(&reference.signals) {
-                prop_assert_eq!(&s.name, &rs.name);
-                prop_assert_eq!(s.toggles, rs.toggles, "signal {} ({})", s.name, label);
-            }
+        prop_assert_eq!(lowered.total_toggles(), sweep.total_toggles());
+        for (s, rs) in lowered.signals.iter().zip(&sweep.signals) {
+            prop_assert_eq!(&s.name, &rs.name);
+            prop_assert_eq!(s.toggles, rs.toggles, "signal {}", s.name);
         }
-        prop_assert!(sweep.total_evals() >= reference.total_evals());
-        prop_assert!(lowered.total_evals() <= reference.total_evals());
-        let off = run(SchedMode::EventDriven, TelemetryLevel::Off);
+        prop_assert!(lowered.total_evals() <= sweep.total_evals());
+        let off = run(SchedMode::FullSweep, TelemetryLevel::Off);
         prop_assert!(off.is_empty());
         prop_assert_eq!(off, SimStats::default());
     }

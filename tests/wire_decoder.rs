@@ -57,7 +57,7 @@ fn repro_text() -> String {
 fn every_truncation_decodes_as_the_tree_decoder_does() {
     let job = with_options(
         &job_to_json(&sample_case(13, 4)),
-        "{\"mode\":\"event_driven\",\"vcd\":true,\"span\":false}",
+        "{\"mode\":\"full_sweep\",\"vcd\":true,\"span\":false}",
     );
     for text in [repro_text(), job] {
         for end in 0..=text.len() {
@@ -193,7 +193,7 @@ fn edge_cases_decode_as_the_tree_decoder_does() {
         with_options(&job, "[]"),
         with_options(&job, "{\"mode\":\"lowered\"},\"options\":{\"mode\":\"warp\"}"),
         with_options(&job, "{\"mode\":\"warp\"},\"options\":{\"mode\":\"lowered\"}"),
-        with_options(&job, "{\"mode\":\"event_driven\",\"mode\":\"warp\"}"),
+        with_options(&job, "{\"mode\":\"full_sweep\",\"mode\":\"warp\"}"),
         // Escapes in keys and strings.
         job.replacen("\"design\"", "\"de\\u0073ign\"", 1),
         job.replacen("\"schema\"", "\"sch\\u00e9ma\"", 1),
