@@ -1,6 +1,6 @@
 //! Times cycle-accurate simulation: the generated Table 3 netlists
 //! interpreted against the board models, the model-level
-//! (hand-written component) pipeline for comparison, the three
+//! (hand-written component) pipeline for comparison, the two
 //! scheduler modes and the multi-design batch runner. Run with `cargo
 //! bench -p hdp-bench --bench simulation`; each line is the median and
 //! IQR per iteration (one frame, or one batch of frames).
@@ -81,13 +81,18 @@ fn model_sim() {
 
 /// The scheduler modes on the blur frame, the sweep under both
 /// interpreter strategies, asserted bit-identical to the
-/// evaluate-everything sweep before any time is measured.
+/// evaluate-everything sweep before any time is measured. Only the
+/// runs are timed: each sample builds its simulator untimed.
 fn sched_modes() {
     let frame = Frame::noise(32, 8, PixelFormat::Gray8, 11);
-    let run = |mode: SchedMode, incremental: bool| {
+    let build = |mode: SchedMode, incremental: bool| {
         let spec = blur_spec(&frame).mode(mode).incremental(incremental);
-        let (mut sim, sink) = build_design_sim(&spec).unwrap();
-        run_design_sim(&mut sim, sink, budget(&frame, 1))
+        build_design_sim(&spec).unwrap()
+    };
+    let budget = budget(&frame, 1);
+    let run = |mode: SchedMode, incremental: bool| {
+        let (mut sim, sink) = build(mode, incremental);
+        run_design_sim(&mut sim, sink, budget)
     };
     let reference = run(SchedMode::FullSweep, false);
     for mode in SchedMode::ALL {
@@ -110,7 +115,11 @@ fn sched_modes() {
         };
         report(
             &format!("sched_mode_blur_frame/{}/{interpreter}", mode.label()),
-            &sample(SAMPLES, || run(mode, incremental)),
+            &sample_with(
+                SAMPLES,
+                || build(mode, incremental),
+                |(mut sim, sink)| run_design_sim(&mut sim, sink, budget),
+            ),
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Differential conformance fuzzer.
 //!
 //! Samples random designs from the metagen design space, runs each
-//! through the five-oracle conformance stack (`hdp-conform`), shrinks
+//! through the six-oracle conformance stack (`hdp-conform`), shrinks
 //! any diverging case to a minimal reproducer and writes it next to
 //! the summary as `conform_repro_<n>.json`. Every design also goes
 //! through the 64-lane engine (`check_lanes`) with its own
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const SUMMARY_JSON: &str = "BENCH_conform.json";
-const SUMMARY_SCHEMA: &str = "hdp-bench-conform-v4";
+const SUMMARY_SCHEMA: &str = "hdp-bench-conform-v5";
 
 /// Lane stimuli per design: one packed run checks this many scalar
 /// runs of the same length as the scalar oracle stack's.

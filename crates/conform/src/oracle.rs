@@ -1,14 +1,17 @@
 //! The oracle stack and the differential cycle engine.
 //!
-//! A design conforms when every oracle — the four scheduler/evaluator
+//! A design conforms when every oracle — the five scheduler/evaluator
 //! paths of `hdp-sim` (including the lowered word-level op-stream
-//! mode, alone and on the rank walk) plus the executable VHDL model of
+//! mode, alone, on the rank walk and over a whole stimulus in one
+//! `Simulator::run_rows` call) plus the executable VHDL model of
 //! `hdp_hdl::interp` —
 //! produces bit-identical output-port traces for the same stimulus.
 //! Errors participate in the comparison too:
 //! *error parity* (every oracle failing at the same cycle) is
 //! conforming, because the oracles agree the stimulus left the legal
-//! protocol; an asymmetric error is a divergence like any other.
+//! protocol; an asymmetric error is a divergence like any other. The
+//! whole-stimulus run must also fail with the per-cycle lowered
+//! oracle's text.
 
 use hdp_hdl::interp::VhdlInterp;
 use hdp_hdl::{LogicVector, Netlist, PortDir};
@@ -21,13 +24,19 @@ use rand::Rng;
 
 /// Display labels of the oracle stack, in comparison order. The
 /// first entry is the reference the others are compared against.
-pub const ORACLE_LABELS: [&str; 5] = [
+pub const ORACLE_LABELS: [&str; 6] = [
     "full_sweep",
     "lowered",
     "lowered_walk",
+    "lowered_run",
     "levelized",
     "vhdl_interp",
 ];
+
+/// Positions in [`ORACLE_LABELS`] of the per-cycle lowered oracle and
+/// of the whole-stimulus run, whose error texts must agree.
+const LOWERED: usize = 1;
+const LOWERED_RUN: usize = 3;
 
 /// A deterministic input-port stimulus: one word per input per cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +143,17 @@ enum Oracle {
         inputs: Vec<SignalId>,
         outputs: Vec<(String, SignalId)>,
     },
+    /// A whole-stimulus run, computed up front in one
+    /// [`Simulator::run_rows`] call and replayed cycle by cycle.
+    Run {
+        /// The sampled output rows, one per cycle that reached its
+        /// sample.
+        rows: Vec<Vec<LogicVector>>,
+        /// The error that ended the run, with the cycle that raised it.
+        failure: Option<(usize, String)>,
+        /// The cycle the replay is at.
+        cycle: usize,
+    },
     Vhdl {
         vm: Box<VhdlInterp>,
         inputs: Vec<(String, usize)>,
@@ -221,6 +241,32 @@ fn build_sim(
     })
 }
 
+/// The whole-stimulus oracle: a lone lowered `netlist` run over all of
+/// `stim` in one [`Simulator::run_rows`] call.
+fn build_run(netlist: &Netlist, stim: &Stimulus) -> Result<Oracle, String> {
+    let Oracle::Sim {
+        mut sim,
+        inputs,
+        outputs,
+    } = build_sim(netlist, SchedMode::Lowered, true, false, stim)?
+    else {
+        unreachable!("`build_sim` builds a simulator oracle");
+    };
+    let outputs: Vec<SignalId> = outputs.iter().map(|&(_, id)| id).collect();
+    let mut rows = Vec::with_capacity(stim.cycles.len());
+    let failure = sim
+        .run_rows(&inputs, &stim.cycles, &outputs, |row| {
+            rows.push(row.to_vec())
+        })
+        .err()
+        .map(|(cycle, e)| (cycle, e.to_string()));
+    Ok(Oracle::Run {
+        rows,
+        failure,
+        cycle: 0,
+    })
+}
+
 fn build_vhdl(netlist: &Netlist, stim: &Stimulus) -> Result<Oracle, String> {
     let vm = VhdlInterp::from_netlist(netlist, "rtl").map_err(|e| e.to_string())?;
     let outputs = netlist
@@ -259,13 +305,33 @@ impl Oracle {
                     vm.poke(name, v).map_err(|e| e.to_string())?;
                 }
             }
+            Oracle::Run { .. } => {}
         }
         Ok(())
+    }
+
+    /// The run's error, when it ended in this cycle's phase: before the
+    /// sample (`sampled` false) or at the clock edge.
+    fn run_failure(
+        rows: &[Vec<LogicVector>],
+        failure: &Option<(usize, String)>,
+        cycle: usize,
+        sampled: bool,
+    ) -> Result<(), String> {
+        match failure {
+            Some((at, e)) if *at == cycle && (rows.len() > cycle) == sampled => Err(e.clone()),
+            _ => Ok(()),
+        }
     }
 
     fn reset(&mut self) -> Result<(), String> {
         match self {
             Oracle::Sim { sim, .. } => sim.reset().map_err(|e| e.to_string()),
+            Oracle::Run {
+                rows,
+                failure,
+                cycle,
+            } => Self::run_failure(rows, failure, *cycle, false),
             Oracle::Vhdl { vm, cycle, .. } => {
                 vm.reset();
                 *cycle = 0;
@@ -277,6 +343,11 @@ impl Oracle {
     fn settle(&mut self) -> Result<(), String> {
         match self {
             Oracle::Sim { sim, .. } => sim.settle().map_err(|e| e.to_string()),
+            Oracle::Run {
+                rows,
+                failure,
+                cycle,
+            } => Self::run_failure(rows, failure, *cycle, false),
             Oracle::Vhdl { vm, .. } => vm.settle().map_err(|e| e.to_string()),
         }
     }
@@ -284,6 +355,15 @@ impl Oracle {
     fn step(&mut self) -> Result<(), String> {
         match self {
             Oracle::Sim { sim, .. } => sim.step().map_err(|e| e.to_string()),
+            Oracle::Run {
+                rows,
+                failure,
+                cycle,
+            } => {
+                Self::run_failure(rows, failure, *cycle, true)?;
+                *cycle += 1;
+                Ok(())
+            }
             Oracle::Vhdl {
                 vm, clocks, cycle, ..
             } => {
@@ -307,6 +387,10 @@ impl Oracle {
                 .iter()
                 .map(|(_, id)| sim.peek(*id).map_err(|e| e.to_string()))
                 .collect(),
+            Oracle::Run { rows, cycle, .. } => rows
+                .get(*cycle)
+                .cloned()
+                .ok_or_else(|| format!("the run sampled no row {cycle}")),
             Oracle::Vhdl { vm, outputs, .. } => outputs
                 .iter()
                 .map(|name| vm.peek(name).map_err(|e| e.to_string()))
@@ -342,7 +426,7 @@ fn phase_all(
     let failures = results.iter().filter(|r| r.is_err()).count();
     if failures == 0 {
         Ok(false)
-    } else if failures == results.len() {
+    } else if failures == results.len() && results[LOWERED_RUN] == results[LOWERED] {
         Ok(true) // error parity: conforming, stop the design
     } else {
         let shown: Vec<Result<&str, String>> = results
@@ -359,9 +443,9 @@ fn phase_all(
 
 /// Runs `netlist` through the full oracle stack under `stim`.
 ///
-/// Returns `None` when the design conforms: all five oracles produce
+/// Returns `None` when the design conforms: all six oracles produce
 /// bit-identical four-state output traces (or all fail at the same
-/// cycle). Returns the first [`Divergence`] otherwise. Oracle
+/// cycle, the whole-stimulus run with the per-cycle lowered text). Returns the first [`Divergence`] otherwise. Oracle
 /// *construction* failures (e.g. the VHDL interpreter rejecting the
 /// emitted text) are reported as a cycle-0 divergence — an emitted
 /// design the executable model cannot parse is itself a conformance
@@ -372,6 +456,7 @@ pub fn check(netlist: &Netlist, stim: &Stimulus) -> Option<Divergence> {
         build_sim(netlist, SchedMode::FullSweep, true, false, stim),
         build_sim(netlist, SchedMode::Lowered, true, false, stim),
         build_sim(netlist, SchedMode::Lowered, true, true, stim),
+        build_run(netlist, stim),
         build_sim(netlist, SchedMode::FullSweep, false, false, stim),
         build_vhdl(netlist, stim),
     ];

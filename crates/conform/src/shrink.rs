@@ -69,7 +69,7 @@ pub fn shrink(case: &Case) -> (Case, Option<Divergence>) {
         return (case.clone(), None);
     };
     let mut best = case.clone();
-    // Cap the effort: each accepted reduction re-runs five oracles.
+    // Cap the effort: each accepted reduction re-runs six oracles.
     let mut budget = 200usize;
     loop {
         let mut reduced = false;

@@ -1,10 +1,13 @@
 //! Job execution against the plan cache.
 //!
 //! A job is a [`Case`] (design-space point + stimulus) plus
-//! [`JobOptions`]. Execution mirrors the conformance engine's oracle
-//! harness cycle for cycle — poke the row, reset on cycle 0 / settle
-//! otherwise, record the settled output ports, clock edge — so a
-//! service trace is directly comparable to any oracle trace.
+//! [`JobOptions`]. Execution is one [`Simulator::run_rows`] call, which
+//! runs the conformance engine's oracle protocol cycle for cycle — poke
+//! the row, reset on cycle 0 / settle otherwise, record the settled
+//! output ports, clock edge — so a service trace is directly comparable
+//! to any oracle trace. An untraced lowered job (no telemetry, no VCD)
+//! runs its cycles after the first straight on the design's op-stream
+//! planes, one op walk per cycle.
 //!
 //! The cache closes the reuse loop:
 //!
@@ -257,28 +260,17 @@ fn build_sim(
 }
 
 /// Drives the stimulus through a built simulator with the oracle
-/// protocol, returning the settled output trace.
+/// protocol in one [`Simulator::run_rows`] call, returning the settled
+/// output trace.
 fn drive(built: &mut BuiltSim, stim: &Stimulus) -> Result<Vec<Vec<LogicVector>>, ServiceError> {
+    let outputs: Vec<SignalId> = built.outputs.iter().map(|&(_, id)| id).collect();
     let mut trace = Vec::with_capacity(stim.cycles.len());
-    for (cycle, row) in stim.cycles.iter().enumerate() {
-        let at = |source: SimError| ServiceError::Sim { cycle, source };
-        for (&id, &value) in built.inputs.iter().zip(row) {
-            built.sim.poke(id, value).map_err(at)?;
-        }
-        if cycle == 0 {
-            built.sim.reset().map_err(at)?;
-        } else {
-            built.sim.settle().map_err(at)?;
-        }
-        let settled = built
-            .outputs
-            .iter()
-            .map(|&(_, id)| built.sim.peek(id))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(at)?;
-        trace.push(settled);
-        built.sim.step().map_err(at)?;
-    }
+    built
+        .sim
+        .run_rows(&built.inputs, &stim.cycles, &outputs, |row| {
+            trace.push(row.to_vec());
+        })
+        .map_err(|(cycle, source)| ServiceError::Sim { cycle, source })?;
     Ok(trace)
 }
 

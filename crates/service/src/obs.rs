@@ -36,8 +36,8 @@ pub enum Stage {
     /// Metagen instantiation, netlist validation and simulator wiring
     /// (cold path; warm jobs only pay the template clone here).
     Build,
-    /// The stimulus drive loop: pokes, settles, clock edges, trace
-    /// capture.
+    /// The stimulus run: one [`hdp_sim::Simulator::run_rows`] call
+    /// (pokes, settles, clock edges, trace capture).
     Execute,
     /// Plan export and cache publication after a cold run.
     Publish,

@@ -235,6 +235,9 @@ pub(crate) struct LoweredScratch {
     /// sequential outputs (set after construction and clock edges, and
     /// by [`settle_planes`] whenever the planes are not current).
     pub(crate) dirty: bool,
+    /// Op walks run on these planes.
+    #[cfg(test)]
+    pub(crate) walks: u64,
 }
 
 /// A lowered unit's settled planes as the inputs of a clock edge
@@ -262,6 +265,8 @@ impl LoweredScratch {
             // net cache.
             nets: prog.masks.iter().map(|&m| (0, m, 0)).collect(),
             dirty: true,
+            #[cfg(test)]
+            walks: 0,
         }
     }
 }
@@ -506,7 +511,7 @@ fn exec_op(op: &LoweredOp, prog: &LoweredProgram, s: &mut LoweredScratch) {
 /// reports whether the op walk must run: not when neither the inputs nor
 /// the sequential state changed since the last walk (the input memo), in
 /// which case the planes already hold this settle.
-fn latch_inputs(
+pub(crate) fn latch_inputs(
     prog: &LoweredProgram,
     scratch: &mut LoweredScratch,
     read: impl Fn(SignalId) -> Result<LogicVector, SimError>,
@@ -541,7 +546,7 @@ fn latch_inputs(
 /// planes last showed it (an edge, a fallback, a fresh unit). A
 /// validated netlist drives each sequential output net from its cell
 /// alone, so nothing else writes those planes in between.
-fn exec_walk(
+pub(crate) fn exec_walk(
     prog: &LoweredProgram,
     scratch: &mut LoweredScratch,
     comp: &mut NetlistComponent,
@@ -563,6 +568,10 @@ fn exec_walk(
     // included: the next clock edge samples them there.
     comp.mark_lowered_settle();
     scratch.dirty = false;
+    #[cfg(test)]
+    {
+        scratch.walks += 1;
+    }
     prog.ops.len() as u64
 }
 

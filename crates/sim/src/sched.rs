@@ -27,7 +27,10 @@
 //!   lowered netlist (every service job without a VCD recorder) skips
 //!   the walk too: `poke`, `settle`, `step` and `peek` run that unit
 //!   straight on its planes, with no wake set and no pass (the direct
-//!   path, `settle_direct`); its counts and traces are the walk's. Designs
+//!   path, `settle_direct`); its counts and traces are the walk's. A
+//!   whole stimulus run on such a design through
+//!   [`Simulator::run_rows`], with telemetry off, walks its ops once per
+//!   cycle: the walk after each edge folds into the next row's. Designs
 //!   the levelizer cannot order (combinational cycles,
 //!   [`Sensitivity::Always`]) fall back transparently — and
 //!   permanently — to the full sweep; an invalidated schedule (newly
@@ -35,7 +38,9 @@
 //!   and rebuilds.
 
 use crate::compiled::{CompiledPlan, CompiledSchedule};
-use crate::lower::{exec_settle, settle_planes, LoweredProgram, LoweredScratch, Planes};
+use crate::lower::{
+    exec_settle, exec_walk, latch_inputs, settle_planes, LoweredProgram, LoweredScratch, Planes,
+};
 use crate::netlist_sim::{EdgeInputs as _, Firing, NetlistComponent};
 use crate::signal::DRIVER_POKE;
 use crate::telemetry::{
@@ -1721,6 +1726,303 @@ impl Simulator {
     }
 }
 
+/// How a whole-stimulus run reaches a lone lowered unit's planes
+/// ([`Simulator::run_rows`] on the direct path), resolved once per run.
+struct DirectPorts {
+    /// `(stimulus column, net)` for each `In` port a column drives; when
+    /// two columns name one signal, the later column's word is latched,
+    /// as its poke would win.
+    latch: Vec<(usize, u32)>,
+    /// The `Out`-port net of each sampled output, in sample order.
+    sample: Vec<u32>,
+    /// The width of each stimulus column's signal, for `poke`'s check.
+    widths: Vec<usize>,
+    /// The words the stimulus columns hold: the row last latched.
+    held: Vec<LogicVector>,
+}
+
+impl Simulator {
+    /// Runs a whole stimulus with the oracle cycle protocol, one call per
+    /// job. For each row it pokes the row's words into `inputs` (in
+    /// order, as many as the row has), resets on the first row and
+    /// settles on the others, hands the settled values of `outputs` to
+    /// `sink`, and then [`step`](Simulator::step)s.
+    ///
+    /// The outcome is the per-cycle loop's, call for call: the rows the
+    /// sink sees, the first error and the row that raised it, and the
+    /// simulator afterwards (every signal, net, [`cycle`](Self::cycle),
+    /// [`stats`](Self::stats) and exported plan).
+    ///
+    /// One case runs faster. Take a [`SchedMode::Lowered`] simulator
+    /// whose one component is a lowered netlist, with telemetry
+    /// [`TelemetryLevel::Off`], where `inputs` are the unit's `In`
+    /// ports and `outputs` its `Out` ports. After the first row, each
+    /// row runs straight on the unit's planes. The ports are resolved
+    /// once. The row is latched with `poke`'s width check, and the ops
+    /// are walked once per cycle: the walk after each clock edge folds
+    /// into the next row's walk, since nothing reads the bus between
+    /// the two. The sampled values come off the `Out` planes, and the
+    /// edge is the unit's own. On return, and on error, the run writes
+    /// the pokes and outputs back and runs the last post-edge settle.
+    /// Any other simulator runs the per-cycle protocol.
+    ///
+    /// ```
+    /// use hdp_sim::{SimBuilder, devices::FifoCore};
+    ///
+    /// # fn main() -> Result<(), hdp_sim::SimError> {
+    /// let mut b = SimBuilder::new();
+    /// let push = b.signal("push", 1)?;
+    /// let pop = b.signal("pop", 1)?;
+    /// let wdata = b.signal("wdata", 8)?;
+    /// let rdata = b.signal("rdata", 8)?;
+    /// let empty = b.signal("empty", 1)?;
+    /// let full = b.signal("full", 1)?;
+    /// b.component(FifoCore::new("u_fifo", 16, 8, push, pop, wdata, rdata, empty, full));
+    /// let mut sim = b.build()?;
+    /// // push, wdata, pop
+    /// let rows = [[1, 0x42, 0], [0, 0, 0], [0, 0, 1]];
+    /// let mut fronts = Vec::new();
+    /// sim.run_rows(&[push, wdata, pop], &rows, &[rdata], |sampled| {
+    ///     fronts.push(sampled[0].to_u64());
+    /// })
+    /// .map_err(|(_row, e)| e)?;
+    /// assert_eq!(fronts[1], Some(0x42));
+    /// assert_eq!(sim.cycle(), 3);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The first error, with the 0-based row that raised it. The sink has
+    /// seen the rows before it, and the row itself when its clock edge
+    /// failed.
+    pub fn run_rows<R: AsRef<[u64]>>(
+        &mut self,
+        inputs: &[SignalId],
+        rows: impl IntoIterator<Item = R>,
+        outputs: &[SignalId],
+        mut sink: impl FnMut(&[LogicVector]),
+    ) -> Result<(), (usize, SimError)> {
+        let mut rows = rows.into_iter();
+        let Some(first) = rows.next() else {
+            return Ok(());
+        };
+        let mut sampled = Vec::with_capacity(outputs.len());
+        self.protocol_cycle(
+            true,
+            inputs,
+            first.as_ref(),
+            outputs,
+            &mut sampled,
+            &mut sink,
+        )
+        .map_err(|e| (0, e))?;
+        if let Some(ports) = self.direct_ports(inputs, outputs) {
+            return self.run_direct(ports, inputs, rows, &mut sampled, &mut sink);
+        }
+        for (cycle, row) in (1..).zip(rows) {
+            self.protocol_cycle(
+                false,
+                inputs,
+                row.as_ref(),
+                outputs,
+                &mut sampled,
+                &mut sink,
+            )
+            .map_err(|e| (cycle, e))?;
+        }
+        Ok(())
+    }
+
+    /// One cycle of the oracle protocol through the public calls.
+    fn protocol_cycle(
+        &mut self,
+        first: bool,
+        inputs: &[SignalId],
+        row: &[u64],
+        outputs: &[SignalId],
+        sampled: &mut Vec<LogicVector>,
+        sink: &mut impl FnMut(&[LogicVector]),
+    ) -> Result<(), SimError> {
+        for (&id, &value) in inputs.iter().zip(row) {
+            self.poke(id, value)?;
+        }
+        if first {
+            self.reset()?;
+        } else {
+            self.settle()?;
+        }
+        sampled.clear();
+        for &id in outputs {
+            sampled.push(self.peek(id)?);
+        }
+        sink(sampled);
+        self.step()
+    }
+
+    /// The ports of a run that may continue on the direct path, or
+    /// `None`. Asked after the first row's `step`, which leaves every
+    /// column poked, the plan built and nothing pending: the next settle
+    /// must be a direct one, the columns must be the unit's `In` ports
+    /// and the outputs its `Out` ports, and no signal may be both.
+    fn direct_ports(&self, inputs: &[SignalId], outputs: &[SignalId]) -> Option<DirectPorts> {
+        if self.mode != SchedMode::Lowered || self.telemetry.on() || !self.direct_ready() {
+            return None;
+        }
+        let prog = &self.lowered.first()?.as_ref()?.prog;
+        if prog
+            .in_ports
+            .iter()
+            .any(|&(_, s)| prog.out_ports.iter().any(|&(_, o)| o == s))
+        {
+            return None;
+        }
+        let mut latch = Vec::new();
+        for &(net, signal) in &prog.in_ports {
+            if let Some(k) = inputs.iter().rposition(|&id| id == signal) {
+                latch.push((k, net));
+            }
+        }
+        let mut widths = Vec::with_capacity(inputs.len());
+        let mut held = Vec::with_capacity(inputs.len());
+        for id in inputs {
+            prog.in_ports.iter().find(|&&(_, s)| s == *id)?;
+            widths.push(self.bus.width(*id).ok()?);
+            held.push(self.pokes.iter().find(|(s, _)| s == id)?.1);
+        }
+        let sample = outputs
+            .iter()
+            .map(|id| {
+                let port = prog.out_ports.iter().find(|&&(_, s)| s == *id);
+                port.map(|&(net, _)| net)
+            })
+            .collect::<Option<_>>()?;
+        Some(DirectPorts {
+            latch,
+            sample,
+            widths,
+            held,
+        })
+    }
+
+    /// Rows 1.. of [`Simulator::run_rows`] on the unit's planes. Per
+    /// row: check and latch the words, walk when they or the sequential
+    /// state moved (the input memo), sample the `Out` planes, clock
+    /// edge. The bus is left alone until [`Simulator::finish_direct`].
+    fn run_direct<R: AsRef<[u64]>>(
+        &mut self,
+        mut ports: DirectPorts,
+        inputs: &[SignalId],
+        rows: impl Iterator<Item = R>,
+        sampled: &mut Vec<LogicVector>,
+        sink: &mut impl FnMut(&[LogicVector]),
+    ) -> Result<(), (usize, SimError)> {
+        #[cfg(test)]
+        {
+            self.on_direct = true;
+        }
+        let mut next = ports.held.clone();
+        let mut cycle = 1;
+        let clocked = !self.clocked.is_empty();
+        for row in rows {
+            next.copy_from_slice(&ports.held);
+            for (k, (&value, &width)) in row.as_ref().iter().zip(&ports.widths).enumerate() {
+                match LogicVector::from_u64(value, width) {
+                    Ok(v) => next[k] = v,
+                    Err(e) => {
+                        // `poke` fails here: the last row has settled
+                        // after its edge, and this row's earlier words
+                        // are poked.
+                        if cycle > 1 {
+                            self.finish_direct(inputs, &ports.held)
+                                .map_err(|e| (cycle - 1, e))?;
+                        }
+                        for (&id, &v) in inputs.iter().zip(&next).take(k) {
+                            self.set_poke(id, v);
+                        }
+                        return Err((cycle, SimError::from(e)));
+                    }
+                }
+            }
+            std::mem::swap(&mut ports.held, &mut next);
+            let Simulator {
+                components,
+                bus,
+                lowered,
+                domains,
+                single_rate,
+                cycle: sim_cycle,
+                ..
+            } = self;
+            let unit = lowered[0]
+                .as_mut()
+                .expect("the direct path runs a lowered unit");
+            let comp = interpreter(&mut components[0]);
+            if !comp.planes_current() {
+                // An interpreted settle ran last (the reset's sweep):
+                // take every port off the bus and walk, as
+                // `settle_planes` would.
+                unit.scratch.dirty = true;
+                latch_inputs(&unit.prog, &mut unit.scratch, |id| bus.read(id))
+                    .map_err(|e| (cycle, e))?;
+            }
+            let mut changed = unit.scratch.dirty;
+            for &(k, net) in &ports.latch {
+                let planes = ports.held[k].raw_masks();
+                let latched = &mut unit.scratch.nets[net as usize];
+                if *latched != planes {
+                    *latched = planes;
+                    changed = true;
+                }
+            }
+            if changed {
+                exec_walk(&unit.prog, &mut unit.scratch, comp);
+            }
+            sampled.clear();
+            let planes = Planes(&unit.prog, &unit.scratch);
+            sampled.extend(ports.sample.iter().map(|&net| planes.value(net as usize)));
+            sink(sampled);
+            if clocked {
+                let t = *sim_cycle;
+                let firing = if *single_rate || domains.iter().all(|d| d.fires_at(t)) {
+                    Firing::All
+                } else {
+                    Firing::At(t)
+                };
+                if let Err(e) = comp.lowered_tick(&planes, firing) {
+                    // As `step` leaves it: no post-edge settle.
+                    self.finish_direct(inputs, &ports.held)
+                        .map_err(|e| (cycle, e))?;
+                    return Err((cycle, e));
+                }
+                unit.scratch.dirty = true;
+            }
+            *sim_cycle += 1;
+            cycle += 1;
+        }
+        if cycle > 1 {
+            self.finish_direct(inputs, &ports.held)
+                .map_err(|e| (cycle - 1, e))?;
+        }
+        Ok(())
+    }
+
+    /// Hands a direct run's state back to the bus once a row has run:
+    /// the words the columns hold become the pokes again, and one direct
+    /// settle, with the clocked unit woken as an edge wakes it, stores
+    /// them and the `Out` ports. It walks when the last edge left the
+    /// sequential state unwalked (the post-edge settle of the last
+    /// `step`), and not after an edge that failed.
+    fn finish_direct(&mut self, inputs: &[SignalId], held: &[LogicVector]) -> Result<(), SimError> {
+        for (&id, &v) in inputs.iter().zip(held) {
+            self.set_poke(id, v);
+        }
+        self.seeds.extend_from_slice(&self.clocked);
+        self.settle()
+    }
+}
+
 #[cfg(test)]
 impl Simulator {
     /// Whether the last lowered settle that did work ran on the direct
@@ -3134,5 +3436,350 @@ mod tests {
         assert_eq!(base, sim_b.design_signature());
         sim_b.add_clock_domain("rd", 2).unwrap();
         assert_ne!(base, sim_b.design_signature());
+    }
+
+    // --- `run_rows` against the hand-written per-cycle loop ---
+
+    use hdp_hdl::prim::{GateOp, Prim};
+    use hdp_hdl::{Entity, Netlist, PortDir};
+
+    /// A run's sampled rows and its outcome.
+    type RunResult = (Vec<Vec<LogicVector>>, Result<(), (usize, SimError)>);
+
+    /// A lone lowered netlist and its stimulus and sampled signals.
+    struct Dut {
+        sim: Simulator,
+        id: ComponentId,
+        ins: Vec<SignalId>,
+        outs: Vec<SignalId>,
+    }
+
+    /// Wires `nl` alone into a lowered simulator; the `In` ports are
+    /// the stimulus columns and the others the sampled outputs, in
+    /// entity order.
+    fn dut(nl: &Netlist, telemetry: TelemetryLevel) -> Dut {
+        let mut sim = Simulator::with_mode(SchedMode::Lowered);
+        sim.set_telemetry(telemetry);
+        let mut map = Vec::new();
+        let (mut ins, mut outs) = (Vec::new(), Vec::new());
+        for port in nl.entity().ports() {
+            let id = sim.add_signal(port.name(), port.width()).unwrap();
+            map.push((port.name(), id));
+            if port.dir() == PortDir::In {
+                ins.push(id);
+            } else {
+                outs.push(id);
+            }
+        }
+        let comp = NetlistComponent::new("dut", nl.clone(), sim.bus(), &map).unwrap();
+        let id = sim.add_component(comp);
+        Dut { sim, id, ins, outs }
+    }
+
+    /// One cycle of the oracle protocol, call by call.
+    fn protocol_step(
+        d: &mut Dut,
+        cycle: usize,
+        row: &[u64],
+        trace: &mut Vec<Vec<LogicVector>>,
+    ) -> Result<(), SimError> {
+        for (&id, &v) in d.ins.iter().zip(row) {
+            d.sim.poke(id, v)?;
+        }
+        if cycle == 0 {
+            d.sim.reset()?;
+        } else {
+            d.sim.settle()?;
+        }
+        let sampled = d.outs.iter().map(|&id| d.sim.peek(id));
+        trace.push(sampled.collect::<Result<_, _>>()?);
+        d.sim.step()
+    }
+
+    fn per_cycle(d: &mut Dut, rows: &[Vec<u64>]) -> RunResult {
+        let mut trace = Vec::new();
+        for (cycle, row) in rows.iter().enumerate() {
+            if let Err(e) = protocol_step(d, cycle, row, &mut trace) {
+                return (trace, Err((cycle, e)));
+            }
+        }
+        (trace, Ok(()))
+    }
+
+    fn whole_run(d: &mut Dut, rows: &[Vec<u64>]) -> RunResult {
+        let mut trace = Vec::new();
+        let outs = d.outs.clone();
+        let res = d
+            .sim
+            .run_rows(&d.ins, rows, &outs, |row| trace.push(row.to_vec()));
+        (trace, res)
+    }
+
+    /// Every signal, every net, the cycle, the stats and the plan.
+    fn assert_same_state(a: &Dut, b: &Dut) {
+        for slot in 0..a.sim.bus.len() {
+            let id = SignalId(slot);
+            assert_eq!(a.sim.peek(id), b.sim.peek(id), "signal #{slot}");
+        }
+        let nl = a.sim.component::<NetlistComponent>(a.id).unwrap().netlist();
+        for net in nl.nets() {
+            let name = net.name();
+            assert_eq!(
+                a.sim.net_value(a.id, name),
+                b.sim.net_value(b.id, name),
+                "net `{name}`"
+            );
+        }
+        assert_eq!(a.sim.cycle(), b.sim.cycle());
+        assert_eq!(a.sim.stats(), b.sim.stats());
+        assert_eq!(a.sim.export_plan(), b.sim.export_plan());
+    }
+
+    /// Runs `rows` through the per-cycle loop and through `run_rows`
+    /// on two copies of `nl`, checks that both agree, and returns the
+    /// outcome and the simulators (reference first).
+    fn agree(nl: &Netlist, telemetry: TelemetryLevel, rows: &[Vec<u64>]) -> (RunResult, Dut, Dut) {
+        let mut reference = dut(nl, telemetry);
+        let mut run = dut(nl, telemetry);
+        let expected = per_cycle(&mut reference, rows);
+        let got = whole_run(&mut run, rows);
+        assert_eq!(got, expected);
+        assert_same_state(&reference, &run);
+        // Both continue alike: the pokes and the pending wakes agree.
+        reference.sim.settle().unwrap();
+        run.sim.settle().unwrap();
+        assert_same_state(&reference, &run);
+        (got, reference, run)
+    }
+
+    /// A FIFO of depth 2 on `push`/`pop`/`wdata` and a free-running
+    /// 4-bit counter, which moves on every edge whatever the inputs.
+    fn fifo_counter(counter_period: Option<u64>) -> Netlist {
+        let entity = Entity::builder("fifo_counter")
+            .port("push", PortDir::In, 1)
+            .unwrap()
+            .port("pop", PortDir::In, 1)
+            .unwrap()
+            .port("wdata", PortDir::In, 8)
+            .unwrap()
+            .port("front", PortDir::Out, 8)
+            .unwrap()
+            .port("empty", PortDir::Out, 1)
+            .unwrap()
+            .port("count", PortDir::Out, 4)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut nl = Netlist::new(entity);
+        let half = counter_period.map(|p| nl.add_domain("half", p).unwrap());
+        let mut net = |name: &str, width| nl.add_net(name, width).unwrap();
+        let [push, pop, empty, full] = ["push", "pop", "empty", "full"].map(|n| net(n, 1));
+        let [wdata, front] = ["wdata", "front"].map(|n| net(n, 8));
+        let [q, q1] = ["q", "q1"].map(|n| net(n, 4));
+        nl.add_cell(
+            "u_fifo",
+            Prim::FifoMacro { depth: 2, width: 8 },
+            vec![push, pop, wdata],
+            vec![front, empty, full],
+        )
+        .unwrap();
+        let reg = Prim::Reg {
+            width: 4,
+            has_enable: false,
+            reset_value: 0,
+        };
+        match half {
+            Some(domain) => nl.add_cell_in_domain("u_count", reg, vec![q1], vec![q], domain),
+            None => nl.add_cell("u_count", reg, vec![q1], vec![q]),
+        }
+        .unwrap();
+        nl.add_cell("u_inc", Prim::Inc { width: 4 }, vec![q], vec![q1])
+            .unwrap();
+        for (p, n) in [
+            ("push", push),
+            ("pop", pop),
+            ("wdata", wdata),
+            ("front", front),
+            ("empty", empty),
+            ("count", q),
+        ] {
+            nl.bind_port(p, n).unwrap();
+        }
+        nl
+    }
+
+    /// A push, a pop and two idle cycles, over and over; the second
+    /// idle row repeats the first.
+    fn legal_rows(n: u64) -> Vec<Vec<u64>> {
+        (0..n)
+            .map(|c| {
+                let wdata = if c % 4 == 3 { c - 1 } else { c } & 0xFF;
+                vec![u64::from(c % 4 == 0), u64::from(c % 4 == 1), wdata]
+            })
+            .collect()
+    }
+
+    /// Op walks run on a lone unit's planes.
+    fn walks(d: &Dut) -> u64 {
+        d.sim.lowered[0].as_ref().unwrap().scratch.walks
+    }
+
+    #[test]
+    fn run_rows_matches_the_per_cycle_loop_on_the_direct_path() {
+        let (outcome, reference, run) =
+            agree(&fifo_counter(None), TelemetryLevel::Off, &legal_rows(40));
+        assert!(outcome.1.is_ok());
+        assert_eq!(run.sim.cycle(), 40);
+        // The post-edge walk folded into the next row's: one walk a
+        // cycle, where the per-cycle loop walks after the edge too.
+        assert!(walks(&run) < walks(&reference));
+    }
+
+    #[test]
+    fn run_rows_raises_a_fifo_overflow_where_the_per_cycle_loop_does() {
+        // Two pushes fill the FIFO, so the third edge pushes on full.
+        let mut rows = legal_rows(9);
+        rows.extend((0..6).map(|c| vec![1, 0, c]));
+        let ((trace, res), reference, run) = agree(&fifo_counter(None), TelemetryLevel::Off, &rows);
+        let (cycle, err) = res.unwrap_err();
+        assert!(walks(&run) < walks(&reference));
+        assert!(err.to_string().contains("push on full"), "{err}");
+        assert!((9..15).contains(&cycle), "{cycle}");
+        // The failing row was sampled before its edge raised.
+        assert_eq!(trace.len(), cycle + 1);
+    }
+
+    #[test]
+    fn run_rows_raises_a_value_overflow_where_poke_does() {
+        let mut rows = legal_rows(12);
+        rows[7][2] = 0x1FF;
+        let ((trace, res), reference, run) = agree(&fifo_counter(None), TelemetryLevel::Off, &rows);
+        let (cycle, err) = res.unwrap_err();
+        assert_eq!(cycle, 7);
+        assert!(matches!(err, SimError::Hdl(_)), "{err}");
+        assert_eq!(trace.len(), 7);
+        assert!(walks(&run) < walks(&reference));
+    }
+
+    #[test]
+    fn run_rows_matches_the_per_cycle_loop_on_a_multi_rate_design() {
+        let (outcome, reference, run) =
+            agree(&fifo_counter(Some(2)), TelemetryLevel::Off, &legal_rows(33));
+        assert!(outcome.1.is_ok());
+        assert!(walks(&run) < walks(&reference));
+        assert!(!run.sim.single_rate);
+        // 33 edges, the counter's domain fired on 17 of them.
+        let count = reference.outs[2];
+        assert_eq!(run.sim.peek(count).unwrap().to_u64(), Some(17 % 16));
+    }
+
+    #[test]
+    fn run_rows_keeps_the_input_memo_on_a_combinational_design() {
+        let entity = Entity::builder("and2")
+            .port("a", PortDir::In, 4)
+            .unwrap()
+            .port("b", PortDir::In, 4)
+            .unwrap()
+            .port("y", PortDir::Out, 4)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut nl = Netlist::new(entity);
+        let [a, b, y] = ["a", "b", "y"].map(|n| nl.add_net(n, 4).unwrap());
+        let and = Prim::Gate {
+            op: GateOp::And,
+            width: 4,
+        };
+        nl.add_cell("u_and", and, vec![a, b], vec![y]).unwrap();
+        for (p, n) in [("a", a), ("b", b), ("y", y)] {
+            nl.bind_port(p, n).unwrap();
+        }
+        // Each row is held for three cycles.
+        let rows: Vec<Vec<u64>> = (0..30u64).map(|c| vec![c / 3 % 16, 0xA]).collect();
+        let (outcome, reference, run) = agree(&nl, TelemetryLevel::Off, &rows);
+        assert!(outcome.1.is_ok());
+        assert_eq!(walks(&run), walks(&reference));
+        assert_eq!(walks(&run), 10, "one walk per distinct row after the reset");
+    }
+
+    /// A free-running 4-bit counter with no inputs; with `fifo`, it also
+    /// pushes itself into a FIFO of depth 2 on every odd count, which
+    /// overflows on the third such edge.
+    fn input_less(fifo: bool) -> Netlist {
+        let mut entity = Entity::builder("counter")
+            .port("count", PortDir::Out, 4)
+            .unwrap();
+        if fifo {
+            entity = entity.port("front", PortDir::Out, 4).unwrap();
+        }
+        let mut nl = Netlist::new(entity.build().unwrap());
+        let [q, q1] = ["q", "q1"].map(|n| nl.add_net(n, 4).unwrap());
+        let reg = Prim::Reg {
+            width: 4,
+            has_enable: false,
+            reset_value: 0,
+        };
+        nl.add_cell("u_count", reg, vec![q1], vec![q]).unwrap();
+        nl.add_cell("u_inc", Prim::Inc { width: 4 }, vec![q], vec![q1])
+            .unwrap();
+        nl.bind_port("count", q).unwrap();
+        if fifo {
+            let [push, pop, empty, full] =
+                ["push", "pop", "empty", "full"].map(|n| nl.add_net(n, 1).unwrap());
+            let front = nl.add_net("front", 4).unwrap();
+            let low = Prim::Slice {
+                in_width: 4,
+                low: 0,
+                len: 1,
+            };
+            nl.add_cell("u_odd", low, vec![q], vec![push]).unwrap();
+            let zero = LogicVector::from_u64(0, 1).unwrap();
+            nl.add_cell("u_pop", Prim::Const { value: zero }, vec![], vec![pop])
+                .unwrap();
+            let macro_ = Prim::FifoMacro { depth: 2, width: 4 };
+            nl.add_cell(
+                "u_fifo",
+                macro_,
+                vec![push, pop, q],
+                vec![front, empty, full],
+            )
+            .unwrap();
+            nl.bind_port("front", front).unwrap();
+        }
+        nl
+    }
+
+    #[test]
+    fn run_rows_settles_after_the_last_edge_without_inputs() {
+        // Only the edge can wake the unit, so the last post-edge settle
+        // must walk without a poke to wake it.
+        let rows = vec![Vec::new(); 21];
+        let (outcome, reference, run) = agree(&input_less(false), TelemetryLevel::Off, &rows);
+        assert!(outcome.1.is_ok());
+        // Without inputs the per-cycle loop walks only after each edge.
+        assert_eq!(walks(&run), walks(&reference));
+        assert_eq!(run.sim.peek(run.outs[0]).unwrap().to_u64(), Some(21 % 16));
+        // An edge that fails still leaves its row's outputs on the bus.
+        let ((trace, res), _, _) = agree(&input_less(true), TelemetryLevel::Off, &rows);
+        let (cycle, err) = res.unwrap_err();
+        assert!(err.to_string().contains("push on full"), "{err}");
+        assert_eq!((cycle, trace.len()), (5, 6));
+    }
+
+    #[test]
+    fn run_rows_with_counters_matches_the_per_cycle_stats() {
+        let mut rows = legal_rows(20);
+        rows.extend((0..4).map(|c| vec![1, 0, c]));
+        let ((_, res), reference, run) =
+            agree(&fifo_counter(None), TelemetryLevel::Counters, &rows);
+        assert!(res.is_err());
+        assert_eq!(
+            walks(&run),
+            walks(&reference),
+            "telemetry keeps the per-cycle path"
+        );
+        let stats = run.sim.stats();
+        assert_eq!(stats, reference.sim.stats());
+        assert!(stats.steps > 0 && stats.lowered_settles > 0);
     }
 }

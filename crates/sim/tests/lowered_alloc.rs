@@ -1,8 +1,10 @@
 //! A lowered cycle makes no heap allocation: the direct path of a lone
 //! lowered unit (single- and multi-rate), the rank walk, the op replay,
 //! the presentation of sequential outputs and the clock edge all run on
-//! buffers sized before the first cycle. The same holds for a cycle of
-//! the 64-lane engine.
+//! buffers sized before the first cycle. The same holds for a
+//! whole-stimulus `Simulator::run_rows` call on a lone unit, whose
+//! allocations do not grow with its row count, and for a cycle of the
+//! 64-lane engine.
 //!
 //! The test binary counts every allocation its own thread makes through
 //! a counting global allocator, so it lives in a file of its own.
@@ -168,14 +170,19 @@ fn design() -> Netlist {
     nl
 }
 
-/// One cycle of the service's protocol: poke the row, reset on cycle 0
-/// or settle, sample the outputs, clock edge.
-fn cycle(sim: &mut Simulator, ins: &[SignalId], outs: &[SignalId], c: u64, sink: &mut u64) {
-    let row = [
+/// Cycle `c`'s stimulus row: `push`, `pop`, `wdata`.
+fn row(c: u64) -> [u64; 3] {
+    [
         u64::from(c % 4 != 3),
         u64::from(!c.is_multiple_of(4)),
         c & 0xFF,
-    ];
+    ]
+}
+
+/// One cycle of the service's protocol: poke the row, reset on cycle 0
+/// or settle, sample the outputs, clock edge.
+fn cycle(sim: &mut Simulator, ins: &[SignalId], outs: &[SignalId], c: u64, sink: &mut u64) {
+    let row = row(c);
     for (&id, v) in ins.iter().zip(row) {
         sim.poke(id, v).unwrap();
     }
@@ -354,8 +361,41 @@ fn two_rate_design() -> Netlist {
     nl
 }
 
+/// The allocations of one `run_rows` call over `n` rows on a fresh
+/// simulator from `build`, with a sink that only sums.
+fn run_rows_allocations(build: fn() -> (Simulator, Vec<SignalId>, Vec<SignalId>), n: u64) -> u64 {
+    let (mut sim, ins, outs) = build();
+    let rows: Vec<[u64; 3]> = (0..n).map(row).collect();
+    let mut sink = 0u64;
+    let before = allocations();
+    sim.run_rows(&ins, &rows, &outs, |sampled| {
+        for v in sampled {
+            sink = sink.wrapping_add(v.to_u64().unwrap_or(u64::MAX));
+        }
+    })
+    .unwrap();
+    let made = allocations() - before;
+    assert!(sim.compile_fallback_reason().is_none());
+    assert_eq!(sim.cycle(), n);
+    assert_ne!(sink, 0);
+    made
+}
+
 #[test]
-fn a_two_rate_direct_path_cycle_makes_no_heap_allocation() {
+fn a_whole_stimulus_run_allocates_nothing_per_row() {
+    for build in [every_seq_sim, two_rate_sim] {
+        let short = run_rows_allocations(build, 64);
+        let long = run_rows_allocations(build, 1024);
+        assert_eq!(
+            short, long,
+            "64 rows allocated {short} times, 1024 rows {long}"
+        );
+    }
+}
+
+/// A lowered simulator of [`two_rate_design`], and its input and output
+/// signals.
+fn two_rate_sim() -> (Simulator, Vec<SignalId>, Vec<SignalId>) {
     let mut sim = Simulator::with_mode(SchedMode::Lowered);
     let mut map = Vec::new();
     for (name, width) in [
@@ -372,6 +412,12 @@ fn a_two_rate_direct_path_cycle_makes_no_heap_allocation() {
     sim.add_component(dut);
     let ins: Vec<SignalId> = map[..3].iter().map(|&(_, id)| id).collect();
     let outs: Vec<SignalId> = map[3..].iter().map(|&(_, id)| id).collect();
+    (sim, ins, outs)
+}
+
+#[test]
+fn a_two_rate_direct_path_cycle_makes_no_heap_allocation() {
+    let (mut sim, ins, outs) = two_rate_sim();
     let mut sink = 0u64;
     let made = cycle_allocations(&mut sim, &ins, &outs, 24, &mut sink);
     assert_eq!(made, 0, "24 two-rate cycles allocated {made} times");

@@ -146,7 +146,7 @@ fn two_hundred_sampled_designs_conform_lane_packed() {
 }
 
 /// Every `wr:rd` period ratio the sampler draws, at two depths, must
-/// conform across the full five-oracle stack: the deterministic
+/// conform across the full six-oracle stack: the deterministic
 /// multi-domain interleaving has to come out bit-identical whether
 /// the ticks are dispatched by the full sweep, the
 /// lowered op streams (which fall back to interpreted ticks on
@@ -530,6 +530,20 @@ fn protocol_errors_are_raised_alike_on_both_paths() {
             (&reference.trace, &reference.error)
         );
     }
+    // The same stimulus in one `run_rows` call with telemetry off: the
+    // direct path's whole-stimulus loop.
+    let (mut sim, ins, outs) = path_sim(&fifo, SchedMode::Lowered, &pushes.inputs, |_, _| {});
+    sim.set_telemetry(TelemetryLevel::Off);
+    let mut trace = Vec::new();
+    let (cycle, e) = sim
+        .run_rows(&ins, &pushes.cycles, &outs, |row| trace.push(row.to_vec()))
+        .unwrap_err();
+    assert_eq!(
+        (&trace, Some((cycle, e.to_string()))),
+        (&reference.trace, reference.error.clone())
+    );
+    // Every oracle, the whole-stimulus run included, fails alike.
+    assert_eq!(check(&fifo, &pushes), None);
 
     // SRAM handshake: the master drops `req` while the SRAM model is
     // mid-transaction. The SRAM model is a second component, so this

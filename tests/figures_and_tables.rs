@@ -207,7 +207,7 @@ fn committed_bench_artifacts_parse_and_name_their_schema() {
     for (file, schema, figures) in [
         ("BENCH_sched_modes.json", "hdp-bench-sched-modes-v3", 8),
         ("BENCH_profile.json", "hdp-bench-profile-v2", 0),
-        ("BENCH_conform.json", "hdp-bench-conform-v4", 0),
+        ("BENCH_conform.json", "hdp-bench-conform-v5", 0),
         ("BENCH_service.json", "hdp-service-bench-v2", 4),
         ("BENCH_chardb.json", "hdp-bench-chardb-v1", 0),
     ] {
