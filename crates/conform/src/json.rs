@@ -18,6 +18,7 @@
 //! builds a tree from the scanner's tokens; the wire decoder pulls the
 //! same tokens and keeps stimulus rows as integers.
 
+use hdp_hdl::{LogicVector, MAX_WIDTH};
 use std::fmt;
 
 /// Deepest nesting of arrays and objects the scanner accepts.
@@ -243,6 +244,60 @@ impl<W: fmt::Write> JsonWriter<W> {
         }
     }
 
+    /// Writes a four-state vector as a string value: its bits MSB
+    /// first, `X` for an unknown bit and `Z` for an undriven one, the
+    /// characters of [`LogicVector::to_bit_string`]. None of them
+    /// needs an escape, so the cell is written straight from the
+    /// vector's value/unknown/Z words: a vector with no `X` or `Z`
+    /// is copied eight bits at a time out of a static table of
+    /// precomputed cells, with no per-bit work.
+    pub fn vector(&mut self, v: &LogicVector) -> fmt::Result {
+        self.item()?;
+        let (value, unknown, highz) = v.raw_masks();
+        let width = v.width();
+        if unknown | highz != 0 {
+            return self.four_state(width, value, unknown, highz);
+        }
+        // The leading `width % 8` bits (all 8 when the width is a
+        // multiple of 8) with the opening quote, then each lower byte.
+        let top = (width - 1) / 8 * 8;
+        let lead = width - top;
+        let at = SMALL_AT[lead] + (value >> top) as usize * (lead + 2);
+        if top == 0 {
+            return self.out.write_str(&SMALL_CELLS[at..at + lead + 2]);
+        }
+        self.out.write_str(&SMALL_CELLS[at..=at + lead])?;
+        for low in (0..top).step_by(8).rev() {
+            self.out.write_str(byte_bits(value >> low))?;
+        }
+        self.out.write_char('"')
+    }
+
+    /// Writes a vector with an `X` or `Z` bit: built on the stack from
+    /// the closing quote leftwards, eight bits a step, and written in
+    /// one call.
+    fn four_state(&mut self, width: usize, value: u64, unknown: u64, highz: u64) -> fmt::Result {
+        let mut buf = [b'"'; MAX_WIDTH + 2];
+        let close = MAX_WIDTH + 1;
+        for low in (0..width).step_by(8) {
+            let byte = |plane: u64| (plane >> low) as u8;
+            let chars = if byte(unknown | highz) == 0 {
+                byte_bits(value >> low)
+                    .as_bytes()
+                    .try_into()
+                    .expect("8 bits")
+            } else {
+                four_state_byte(byte(value), byte(unknown), byte(highz))
+            };
+            buf[close - low - 8..close - low].copy_from_slice(&chars);
+        }
+        // The top byte wrote left of the first bit; the quote goes over it.
+        let open = close - width - 1;
+        buf[open] = b'"';
+        let cell = std::str::from_utf8(&buf[open..]).expect("bit characters are ASCII");
+        self.out.write_str(cell)
+    }
+
     /// Writes a boolean value.
     pub fn bool(&mut self, b: bool) -> fmt::Result {
         self.item()?;
@@ -348,6 +403,72 @@ impl<W: fmt::Write> JsonWriter<W> {
     }
 }
 
+/// Where the cells of each width up to 8 start in [`SMALL_CELLS`].
+const SMALL_AT: [usize; 10] = {
+    let mut at = [0; 10];
+    let mut width = 1;
+    while width <= 8 {
+        at[width + 1] = at[width] + (1 << width) * (width + 2);
+        width += 1;
+    }
+    at
+};
+
+/// Every defined vector of 1 to 8 bits as its quoted cell, by width,
+/// then by value.
+const SMALL_BYTES: [u8; SMALL_AT[9]] = {
+    let mut bytes = [b'"'; SMALL_AT[9]];
+    let mut width = 1;
+    while width <= 8 {
+        let mut value = 0;
+        while value < 1 << width {
+            let at = SMALL_AT[width] + value * (width + 2);
+            let mut i = 0;
+            while i < width {
+                bytes[at + 1 + i] = if value >> (width - 1 - i) & 1 != 0 {
+                    b'1'
+                } else {
+                    b'0'
+                };
+                i += 1;
+            }
+            value += 1;
+        }
+        width += 1;
+    }
+    bytes
+};
+
+const SMALL_CELLS: &str = match std::str::from_utf8(&SMALL_BYTES) {
+    Ok(cells) => cells,
+    Err(_) => panic!("bit characters are ASCII"),
+};
+
+/// The eight characters of the low byte of `bits`, MSB first.
+fn byte_bits(bits: u64) -> &'static str {
+    let at = SMALL_AT[8] + (bits & 0xff) as usize * 10 + 1;
+    &SMALL_CELLS[at..at + 8]
+}
+
+/// The eight characters of a byte with an `X` or `Z` bit, MSB first:
+/// `Z` over `X` over the value bit, as [`LogicVector`] ranks them.
+fn four_state_byte(value: u8, unknown: u8, highz: u8) -> [u8; 8] {
+    let mut chars = [b'0'; 8];
+    for (i, c) in chars.iter_mut().enumerate() {
+        let bit = |plane: u8| plane >> (7 - i) & 1 != 0;
+        *c = if bit(highz) {
+            b'Z'
+        } else if bit(unknown) {
+            b'X'
+        } else if bit(value) {
+            b'1'
+        } else {
+            b'0'
+        };
+    }
+    chars
+}
+
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
@@ -437,6 +558,56 @@ impl<'a> Scanner<'a> {
                 Ok(true)
             }
             _ => Err(format!("expected `,` or `]` at byte {}", self.pos)),
+        }
+    }
+
+    /// Reads the elements of the array [`Scanner::token`] just opened
+    /// into `row`, as long as each is plain digits that fit a `u64`, in
+    /// one loop over the bytes. At the first element it does not take
+    /// (a sign, a fraction or exponent, a number past `u64::MAX`,
+    /// anything but a number, or a separator other than `,` or `]`)
+    /// it stops just after the last element it took, so
+    /// [`Scanner::elem`] with index `row.len()` and [`Scanner::token`]
+    /// read on from there with their own error texts and byte
+    /// offsets. `true` once the array's `]` is consumed.
+    pub(crate) fn uints(&mut self, row: &mut Vec<u64>) -> bool {
+        let bytes = self.bytes;
+        let ws = |mut pos: usize| {
+            while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                pos += 1;
+            }
+            pos
+        };
+        loop {
+            let mut pos = ws(self.pos);
+            match bytes.get(pos) {
+                Some(b']') => {
+                    self.pos = pos + 1;
+                    self.depth -= 1;
+                    return true;
+                }
+                Some(b',') if !row.is_empty() => pos = ws(pos + 1),
+                _ if row.is_empty() => {}
+                _ => return false,
+            }
+            let first = pos;
+            let mut n = 0u64;
+            while let Some(d) = bytes
+                .get(pos)
+                .map(|b| b.wrapping_sub(b'0'))
+                .filter(|&d| d < 10)
+            {
+                let Some(next) = n.checked_mul(10).and_then(|n| n.checked_add(u64::from(d))) else {
+                    return false;
+                };
+                n = next;
+                pos += 1;
+            }
+            if pos == first || matches!(bytes.get(pos), Some(b'.' | b'e' | b'E')) {
+                return false;
+            }
+            row.push(n);
+            self.pos = pos;
         }
     }
 
@@ -757,6 +928,51 @@ mod tests {
                     value.to_string()
                 };
                 assert_eq!(streamed, frozen);
+            }
+        }
+    }
+
+    #[test]
+    fn vector_cells_render_as_their_bit_strings() {
+        // A splitmix64 stream for the mixed masks.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let top = 1u64 << 63;
+        for width in 1..=MAX_WIDTH {
+            let mut planes = vec![
+                (0, 0, 0),
+                (u64::MAX, 0, 0),
+                (0, u64::MAX, 0),
+                (0, 0, u64::MAX),
+                (top, 0, 0),
+                (top | 1, top, 0),
+                (0, 0, top),
+                (u64::MAX, top, 1),
+            ];
+            for _ in 0..32 {
+                planes.push((next(), next(), next()));
+                // Sparse X and Z, so most bytes stay defined.
+                planes.push((next(), next() & next() & next(), next() & next() & next()));
+            }
+            for (value, unknown, highz) in planes {
+                let v = LogicVector::from_raw_masks(width, value, unknown, highz).unwrap();
+                let mut w = JsonWriter::new(String::new());
+                w.begin_arr().unwrap();
+                w.vector(&v).unwrap();
+                w.vector(&v).unwrap();
+                w.end_arr().unwrap();
+                let bits = v.to_bit_string();
+                assert_eq!(
+                    w.into_inner(),
+                    format!("[\"{bits}\",\"{bits}\"]"),
+                    "width {width}, planes {value:#x}/{unknown:#x}/{highz:#x}"
+                );
             }
         }
     }

@@ -509,7 +509,10 @@ fn read_cycles(sc: &mut Scanner<'_>) -> Result<Result<Vec<Vec<u64>>, WireError>,
             continue;
         }
         let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
-        while sc.elem(row.len())? {
+        // Plain integers take the one-loop path; the token path reads
+        // on from the first element that is not one.
+        let closed = sc.uints(&mut row);
+        while !closed && sc.elem(row.len())? {
             match sc.token()? {
                 Token::Num(v) => row.push(v),
                 other => {

@@ -7,7 +7,9 @@
 //! output ports, clock edge — so a service trace is directly comparable
 //! to any oracle trace. An untraced lowered job (no telemetry, no VCD)
 //! runs its cycles after the first straight on the design's op-stream
-//! planes, one op walk per cycle.
+//! planes, one op walk per cycle. Each sampled row is appended to the
+//! job's [`Trace`], one flat buffer of cycles × outputs cells sized
+//! before the first cycle, so the cycle loop allocates nothing.
 //!
 //! The cache closes the reuse loop:
 //!
@@ -159,13 +161,14 @@ pub struct JobOutcome {
     /// order — the columns of `trace`.
     pub ports: Vec<(String, usize)>,
     /// Settled four-state values, one row per stimulus cycle, one
-    /// vector per port, as the simulator left them. No bit-string is
-    /// made here: [`outcome_to_json`](crate::job::outcome_to_json)
-    /// renders each vector MSB first (`X` marks undefined bits, `Z`
-    /// undriven ones) as it writes the response, and a vector compares
-    /// equal to the `String` it renders as, so a trace can be checked
-    /// against rendered rows directly.
-    pub trace: Vec<Vec<LogicVector>>,
+    /// vector per port, as the simulator left them, in one flat
+    /// allocation sized before the first cycle ([`Trace`]). No
+    /// bit-string is made here:
+    /// [`outcome_to_json`](crate::job::outcome_to_json) writes each
+    /// cell MSB first (`X` marks undefined bits, `Z` undriven ones)
+    /// straight from its value/unknown/Z words, and a trace compares
+    /// equal to the rendered rows (`Vec<Vec<String>>`) it stands for.
+    pub trace: Trace,
     /// Stimulus cycles executed.
     pub cycles: usize,
     /// Telemetry summary, when requested.
@@ -177,6 +180,66 @@ pub struct JobOutcome {
     /// The job's server-side stage timeline, when requested
     /// ([`JobOptions::span`]).
     pub span: Option<JobSpan>,
+}
+
+/// A job's settled output trace, stored flat: one row per stimulus
+/// cycle, one cell per output port, row-major in one `Vec` sized up
+/// front. Clients see only rows of cells: [`Trace::iter`] yields each
+/// row as a slice, so the storage can change without them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Trace {
+    /// Cells per row: the number of output ports.
+    width: usize,
+    rows: usize,
+    cells: Vec<LogicVector>,
+}
+
+impl Trace {
+    /// An empty trace of `width`-cell rows with room for `rows` rows.
+    pub(crate) fn with_capacity(width: usize, rows: usize) -> Self {
+        Self {
+            width,
+            rows: 0,
+            cells: Vec::with_capacity(width * rows),
+        }
+    }
+
+    /// Appends one row of `width` cells.
+    pub(crate) fn push_row(&mut self, row: &[LogicVector]) {
+        debug_assert_eq!(row.len(), self.width, "a trace row has one cell per port");
+        self.cells.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// The number of rows (stimulus cycles).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the trace has no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The rows in cycle order, each a slice of one cell per port.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[LogicVector]> + '_ {
+        (0..self.rows).map(move |r| &self.cells[r * self.width..(r + 1) * self.width])
+    }
+}
+
+/// A trace equals the bit-strings it renders as, row for row
+/// ([`LogicVector`]'s `PartialEq<String>`), compared without
+/// rendering.
+impl PartialEq<Vec<Vec<String>>> for Trace {
+    fn eq(&self, other: &Vec<Vec<String>>) -> bool {
+        self.len() == other.len()
+            && self
+                .iter()
+                .zip(other)
+                .all(|(row, strings)| row == strings.as_slice())
+    }
 }
 
 /// A simulator wired for one job.
@@ -261,14 +324,15 @@ fn build_sim(
 
 /// Drives the stimulus through a built simulator with the oracle
 /// protocol in one [`Simulator::run_rows`] call, returning the settled
-/// output trace.
-fn drive(built: &mut BuiltSim, stim: &Stimulus) -> Result<Vec<Vec<LogicVector>>, ServiceError> {
+/// output trace. Each sampled row is appended to the trace's one
+/// buffer, so the drive allocates nothing per cycle.
+fn drive(built: &mut BuiltSim, stim: &Stimulus) -> Result<Trace, ServiceError> {
     let outputs: Vec<SignalId> = built.outputs.iter().map(|&(_, id)| id).collect();
-    let mut trace = Vec::with_capacity(stim.cycles.len());
+    let mut trace = Trace::with_capacity(outputs.len(), stim.cycles.len());
     built
         .sim
         .run_rows(&built.inputs, &stim.cycles, &outputs, |row| {
-            trace.push(row.to_vec());
+            trace.push_row(row);
         })
         .map_err(|(cycle, source)| ServiceError::Sim { cycle, source })?;
     Ok(trace)

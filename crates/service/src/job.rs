@@ -45,8 +45,12 @@
 //! output `ports`, the per-cycle `trace` of bit-strings, and the
 //! optional `telemetry` / `vcd` / `verified` sections.
 //! [`outcome_to_json`] streams it through one
-//! [`JsonWriter`] into a `String` sized up front; each trace vector's
-//! bit-string is made only there, as its characters are written.
+//! [`JsonWriter`] into a `String` sized up front, with room for the
+//! newline the server appends. The trace is one flat buffer of
+//! four-state cells ([`Trace`](crate::exec::Trace)); each cell is
+//! written straight from its value/unknown/Z words
+//! ([`JsonWriter::vector`]), eight bits at a time, and no bit-string
+//! is ever built.
 //! Failures produce `{"schema": "hdp-service-result-v1", "error":
 //! {…}}` with the failing `stage` (`wire`, `build` or `sim`; `panic`
 //! when the server caught a panicking handler; `busy` when the
@@ -58,7 +62,6 @@ use crate::obs::Stage;
 use hdp_conform::json::JsonWriter;
 use hdp_conform::wire::{self, WireError};
 use hdp_conform::{Case, Json};
-use hdp_hdl::{LogicVector, MAX_WIDTH};
 use hdp_sim::{SchedMode, SimStats};
 use hdp_synth::{auto_select, Query, Selection};
 use std::fmt;
@@ -116,14 +119,35 @@ pub fn outcome_to_json(out: &JobOutcome) -> String {
     w.into_inner()
 }
 
-/// A close upper estimate of a response's length: the fixed members,
-/// one `"bits",` per port per cycle and the optional sections.
+/// A close upper estimate of a response's length plus the newline
+/// the server appends to it (`server.rs::send_line`), so the `String`
+/// is never regrown: the fixed members, the strings as escaped, one
+/// `"bits",` per port per cycle and the optional sections.
 fn response_bytes(out: &JobOutcome) -> usize {
-    let ports: usize = out.ports.iter().map(|(name, _)| name.len() + 24).sum();
+    let ports: usize = out
+        .ports
+        .iter()
+        .map(|(name, _)| escaped_len(name) + 24)
+        .sum();
     let row: usize = 2 + out.ports.iter().map(|&(_, width)| width + 3).sum::<usize>();
-    let vcd = out.vcd.as_ref().map_or(0, |v| v.len() + v.len() / 8);
+    // The telemetry section: nine counters and the fallback causes.
+    let stats = if out.stats.is_some() { 512 } else { 0 };
+    let vcd = out.vcd.as_deref().map_or(0, escaped_len);
     let span = if out.span.is_some() { 4096 } else { 0 };
-    512 + out.label.len() + ports + out.trace.len() * row + vcd + span
+    let strings = escaped_len(&out.label) + escaped_len(&out.design_hash);
+    512 + strings + ports + out.trace.len() * row + stats + vcd + span
+}
+
+/// The length of `s` as [`JsonWriter`] escapes it, quotes left out.
+fn escaped_len(s: &str) -> usize {
+    s.len()
+        + s.bytes()
+            .map(|b| match b {
+                b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
+                0..=0x1f => 5,
+                _ => 0,
+            })
+            .sum::<usize>()
 }
 
 fn write_outcome<W: fmt::Write>(w: &mut JsonWriter<W>, out: &JobOutcome) -> fmt::Result {
@@ -153,11 +177,10 @@ fn write_outcome<W: fmt::Write>(w: &mut JsonWriter<W>, out: &JobOutcome) -> fmt:
     w.end_arr()?;
     w.key("trace")?;
     w.begin_arr()?;
-    let mut bits = [0; MAX_WIDTH];
-    for row in &out.trace {
+    for row in out.trace.iter() {
         w.begin_arr()?;
         for v in row {
-            w.str(bit_string(v, &mut bits))?;
+            w.vector(v)?;
         }
         w.end_arr()?;
     }
@@ -197,27 +220,6 @@ fn write_outcome<W: fmt::Write>(w: &mut JsonWriter<W>, out: &JobOutcome) -> fmt:
         w.end_obj()?;
     }
     w.end_obj()
-}
-
-/// Renders `v` MSB first into `buf`, one `0`/`1`/`X`/`Z` per bit:
-/// the characters of [`LogicVector::to_bit_string`], with no
-/// allocation.
-fn bit_string<'b>(v: &LogicVector, buf: &'b mut [u8; MAX_WIDTH]) -> &'b str {
-    let (value, unknown, highz) = v.raw_masks();
-    let width = v.width();
-    for (slot, i) in buf.iter_mut().zip((0..width).rev()) {
-        let bit = |plane: u64| plane >> i & 1 != 0;
-        *slot = if bit(highz) {
-            b'Z'
-        } else if bit(unknown) {
-            b'X'
-        } else if bit(value) {
-            b'1'
-        } else {
-            b'0'
-        };
-    }
-    std::str::from_utf8(&buf[..width]).expect("bit characters are ASCII")
 }
 
 fn write_stats<W: fmt::Write>(w: &mut JsonWriter<W>, stats: &SimStats) -> fmt::Result {
@@ -382,6 +384,7 @@ mod tests {
     use super::*;
     use crate::exec::Service;
     use hdp_conform::Stimulus;
+    use hdp_hdl::MAX_WIDTH;
     use hdp_metagen::sampler::{sample_spec, sample_spec_in, FAMILIES};
     use hdp_synth::board::Xsb300e;
     use hdp_synth::{characterize_spec, CharDb};
@@ -406,9 +409,14 @@ mod tests {
         let spec = sample_spec(&mut rng);
         let netlist = spec.instantiate().unwrap();
         let stimulus = Stimulus::sample(&netlist, cycles, &mut rng);
-        let doc = wire::job_to_json(&Case { spec, stimulus });
+        with_options(&wire::job_to_json(&Case { spec, stimulus }), options)
+    }
+
+    /// A job document with an `options` member appended, unless
+    /// `options` is empty.
+    fn with_options(doc: &str, options: &str) -> String {
         if options.is_empty() {
-            doc
+            doc.to_owned()
         } else {
             format!(
                 "{},\"options\":{}}}",
@@ -561,6 +569,49 @@ mod tests {
                 .and_then(Json::as_str),
             Some(hostile)
         );
+    }
+
+    #[test]
+    fn response_buffer_holds_the_response_and_its_newline() {
+        let service = Service::new(64);
+        let options = [
+            "",
+            "{\"telemetry\":true}",
+            "{\"vcd\":true}",
+            "{\"verify\":true}",
+            "{\"span\":true}",
+            "{\"mode\":\"full_sweep\",\"telemetry\":true,\"vcd\":true,\"verify\":true,\"span\":true}",
+        ];
+        let mut widest = 0;
+        for seed in 0..36u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut spec = sample_spec_in(&mut rng, seed as usize % FAMILIES.len());
+            // Widen the data path up to 64 bits where the family allows.
+            let mut wide = spec.clone();
+            wide.data_width = [spec.data_width, 17, 32, 63, 64][seed as usize % 5];
+            if wide.validate().is_ok() && wide.instantiate().is_ok() {
+                spec = wide;
+            }
+            let netlist = spec.instantiate().unwrap();
+            let stimulus = Stimulus::sample(&netlist, 1 + (seed as usize * 37) % 300, &mut rng);
+            let job = wire::job_to_json(&Case { spec, stimulus });
+            for opts in options {
+                let (case, opts) = parse_job(&with_options(&job, opts)).unwrap();
+                // Cold (for the first option set), then warm.
+                for _ in 0..2 {
+                    let out = service.run_case(&case, &opts).unwrap();
+                    widest = out.ports.iter().map(|&(_, w)| w).fold(widest, usize::max);
+                    let rendered = outcome_to_json(&out).len();
+                    assert!(
+                        response_bytes(&out) > rendered,
+                        "seed {seed}, {opts:?}: {} bytes reserved for a {rendered}-byte \
+                         response and its newline",
+                        response_bytes(&out)
+                    );
+                }
+            }
+        }
+        assert_eq!(widest, MAX_WIDTH, "the jobs reach 64-bit ports");
     }
 
     #[test]

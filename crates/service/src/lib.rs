@@ -52,7 +52,7 @@ pub mod pool;
 pub mod server;
 
 pub use cache::{CacheStats, CachedDesign, PlanCache};
-pub use exec::{JobOptions, JobOutcome, Service, ServiceError};
+pub use exec::{JobOptions, JobOutcome, Service, ServiceError, Trace};
 pub use job::{handle_line, parse_job, RESULT_SCHEMA, SELECT_SCHEMA};
 pub use metrics::{
     validate_snapshot, Counter, MetricsRegistry, MetricsSnapshot, ObsMode, METRICS_SCHEMA,
