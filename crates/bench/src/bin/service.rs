@@ -2,11 +2,12 @@
 //!
 //! Samples a fixed-seed batch of distinct designs and times two
 //! regimes of an in-process [`hdp_service::Service`]. **Cold**: every
-//! design misses the cache (instantiate + validate + levelize +
-//! compile), so every call gets a fresh service. **Warm**: the cache
-//! already holds every design, so a submission only pays the netlist
-//! replay and the cycle loop. Both are [`hdp_bench::timing`] samples:
-//! the median seconds per pass with its quartiles.
+//! design misses the cache (instantiate + validate + wire + lower),
+//! so every call gets a fresh service. **Warm**: the cache already
+//! holds every design, so a submission only pays the template clone,
+//! one levelization pass and the cycle loop. Both are
+//! [`hdp_bench::timing`] samples: the median seconds per pass with its
+//! quartiles.
 //!
 //! The run also prices the observability plane: a second primed
 //! service with metrics fully disabled ([`ObsMode::Disabled`]) is
@@ -17,7 +18,9 @@
 //!
 //! The report goes to `BENCH_service.json`. The run fails (exits
 //! non-zero) when the warm pass is not bit-identical to the cold pass,
-//! when the warm hit ratio is not above [`MIN_HIT_RATIO`], when the
+//! when a warm design reports no `plan_installed` (its job lowered the
+//! netlist again instead of running the cached op stream), when the
+//! warm hit ratio is not above [`MIN_HIT_RATIO`], when the
 //! warm/cold speedup is below [`MIN_SPEEDUP`], or when the
 //! observability overhead is above [`MAX_OBS_OVERHEAD_PCT`].
 //!
@@ -104,7 +107,7 @@ struct BenchReport {
     warm_hit_ratio: f64,
     /// Whether the warm pass reproduced the cold traces bit for bit.
     identical: bool,
-    /// Designs whose compiled plan was installed on the warm pass.
+    /// Designs whose warm job ran on the cached op stream.
     plans_installed: usize,
 }
 
@@ -298,6 +301,12 @@ fn main() -> ExitCode {
     if !report.identical {
         fail("warm trace diverged from cold trace".to_owned());
     }
+    if report.plans_installed != config.designs {
+        fail(format!(
+            "{} of {} warm designs ran on a cached op stream",
+            report.plans_installed, config.designs
+        ));
+    }
     if report.warm_hit_ratio <= MIN_HIT_RATIO {
         fail(format!(
             "warm hit ratio {:.3} not above {MIN_HIT_RATIO}",
@@ -344,6 +353,7 @@ mod tests {
         };
         let report = run(&config).unwrap();
         assert!(report.identical, "warm trace must match cold trace");
+        assert_eq!(report.plans_installed, 8, "no warm job lowers again");
         assert_eq!(report.stats.misses, 8, "only the primer pass misses");
         assert_eq!(
             report.stats.hits,

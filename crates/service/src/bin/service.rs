@@ -21,7 +21,7 @@
 //! locally against `--catalog FILE` or over the wire against a
 //! running server's catalog, printing an `hdp-service-select-v1`
 //! document. `metrics` fetches a live
-//! `hdp-service-metrics-v5` snapshot from a running server via the
+//! `hdp-service-metrics-v6` snapshot from a running server via the
 //! `stats` verb and renders it Prometheus-style (`--json` prints the
 //! raw snapshot document instead).
 

@@ -2,17 +2,16 @@
 //!
 //! The expensive part of simulating a generated design is not the
 //! cycle loop — it is everything before it: metagen instantiation,
-//! netlist validation and the lowered scheduler's levelization. All
-//! three depend only on the *design*, never on the stimulus, so the
-//! service caches their products keyed by the design's content
-//! address ([`hdp_conform::wire::design_hash`]): the validated
-//! [`Netlist`], the pristine (never-evaluated) [`NetlistComponent`]
-//! built from it, and, when the design levelizes, the exported
-//! [`CompiledPlan`]. A warm submission clones the component template
-//! (a memcpy of its state vectors — the netlist itself is shared
-//! behind an `Arc`) and installs the plan
-//! ([`hdp_sim::Simulator::install_plan`]) instead of re-deriving any
-//! of it — compile once, simulate millions of stimuli.
+//! netlist validation, interpreter wiring and the lowering of the
+//! netlist into a word-level op stream. All of it depends only on the
+//! *design*, never on the stimulus, so the service caches one product
+//! per design, keyed by its content address
+//! ([`hdp_conform::wire::design_hash`]): the pristine (never-evaluated)
+//! [`NetlistComponent`], which holds the validated netlist and shares
+//! its op stream with every clone. A warm submission clones the
+//! template (a memcpy of its state vectors — the netlist and the op
+//! stream are shared behind `Arc`s) instead of re-deriving any of it —
+//! compile once, simulate millions of stimuli.
 //!
 //! Eviction is least-recently-used over a fixed entry budget, and
 //! every lookup outcome is counted so the server can report its hit
@@ -21,8 +20,8 @@
 //! cumulative inserted/evicted byte counters, so the metrics plane
 //! can expose cache pressure, not just hit ratio.
 
-use hdp_hdl::{Cell, Netlist};
-use hdp_sim::{CompiledPlan, NetlistComponent};
+use hdp_hdl::Cell;
+use hdp_sim::NetlistComponent;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,11 +36,8 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Plans attached to already cached designs
-    /// ([`PlanCache::attach_plan`] calls that stuck).
-    pub plan_attaches: u64,
-    /// Estimated bytes ever made resident (insertions plus plan
-    /// attachments; cumulative, survives evictions).
+    /// Estimated bytes ever made resident (cumulative, survives
+    /// evictions).
     pub bytes_inserted: u64,
     /// Estimated bytes released by evictions (cumulative).
     pub bytes_evicted: u64,
@@ -63,34 +59,31 @@ impl CacheStats {
     }
 }
 
-/// The per-design artefacts the cache hands out on a hit.
+/// The per-design artefact the cache hands out on a hit.
 #[derive(Debug, Clone)]
 pub struct CachedDesign {
-    /// The validated netlist.
-    pub netlist: Arc<Netlist>,
-    /// A pristine, never-evaluated interpreter instance; clone it per
-    /// job instead of re-levelizing and re-wiring.
+    /// A pristine, never-evaluated interpreter instance over the
+    /// validated netlist; clone it per job instead of re-validating,
+    /// re-levelizing, re-wiring and re-lowering.
     pub template: Arc<NetlistComponent>,
-    /// The exported compiled schedule, once some job derived one.
-    pub plan: Option<Arc<CompiledPlan>>,
 }
 
 impl CachedDesign {
     /// Estimated resident footprint of this entry in bytes: netlist
-    /// structure plus the compiled plan's
-    /// [`CompiledPlan::estimate_bytes`]. A cache-sizing estimate, not
-    /// an allocator measurement — the interpreter template is counted
-    /// via its netlist, whose shape dominates its state vectors.
+    /// structure plus the op stream, if a job has lowered it yet
+    /// ([`NetlistComponent::lowered_bytes`]). A cache-sizing estimate,
+    /// not an allocator measurement — the interpreter template is
+    /// counted via its netlist, whose shape dominates its state
+    /// vectors.
     #[must_use]
     pub fn estimate_bytes(&self) -> u64 {
-        let nets: u64 = self
-            .netlist
+        let netlist = self.template.netlist();
+        let nets: u64 = netlist
             .nets()
             .iter()
             .map(|n| (std::mem::size_of::<hdp_hdl::Net>() + n.name().len()) as u64)
             .sum();
-        let cells: u64 = self
-            .netlist
+        let cells: u64 = netlist
             .cells()
             .iter()
             .map(|c| {
@@ -100,12 +93,13 @@ impl CachedDesign {
                     as u64
             })
             .sum();
-        let plan = self.plan.as_ref().map_or(0, |p| p.estimate_bytes());
-        nets + cells + plan
+        nets + cells + self.template.lowered_bytes()
     }
 }
 
-/// One cached design plus its LRU stamp and byte estimate.
+/// One cached design plus its LRU stamp and its byte estimate, taken
+/// once at insertion: an op stream a later job lowers for the entry is
+/// not added, so resident and evicted bytes always reconcile.
 #[derive(Debug, Clone)]
 struct Entry {
     design: CachedDesign,
@@ -168,16 +162,9 @@ impl PlanCache {
         }
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&hash) {
-            // Concurrent submitters may both miss and both insert;
-            // keep the richer entry (a plan beats no plan).
+            // Concurrent submitters may both miss and both insert; the
+            // first entry stays, so jobs keep sharing its op stream.
             entry.last_used = self.tick;
-            if entry.design.plan.is_none() && design.plan.is_some() {
-                entry.design.plan = design.plan;
-                let grown = entry.design.estimate_bytes();
-                self.stats.bytes_inserted += grown - entry.bytes;
-                self.bytes_resident += grown - entry.bytes;
-                entry.bytes = grown;
-            }
             return;
         }
         if self.entries.len() >= self.capacity {
@@ -208,21 +195,6 @@ impl PlanCache {
         self.stats.insertions += 1;
     }
 
-    /// Attaches a plan to an already cached design (a warm submission
-    /// that had to compile locally publishes its schedule here).
-    pub fn attach_plan(&mut self, hash: &str, plan: CompiledPlan) {
-        if let Some(entry) = self.entries.get_mut(hash) {
-            if entry.design.plan.is_none() {
-                let plan_bytes = plan.estimate_bytes();
-                entry.design.plan = Some(Arc::new(plan));
-                self.stats.plan_attaches += 1;
-                self.stats.bytes_inserted += plan_bytes;
-                self.bytes_resident += plan_bytes;
-                entry.bytes += plan_bytes;
-            }
-        }
-    }
-
     /// Number of cached designs.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -243,7 +215,9 @@ impl PlanCache {
 
     /// Estimated bytes currently resident across all entries (the
     /// gauge behind `cache.bytes_resident` in metrics snapshots;
-    /// always `bytes_inserted - bytes_evicted`).
+    /// always `bytes_inserted - bytes_evicted`). Each entry is sized
+    /// at insertion, so an op stream lowered for it later — after a
+    /// `full_sweep` miss published it without one — is not counted.
     #[must_use]
     pub fn bytes_resident(&self) -> u64 {
         self.bytes_resident
@@ -263,6 +237,14 @@ mod tests {
 
     /// A minimal valid design (q' = q + 1) wrapped as a cache entry.
     fn tiny_design(name: &str) -> CachedDesign {
+        CachedDesign {
+            template: Arc::new(tiny_design_sim(name).1),
+        }
+    }
+
+    /// The tiny design's component, and a lowered simulator to run a
+    /// clone of it in.
+    fn tiny_design_sim(name: &str) -> (hdp_sim::Simulator, NetlistComponent) {
         let entity = Entity::builder(name)
             .port("q", PortDir::Out, 4)
             .unwrap()
@@ -290,21 +272,10 @@ mod tests {
         )
         .unwrap();
         nl.bind_port("q", q).unwrap();
-        let mut sim = hdp_sim::Simulator::new();
+        let mut sim = hdp_sim::Simulator::with_mode(hdp_sim::SchedMode::Lowered);
         let sig = sim.add_signal("q", 4).unwrap();
-        let netlist = Arc::new(nl);
-        let template = NetlistComponent::new_prevalidated(
-            "dut",
-            Arc::clone(&netlist),
-            sim.bus(),
-            &[("q", sig)],
-        )
-        .unwrap();
-        CachedDesign {
-            netlist,
-            template: Arc::new(template),
-            plan: None,
-        }
+        let template = NetlistComponent::new("dut", nl, sim.bus(), &[("q", sig)]).unwrap();
+        (sim, template)
     }
 
     #[test]
@@ -341,37 +312,30 @@ mod tests {
     }
 
     #[test]
-    fn byte_accounting_reconciles_across_insert_attach_evict() {
+    fn byte_accounting_reconciles_across_insert_lower_evict() {
         let mut cache = PlanCache::new(1);
-        cache.insert("h1".into(), tiny_design("a"));
-        let after_insert = cache.bytes_resident();
-        assert!(after_insert > 0, "a design has a nonzero footprint");
-        assert_eq!(cache.stats().bytes_inserted, after_insert);
+        let (mut sim, template) = tiny_design_sim("a");
+        let design = CachedDesign {
+            template: Arc::new(template.clone()),
+        };
+        let unlowered = design.estimate_bytes();
+        cache.insert("h1".into(), design.clone());
+        assert!(unlowered > 0, "a design has a nonzero footprint");
+        assert_eq!(cache.bytes_resident(), unlowered);
+        assert_eq!(cache.stats().bytes_inserted, unlowered);
 
-        // Attach a plan: resident and cumulative grow by the same amount.
-        let design = tiny_design("a");
-        let mut sim = hdp_sim::Simulator::new();
-        let q = sim.add_signal("q", 4).unwrap();
-        let comp = NetlistComponent::new_prevalidated(
-            "dut",
-            Arc::clone(&design.netlist),
-            sim.bus(),
-            &[("q", q)],
-        )
-        .unwrap();
-        sim.add_component(comp);
-        assert!(sim.compile().unwrap());
-        let plan = sim.export_plan().expect("a counter levelizes");
-        cache.attach_plan("h1", plan);
-        let stats = cache.stats();
-        assert_eq!(stats.plan_attaches, 1);
-        assert!(cache.bytes_resident() > after_insert);
-        assert_eq!(stats.bytes_inserted, cache.bytes_resident());
+        // A job lowers the shared stream after the insertion: the entry
+        // grows, but its bytes were counted once, at insertion.
+        sim.add_component(template);
+        sim.reset().unwrap();
+        assert!(design.estimate_bytes() > unlowered, "the stream is shared");
+        assert_eq!(cache.bytes_resident(), unlowered);
 
         // Evict by inserting a second design into capacity 1.
         cache.insert("h2".into(), tiny_design("b"));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
+        assert_eq!(stats.bytes_evicted, unlowered);
         assert_eq!(
             stats.bytes_inserted,
             stats.bytes_evicted + cache.bytes_resident(),
@@ -380,11 +344,14 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_keeps_existing_plan_slot_filled_once() {
+    fn reinsert_keeps_the_first_entry() {
         let mut cache = PlanCache::new(2);
-        cache.insert("h1".into(), tiny_design("a"));
+        let first = tiny_design("a");
+        cache.insert("h1".into(), first.clone());
         cache.insert("h1".into(), tiny_design("a"));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().insertions, 1);
+        let kept = cache.lookup("h1").unwrap();
+        assert!(Arc::ptr_eq(&kept.template, &first.template));
     }
 }

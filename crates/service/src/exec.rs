@@ -14,20 +14,20 @@
 //! The cache closes the reuse loop:
 //!
 //! * **miss** — instantiate the spec, validate it while wiring the
-//!   interpreter, simulate (the default lowered mode levelizes the
-//!   design and translates each interpreter into a word-level op
-//!   stream on the fly), then publish the netlist and
-//!   the exported [`CompiledPlan`](hdp_sim::CompiledPlan) under the
-//!   design's content address;
-//! * **hit** — clone the cached netlist and install the cached plan
-//!   ([`Simulator::install_plan`]), skipping metagen instantiation,
-//!   the levelization settle and the lowering pass entirely.
+//!   interpreter, simulate (the default lowered mode translates the
+//!   interpreter into a word-level op stream on its first settle),
+//!   then publish a pristine clone of the interpreter under the
+//!   design's content address. The clone shares the op stream the
+//!   run just built;
+//! * **hit** — clone the cached template, skipping metagen
+//!   instantiation, validation, wiring and the lowering pass. The
+//!   first settle still levelizes the one- or two-component design,
+//!   which costs one Kahn pass.
 //!
-//! Cached and cold execution are bit-identical: the installed
-//! schedule is the one a local compile would have produced, and the
-//! cycle protocol never changes. The `verify` option re-runs every
-//! job against a cache-free full-sweep reference and compares traces
-//! to prove it.
+//! Cached and cold execution are bit-identical: a warm job is a cold
+//! job minus the lowering pass, and the cycle protocol never changes.
+//! The `verify` option re-runs every job against a cache-free
+//! full-sweep reference and compares traces to prove it.
 
 use crate::cache::{CacheStats, CachedDesign, PlanCache};
 use crate::metrics::{CacheSection, Counter, MetricsRegistry, MetricsSnapshot, ObsMode};
@@ -115,12 +115,10 @@ impl From<WireError> for ServiceError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobOptions {
     /// Scheduler mode. The default, [`SchedMode::Lowered`], is the
-    /// mode that exports and installs plans (rank schedule plus the
-    /// word-level op streams); the cache still serves netlists to the
-    /// others.
+    /// mode that runs the cached template's word-level op stream; the
+    /// cache still serves templates to the others.
     pub mode: SchedMode,
-    /// Record and return a VCD waveform of every port. Disables plan
-    /// reuse for the job (the recorder changes the design shape).
+    /// Record and return a VCD waveform of every port.
     pub vcd: bool,
     /// Collect telemetry counters and return a summary.
     pub telemetry: bool,
@@ -153,9 +151,9 @@ pub struct JobOutcome {
     pub label: String,
     /// Whether the design was served from the cache.
     pub cache_hit: bool,
-    /// Whether a cached [`CompiledPlan`](hdp_sim::CompiledPlan) was
-    /// installed (always `false` on a miss or for modes that neither
-    /// export nor install plans).
+    /// Whether the job's lowered unit ran on an op stream an earlier
+    /// job built ([`Simulator::plan_installs`]; always `false` on a
+    /// miss and in [`SchedMode::FullSweep`]).
     pub plan_installed: bool,
     /// The design's non-input ports as `(name, width)`, in entity
     /// order — the columns of `trace`.
@@ -250,21 +248,33 @@ struct BuiltSim {
     recorder: Option<hdp_sim::ComponentId>,
 }
 
-/// Builds a simulator for one job. On a cache hit, `template` is the
-/// pristine interpreter instance to clone; signal ids are assigned
+/// The interpreter a job runs: a clone of the cached template on a
+/// hit, or one wired afresh from an instantiated netlist on a miss.
+enum Dut<'a> {
+    Template(&'a NetlistComponent),
+    Fresh(Arc<Netlist>),
+}
+
+/// Builds a simulator for one job. Signal ids are assigned
 /// deterministically (entity port order from a fresh simulator), so a
 /// template wired against one job's bus is valid for every job of the
 /// same design. On a miss the netlist is validated and a fresh
-/// template is built — and returned, so the caller can publish it.
+/// template is built — and returned, so the caller can publish it. The
+/// job's component and that template are clones of each other, so they
+/// share one op stream: the job's first lowered settle builds it for
+/// every later hit.
 fn build_sim(
-    netlist: &Arc<Netlist>,
-    template: Option<&NetlistComponent>,
+    dut: Dut<'_>,
     stim: &Stimulus,
     mode: SchedMode,
     telemetry: TelemetryLevel,
     want_vcd: bool,
 ) -> Result<(BuiltSim, Option<Arc<NetlistComponent>>), ServiceError> {
     let build_err = |message: String| ServiceError::Build { message };
+    let netlist: &Netlist = match &dut {
+        Dut::Template(t) => t.netlist(),
+        Dut::Fresh(n) => n,
+    };
     let mut sim = Simulator::with_mode(mode);
     sim.set_telemetry(telemetry);
     let mut bindings: Vec<(String, SignalId)> = Vec::new();
@@ -289,19 +299,14 @@ fn build_sim(
                 .ok_or_else(|| build_err(format!("stimulus input `{name}` is not a port")))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let (comp, built_template) = match template {
-        Some(t) => (t.clone(), None),
-        None => {
+    let (comp, built_template) = match dut {
+        Dut::Template(t) => (t.clone(), None),
+        Dut::Fresh(netlist) => {
             let binding_refs: Vec<(&str, SignalId)> =
                 bindings.iter().map(|(n, id)| (n.as_str(), *id)).collect();
-            hdp_hdl::validate::check(netlist).map_err(|e| build_err(e.to_string()))?;
-            let comp = NetlistComponent::new_prevalidated(
-                "dut",
-                Arc::clone(netlist),
-                sim.bus(),
-                &binding_refs,
-            )
-            .map_err(|e| build_err(e.to_string()))?;
+            hdp_hdl::validate::check(&netlist).map_err(|e| build_err(e.to_string()))?;
+            let comp = NetlistComponent::new_prevalidated("dut", netlist, sim.bus(), &binding_refs)
+                .map_err(|e| build_err(e.to_string()))?;
             let t = Arc::new(comp.clone());
             (comp, Some(t))
         }
@@ -434,7 +439,6 @@ impl Service {
             misses: stats.misses,
             insertions: stats.insertions,
             evictions: stats.evictions,
-            plan_attaches: stats.plan_attaches,
             bytes_inserted: stats.bytes_inserted,
             bytes_evicted: stats.bytes_evicted,
             bytes_resident: cache.bytes_resident(),
@@ -533,9 +537,6 @@ impl Service {
         });
         let cache_hit = cached.is_some();
 
-        // A VCD recorder adds a component, so the sim no longer has
-        // the shape the cached plan was exported from.
-        let plan_eligible = opts.mode == SchedMode::Lowered && !opts.vcd;
         // Sampled services run every job with simulator counters on,
         // so settles / executed ops / fallback causes aggregate into
         // the service-wide metrics.
@@ -544,82 +545,29 @@ impl Service {
         } else {
             TelemetryLevel::Off
         };
-        let (mut built, built_template, plan_installed) = timed(span, Stage::Build, || {
-            let (netlist, template, cached_plan) = match cached {
-                Some(design) => (design.netlist, Some(design.template), design.plan),
-                None => {
-                    let netlist = case.spec.instantiate().map_err(|e| ServiceError::Build {
+        let (mut built, built_template) = timed(span, Stage::Build, || {
+            let dut = match &cached {
+                Some(design) => Dut::Template(&design.template),
+                None => Dut::Fresh(Arc::new(case.spec.instantiate().map_err(|e| {
+                    ServiceError::Build {
                         message: e.to_string(),
-                    })?;
-                    (Arc::new(netlist), None, None)
-                }
+                    }
+                })?)),
             };
-            let (mut built, built_template) = build_sim(
-                &netlist,
-                template.as_deref(),
-                &case.stimulus,
-                opts.mode,
-                telemetry,
-                opts.vcd,
-            )?;
-            let mut plan_installed = false;
-            if plan_eligible {
-                if let Some(plan) = &cached_plan {
-                    // A mismatch can only mean the cached entry predates a
-                    // generator change; fall back to a local compile.
-                    plan_installed = built.sim.install_plan(plan).is_ok();
-                }
-            }
-            Ok::<_, ServiceError>((built, (netlist, built_template), plan_installed))
+            build_sim(dut, &case.stimulus, opts.mode, telemetry, opts.vcd)
         })?;
-        let (netlist, built_template) = built_template;
 
         let trace = timed(span, Stage::Execute, || drive(&mut built, &case.stimulus))?;
+        let plan_installed = built.sim.plan_installs() > 0;
 
-        // Publish what this run derived. Exporting after the run (not
-        // before) captures every driver link the stimulus exercised,
-        // so the installed schedule ages exactly like this one did.
+        // Publish the template on a miss. It shares the op stream this
+        // run built, so every later hit skips the lowering pass.
         timed(span, Stage::Publish, || {
-            if plan_eligible && !plan_installed {
-                let exported = match built.sim.export_plan() {
-                    Some(plan) => Some(plan),
-                    None => {
-                        // Short stimuli can finish before the lazy build
-                        // triggers; force it so the next submission wins.
-                        built.sim.compile().map_err(|source| ServiceError::Sim {
-                            cycle: case.stimulus.cycles.len(),
-                            source,
-                        })?;
-                        built.sim.export_plan()
-                    }
-                };
-                let mut cache = self.lock_cache();
-                if cache_hit {
-                    if let Some(plan) = exported {
-                        cache.attach_plan(&hash, plan);
-                    }
-                } else {
-                    cache.insert(
-                        hash.clone(),
-                        CachedDesign {
-                            netlist: Arc::clone(&netlist),
-                            template: built_template.expect("miss path built a template"),
-                            plan: exported.map(Arc::new),
-                        },
-                    );
-                }
-            } else if !cache_hit {
-                self.lock_cache().insert(
-                    hash.clone(),
-                    CachedDesign {
-                        netlist: Arc::clone(&netlist),
-                        template: built_template.expect("miss path built a template"),
-                        plan: None,
-                    },
-                );
+            if let Some(template) = built_template {
+                self.lock_cache()
+                    .insert(hash.clone(), CachedDesign { template });
             }
-            Ok::<_, ServiceError>(())
-        })?;
+        });
 
         let verified = timed(span, Stage::Verify, || {
             if !opts.verify {
@@ -629,8 +577,7 @@ impl Service {
                 message: e.to_string(),
             })?;
             let (mut cold, _) = build_sim(
-                &Arc::new(cold_netlist),
-                None,
+                Dut::Fresh(Arc::new(cold_netlist)),
                 &case.stimulus,
                 SchedMode::FullSweep,
                 TelemetryLevel::Off,
@@ -760,17 +707,20 @@ mod tests {
     }
 
     #[test]
-    fn vcd_option_returns_a_waveform() {
+    fn a_warm_vcd_job_runs_on_the_cached_stream() {
         let service = Service::new(8);
         let case = sample_case(11, 5);
         let opts = JobOptions {
             vcd: true,
             ..JobOptions::default()
         };
-        let out = service.run_case(&case, &opts).unwrap();
-        let vcd = out.vcd.expect("vcd requested");
+        let cold = service.run_case(&case, &opts).unwrap();
+        let warm = service.run_case(&case, &opts).unwrap();
+        let vcd = cold.vcd.expect("vcd requested");
         assert!(vcd.contains("$var wire"));
-        assert!(!out.plan_installed, "vcd jobs never install plans");
+        assert!(!cold.plan_installed && warm.cache_hit && warm.plan_installed);
+        assert_eq!(cold.trace, warm.trace);
+        assert_eq!(Some(vcd), warm.vcd, "the waveform is byte-identical");
     }
 
     #[test]

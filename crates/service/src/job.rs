@@ -14,7 +14,7 @@
 //! | option      | values                                          | default   |
 //! |-------------|-------------------------------------------------|-----------|
 //! | `mode`      | `lowered`, `full_sweep`                         | `lowered` |
-//! | `vcd`       | return a VCD waveform (disables plan reuse)     | `false`   |
+//! | `vcd`       | return a VCD waveform                           | `false`   |
 //! | `telemetry` | return a telemetry summary                      | `false`   |
 //! | `verify`    | re-run cache-free under full sweep and compare  | `false`   |
 //! | `span`      | return the job's per-stage server-side timeline | `false`   |
@@ -29,7 +29,7 @@
 //! Besides job submissions, the layer answers two control verbs:
 //!
 //! * `{"verb": "stats"}` returns the service's live
-//!   [`hdp-service-metrics-v5`](crate::metrics::METRICS_SCHEMA)
+//!   [`hdp-service-metrics-v6`](crate::metrics::METRICS_SCHEMA)
 //!   snapshot — counters, cache state and latency histograms — as a
 //!   single-line document.
 //! * `{"verb": "select", "constraints": {…}}` answers a §3.4
@@ -41,9 +41,10 @@
 //!   [`hdp_synth::Selection`]. Control verbs never count as jobs.
 //!
 //! A response is one `hdp-service-result-v1` JSON document per line:
-//! `design_hash`, `cache` (`"hit"`/`"miss"`), `plan_installed`, the
-//! output `ports`, the per-cycle `trace` of bit-strings, and the
-//! optional `telemetry` / `vcd` / `verified` sections.
+//! `design_hash`, `cache` (`"hit"`/`"miss"`), `plan_installed` (the
+//! job ran on an op stream an earlier job built), the output `ports`,
+//! the per-cycle `trace` of bit-strings, and the optional `telemetry` /
+//! `vcd` / `verified` sections.
 //! [`outcome_to_json`] streams it through one
 //! [`JsonWriter`] into a `String` sized up front, with room for the
 //! newline the server appends. The trace is one flat buffer of

@@ -12,10 +12,10 @@
 //!
 //! - [`pool`] — a generic sharded worker pool over scoped threads,
 //!   deterministic and order-preserving.
-//! - [`cache`] — the content-addressed LRU [`cache::PlanCache`]:
-//!   validated [`hdp_hdl::Netlist`]s plus exported
-//!   [`hdp_sim::CompiledPlan`]s, keyed by
-//!   [`hdp_conform::wire::design_hash`].
+//! - [`cache`] — the content-addressed LRU [`cache::PlanCache`]: one
+//!   pristine [`hdp_sim::NetlistComponent`] per design, which holds the
+//!   validated netlist and shares its lowered op stream with every
+//!   clone, keyed by [`hdp_conform::wire::design_hash`].
 //! - [`exec`] — the [`Service`]: runs one job ([`Service::run_case`])
 //!   or a sharded batch ([`Service::run_batch`]) against the shared
 //!   cache, with optional VCD capture, telemetry and oracle

@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The schema identifier of every metrics snapshot document.
-pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v5";
+pub const METRICS_SCHEMA: &str = "hdp-service-metrics-v6";
 
 /// Log2 buckets per latency histogram. Bucket `i` holds durations in
 /// `[2^i, 2^(i+1))` nanoseconds; the last bucket absorbs everything
@@ -125,7 +125,8 @@ pub enum Counter {
     /// queue was full. Each is also in `connections_total`; none is a
     /// job.
     ErrorsBusy,
-    /// Jobs that installed a cached [`hdp_sim::CompiledPlan`].
+    /// Jobs whose lowered unit ran on an op stream an earlier job built
+    /// (the response's `plan_installed`).
     PlansInstalled,
     /// Jobs that requested a VCD waveform.
     JobsVcd,
@@ -147,7 +148,8 @@ pub enum Counter {
     SimFallbackSettles,
     /// Word-level ops executed, absorbed from per-job telemetry.
     SimOpsExecuted,
-    /// Plan installs observed by simulators (per-job telemetry).
+    /// Lowered units that ran on an op stream an earlier job built,
+    /// absorbed from per-job telemetry.
     SimPlanInstalls,
     /// TCP connections accepted.
     ConnectionsTotal,
@@ -548,9 +550,10 @@ pub struct CacheSection {
     pub insertions: u64,
     /// LRU evictions (cumulative — survives wraps).
     pub evictions: u64,
-    /// Plans attached to already-cached designs.
-    pub plan_attaches: u64,
-    /// Estimated bytes ever inserted (cumulative).
+    /// Estimated bytes ever inserted (cumulative). Each entry is
+    /// sized once, at insertion: an op stream a later job lowers for
+    /// an entry published without one (a `full_sweep` miss, say) is
+    /// not counted here or in the two fields below.
     pub bytes_inserted: u64,
     /// Estimated bytes evicted (cumulative).
     pub bytes_evicted: u64,
@@ -682,7 +685,6 @@ impl MetricsSnapshot {
                     ("misses".to_owned(), Json::Num(c.misses)),
                     ("insertions".to_owned(), Json::Num(c.insertions)),
                     ("evictions".to_owned(), Json::Num(c.evictions)),
-                    ("plan_attaches".to_owned(), Json::Num(c.plan_attaches)),
                     ("bytes_inserted".to_owned(), Json::Num(c.bytes_inserted)),
                     ("bytes_evicted".to_owned(), Json::Num(c.bytes_evicted)),
                     ("bytes_resident".to_owned(), Json::Num(c.bytes_resident)),
@@ -774,7 +776,6 @@ impl MetricsSnapshot {
                 misses: num(c.get("misses"), "cache.misses")?,
                 insertions: num(c.get("insertions"), "cache.insertions")?,
                 evictions: num(c.get("evictions"), "cache.evictions")?,
-                plan_attaches: num(c.get("plan_attaches"), "cache.plan_attaches")?,
                 bytes_inserted: num(c.get("bytes_inserted"), "cache.bytes_inserted")?,
                 bytes_evicted: num(c.get("bytes_evicted"), "cache.bytes_evicted")?,
                 bytes_resident: num(c.get("bytes_resident"), "cache.bytes_resident")?,
@@ -832,7 +833,6 @@ impl MetricsSnapshot {
                 ("cache_misses", "counter", c.misses),
                 ("cache_insertions", "counter", c.insertions),
                 ("cache_evictions", "counter", c.evictions),
-                ("cache_plan_attaches", "counter", c.plan_attaches),
                 ("cache_bytes_inserted", "counter", c.bytes_inserted),
                 ("cache_bytes_evicted", "counter", c.bytes_evicted),
                 ("cache_bytes_resident", "gauge", c.bytes_resident),
@@ -928,9 +928,9 @@ pub fn validate_snapshot(doc: &Json) -> Vec<String> {
                 cache.hits, cache.misses
             ));
         }
-        if cache.bytes_inserted < cache.bytes_evicted + cache.bytes_resident {
+        if cache.bytes_inserted != cache.bytes_evicted + cache.bytes_resident {
             problems.push(format!(
-                "cache byte accounting: inserted {} < evicted {} + resident {}",
+                "cache byte accounting: inserted {} != evicted {} + resident {}",
                 cache.bytes_inserted, cache.bytes_evicted, cache.bytes_resident
             ));
         }

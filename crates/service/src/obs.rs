@@ -37,9 +37,10 @@ pub enum Stage {
     /// (cold path; warm jobs only pay the template clone here).
     Build,
     /// The stimulus run: one [`hdp_sim::Simulator::run_rows`] call
-    /// (pokes, settles, clock edges, trace capture).
+    /// (pokes, settles, clock edges, trace capture; on a cold run the
+    /// first settle also lowers the netlist).
     Execute,
-    /// Plan export and cache publication after a cold run.
+    /// Cache publication of the design's template after a cold run.
     Publish,
     /// The optional cache-free full-sweep verification re-run.
     Verify,

@@ -72,7 +72,7 @@ fn warm_job_allocations(family: usize, cycles: usize) -> (u64, u64) {
     let stimulus = Stimulus::sample(&netlist, cycles, &mut rng);
     let line = job_to_json(&Case { spec, stimulus });
     let service = Service::new(4);
-    // Cold, then warm once, so the plan is cached and installed.
+    // Cold, then warm once, so the template is cached with its op stream.
     for _ in 0..2 {
         let (case, opts) = parse_job(&line).unwrap();
         let _ = outcome_to_json(&service.run_case(&case, &opts).unwrap());

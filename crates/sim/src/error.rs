@@ -47,12 +47,6 @@ pub enum SimError {
         /// The duplicated name.
         name: String,
     },
-    /// A [`crate::CompiledPlan`] was installed into a simulator whose
-    /// design does not match the plan's source design.
-    PlanMismatch {
-        /// Human-readable description of the first mismatch.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -80,9 +74,6 @@ impl fmt::Display for SimError {
             }
             SimError::DuplicateSignal { name } => {
                 write!(f, "duplicate signal name `{name}`")
-            }
-            SimError::PlanMismatch { reason } => {
-                write!(f, "compiled plan does not fit this design: {reason}")
             }
         }
     }

@@ -143,7 +143,6 @@ mod signal;
 pub mod telemetry;
 pub mod vcd;
 
-pub use compiled::CompiledPlan;
 pub use component::{ClockDomain, Component, Sensitivity, DEFAULT_CLOCK};
 pub use error::SimError;
 pub use lower::{LaneBatch, LANES};

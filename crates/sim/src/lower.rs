@@ -198,9 +198,9 @@ impl LoweredOp {
 /// A frozen design lowered to a flat word-level op stream.
 ///
 /// Value-independent: the program captures net layout, masks and ops
-/// but no simulation state, so it can ride inside a
-/// [`crate::CompiledPlan`] and be reused by every job of the same
-/// design (the service's content-addressed cache does exactly that).
+/// but no simulation state, so every clone of one
+/// [`NetlistComponent`] shares it (the service's content-addressed
+/// cache hands every job of a design such a clone).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LoweredProgram {
     /// One width mask per net (index = `NetId::index()`).
@@ -214,8 +214,6 @@ pub(crate) struct LoweredProgram {
     pub(crate) in_ports: Vec<(u32, SignalId)>,
     /// `Out` ports as `(net, signal)`, in wiring order.
     pub(crate) out_ports: Vec<(u32, SignalId)>,
-    /// Cell count of the source netlist, for install-time validation.
-    pub(crate) n_cells: u32,
 }
 
 /// The value, unknown and high-Z planes of one net, side by side: a
@@ -586,8 +584,7 @@ pub(crate) fn exec_walk(
 ///
 /// The input memo holds only while the planes are the component's
 /// settled state: once an interpreted eval has run (a fallback settle,
-/// a mode switch, a reset) or a plan install replaced the planes, the
-/// next settle presents and walks in full.
+/// a mode switch, a reset), the next settle presents and walks in full.
 pub(crate) fn settle_planes(
     prog: &LoweredProgram,
     scratch: &mut LoweredScratch,
@@ -775,7 +772,6 @@ impl LoweredProgram {
             ops,
             in_ports: Vec::new(),
             out_ports: Vec::new(),
-            n_cells: netlist.cells().len() as u32,
         })
     }
 
@@ -810,11 +806,15 @@ impl LoweredProgram {
         Ok(prog)
     }
 
-    /// Whether this program still matches a component (used when a
-    /// cached plan is installed into a fresh simulator).
-    pub(crate) fn matches(&self, comp: &NetlistComponent) -> bool {
-        let netlist = comp.netlist();
-        netlist.cells().len() as u32 == self.n_cells && netlist.nets().len() == self.masks.len()
+    /// Rough resident bytes of the program: each backing vector's
+    /// element count times its element size.
+    pub(crate) fn estimate_bytes(&self) -> u64 {
+        let bytes = std::mem::size_of::<Self>()
+            + self.masks.len() * std::mem::size_of::<u64>()
+            + self.shared_z.len() * std::mem::size_of::<u32>()
+            + self.ops.len() * std::mem::size_of::<LoweredOp>()
+            + (self.in_ports.len() + self.out_ports.len()) * std::mem::size_of::<(u32, SignalId)>();
+        bytes as u64
     }
 }
 
@@ -2120,27 +2120,33 @@ mod tests {
     }
 
     #[test]
-    fn lowered_plan_round_trips_through_export_and_install() {
-        let (mut cold, cold_din, _cold_q) = acc_sim(SchedMode::Lowered);
+    fn a_clone_runs_on_the_op_stream_its_sibling_lowered() {
+        let mut donor = Simulator::with_mode(SchedMode::Lowered);
+        let din = donor.add_signal("din", 4).unwrap();
+        let q = donor.add_signal("q", 4).unwrap();
+        let template =
+            NetlistComponent::new("dut", accumulator(), donor.bus(), &[("din", din), ("q", q)])
+                .unwrap();
+        donor.add_component(template.clone());
+        donor.reset().unwrap();
         for c in 0..4u64 {
-            cold.poke(cold_din, c & 0xF).unwrap();
-            cold.step().unwrap();
+            donor.poke(din, c & 0xF).unwrap();
+            donor.step().unwrap();
         }
-        let plan = cold.export_plan().expect("a lowered sim exports a plan");
         assert!(
-            plan.lowered_components() > 0,
-            "the plan must carry the lowered op stream"
+            template.lowered_bytes() > 0,
+            "the donor's settle lowered it"
         );
 
-        let (mut warm, wdin, wq) = acc_sim(SchedMode::Lowered);
+        // Same signal ids in the same order, so the template's wiring holds.
+        let mut warm = Simulator::with_mode(SchedMode::Lowered);
+        let (wdin, wq) = (
+            warm.add_signal("din", 4).unwrap(),
+            warm.add_signal("q", 4).unwrap(),
+        );
         warm.set_telemetry(TelemetryLevel::Counters);
-        warm.install_plan(&plan).unwrap();
-        assert_eq!(
-            warm.mode(),
-            SchedMode::Lowered,
-            "warm sims keep lowered mode"
-        );
-
+        warm.add_component(template.clone());
+        warm.reset().unwrap();
         let (mut reference, rdin, rq) = acc_sim(SchedMode::FullSweep);
         for c in 0..12u64 {
             let v = (c * 7 + 1) & 0xF;
@@ -2154,40 +2160,12 @@ mod tests {
                 "cycle {c}"
             );
         }
+        let stats = warm.stats();
+        assert_eq!(stats.plan_installs, 1, "the clone lowered nothing itself");
         assert!(
-            warm.stats().lowered_settles > 0,
-            "the installed plan must execute lowered, not interpreted"
+            stats.lowered_settles > 0,
+            "the shared stream must execute lowered, not interpreted"
         );
-    }
-
-    #[test]
-    fn installing_a_plan_mid_run_refills_the_planes_before_an_edge() {
-        let (mut cold, din, _) = acc_sim(SchedMode::Lowered);
-        for c in 0..4u64 {
-            cold.poke(din, c).unwrap();
-            cold.step().unwrap();
-        }
-        let plan = cold.export_plan().unwrap();
-        let (mut warm, wdin, wq) = acc_sim(SchedMode::Lowered);
-        let (mut reference, rdin, rq) = acc_sim(SchedMode::FullSweep);
-        for c in 0..12u64 {
-            // No poke right after the install: the edge that follows
-            // must not sample the installed unit's empty planes.
-            if c != 6 {
-                warm.poke(wdin, c + 1).unwrap();
-                reference.poke(rdin, c + 1).unwrap();
-            }
-            warm.step().unwrap();
-            reference.step().unwrap();
-            if c == 5 {
-                warm.install_plan(&plan).unwrap();
-            }
-            assert_eq!(
-                warm.peek(wq).unwrap(),
-                reference.peek(rq).unwrap(),
-                "cycle {c}"
-            );
-        }
     }
 
     // The lowered clock edge: the sequential half ticks from the

@@ -1,11 +1,16 @@
 //! Cycle-accurate interpretation of generated netlists.
 
+use crate::lower::LoweredProgram;
 use crate::{BusAccess, ClockDomain, Component, Sensitivity, SignalBus, SignalId, SimError};
 use hdp_hdl::prim::Prim;
 use hdp_hdl::{CellId, LogicVector, NetId, Netlist, PortDir};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// A netlist's lowered op stream, or why it cannot lower: built once
+/// and shared by every clone of the component.
+type SharedLowering = Arc<OnceLock<Result<Arc<LoweredProgram>, String>>>;
 
 /// Where a clock edge reads the settled values of sequential cell
 /// inputs: the interpreter's net cache, a lowered unit's planes, or one
@@ -172,13 +177,19 @@ pub(crate) fn seq_outputs(
 /// The component is `Clone`: a pristine (never-evaluated) instance
 /// can be cloned per job as a cheap template — the netlist is shared
 /// behind an `Arc` and the derived state vectors memcpy, skipping
-/// re-levelization and port re-wiring entirely.
+/// re-levelization and port re-wiring entirely. The lowered op stream
+/// is shared the same way: whichever clone a [`crate::SchedMode::Lowered`]
+/// simulator settles first lowers the netlist, and every other clone,
+/// earlier or later, runs on that one program.
 #[derive(Clone)]
 pub struct NetlistComponent {
     name: String,
     netlist: Arc<Netlist>,
     /// (port index in entity, sim signal) pairs.
     port_wiring: Vec<(String, PortDir, hdp_hdl::NetId, SignalId)>,
+    /// The op stream lowered from `netlist` and `port_wiring`, which
+    /// never change after construction.
+    lowered: SharedLowering,
     topo: Vec<CellId>,
     net_values: Vec<LogicVector>,
     seq_state: Vec<SeqState>,
@@ -349,6 +360,7 @@ impl NetlistComponent {
             name,
             netlist,
             port_wiring,
+            lowered: SharedLowering::default(),
             topo,
             net_values,
             seq_state,
@@ -388,10 +400,27 @@ impl NetlistComponent {
         &self.netlist
     }
 
-    /// The port wiring, for the lowering translator: `(port, dir, net,
-    /// signal)` in wiring order.
-    pub(crate) fn lowered_wiring(&self) -> &[(String, PortDir, hdp_hdl::NetId, SignalId)] {
-        &self.port_wiring
+    /// This netlist's op stream, lowered on the first call by any clone
+    /// of this component and shared by all of them after. The flag says
+    /// whether this call did the lowering.
+    pub(crate) fn lowered_program(&self) -> (&Result<Arc<LoweredProgram>, String>, bool) {
+        let mut lowered_here = false;
+        let prog = self.lowered.get_or_init(|| {
+            lowered_here = true;
+            LoweredProgram::try_lower(&self.netlist, &self.port_wiring).map(Arc::new)
+        });
+        (prog, lowered_here)
+    }
+
+    /// Estimated resident bytes of the shared op stream: zero until some
+    /// clone has lowered it. A cache-sizing estimate, not an allocator
+    /// measurement.
+    #[must_use]
+    pub fn lowered_bytes(&self) -> u64 {
+        match self.lowered.get() {
+            Some(Ok(prog)) => prog.estimate_bytes(),
+            _ => 0,
+        }
     }
 
     /// Indices of the sequential cells, in cell order.
@@ -413,12 +442,6 @@ impl NetlistComponent {
     /// its unit's planes, not the net cache, hold the settled nets.
     pub(crate) fn planes_current(&self) -> bool {
         self.planes_current
-    }
-
-    /// Records that the unit's planes were replaced by fresh ones (a plan
-    /// install): they hold no settle until the next lowered walk.
-    pub(crate) fn drop_planes(&mut self) {
-        self.planes_current = false;
     }
 
     /// The clock edge of a lowered unit. It samples `planes` when the

@@ -37,7 +37,7 @@
 //!   discovered driver, added components) falls back for one settle
 //!   and rebuilds.
 
-use crate::compiled::{CompiledPlan, CompiledSchedule};
+use crate::compiled::CompiledSchedule;
 use crate::lower::{
     exec_settle, exec_walk, latch_inputs, settle_planes, LoweredProgram, LoweredScratch, Planes,
 };
@@ -57,37 +57,6 @@ const DELTA_LIMIT: usize = 64;
 
 /// How many oscillating signals a non-convergence report names.
 const OSCILLATION_REPORT_CAP: usize = 8;
-
-/// Incremental FNV-1a (64-bit) hasher for design signatures. Inputs
-/// are length-prefixed, so distinct field sequences cannot collide by
-/// concatenation.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Scheduling strategy of a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -191,9 +160,9 @@ struct ActivePlan {
 }
 
 /// One component's lowered op-stream program plus its reusable scratch
-/// planes. The program is behind an `Arc` so
-/// [`Simulator::export_plan`] can ship it inside a [`CompiledPlan`]
-/// without cloning the op stream.
+/// planes. The program is the component's shared one
+/// ([`NetlistComponent`] lowers once for all its clones); the planes
+/// are this simulator's own.
 struct LoweredUnit {
     prog: Arc<LoweredProgram>,
     scratch: LoweredScratch,
@@ -253,6 +222,8 @@ pub struct Simulator {
     lowered: Vec<Option<LoweredUnit>>,
     /// Whether `lowered` is current for the component set.
     lowered_ready: bool,
+    /// Lowered units whose op stream an earlier simulator built.
+    plan_installs: u64,
     /// Clock domains registered directly on the simulator with
     /// [`Simulator::add_clock_domain`] (testbench-level declarations),
     /// merged with component declarations into `domains`.
@@ -594,7 +565,7 @@ impl Simulator {
             fallback_causes: t.fallback_causes,
             lowered_settles: t.lowered_settles,
             ops_executed: t.ops_executed,
-            plan_installs: t.plan_installs,
+            plan_installs: self.plan_installs,
             compiled_ranks,
             notes,
             last_wake_sets,
@@ -1087,39 +1058,42 @@ impl Simulator {
         self.compiled = Some(plan);
     }
 
-    /// (Re)derives the per-component lowered op streams. Every
-    /// [`NetlistComponent`] is translated once into a flat word-level
-    /// program; anything else — or a netlist shape that cannot lower —
-    /// keeps its virtual `eval` on the rank walk, with the reason
-    /// recorded as a telemetry note.
+    /// (Re)derives the per-component lowered units. Every
+    /// [`NetlistComponent`] runs the flat word-level program its clones
+    /// share, lowering it here if no clone has yet; anything else — or
+    /// a netlist shape that cannot lower — keeps its virtual `eval` on
+    /// the rank walk, with the reason recorded as a telemetry note.
     fn ensure_lowered(&mut self) {
         if self.lowered_ready && self.lowered.len() == self.components.len() {
             return;
         }
         let mut units = Vec::with_capacity(self.components.len());
         let mut fallbacks: Vec<String> = Vec::new();
-        for c in &self.components {
-            let unit = (**c)
-                .as_any()
-                .downcast_ref::<NetlistComponent>()
-                .and_then(|nc| {
-                    match LoweredProgram::try_lower(nc.netlist(), nc.lowered_wiring()) {
-                        Ok(prog) => {
-                            let scratch = LoweredScratch::new(&prog);
-                            Some(LoweredUnit {
-                                prog: Arc::new(prog),
-                                scratch,
-                            })
-                        }
-                        Err(reason) => {
-                            fallbacks.push(format!(
-                                "lowered: component `{}` keeps interpreted eval — {reason}",
-                                c.name()
-                            ));
-                            None
-                        }
+        for (i, c) in self.components.iter().enumerate() {
+            let Some(nc) = (**c).as_any().downcast_ref::<NetlistComponent>() else {
+                units.push(None);
+                continue;
+            };
+            let unit = match nc.lowered_program() {
+                (Ok(prog), lowered_here) => {
+                    // A unit this simulator already held was counted then.
+                    let held = self.lowered.get(i).and_then(Option::as_ref);
+                    if !lowered_here && !held.is_some_and(|u| Arc::ptr_eq(&u.prog, prog)) {
+                        self.plan_installs += 1;
                     }
-                });
+                    Some(LoweredUnit {
+                        prog: Arc::clone(prog),
+                        scratch: LoweredScratch::new(prog),
+                    })
+                }
+                (Err(reason), _) => {
+                    fallbacks.push(format!(
+                        "lowered: component `{}` keeps interpreted eval — {reason}",
+                        c.name()
+                    ));
+                    None
+                }
+            };
             units.push(unit);
         }
         self.lowered = units;
@@ -1154,64 +1128,71 @@ impl Simulator {
                  so no static evaluation order is safe"
             ));
         }
-        let mut writers: Vec<Vec<usize>> = vec![Vec::new(); self.bus.len()];
-        for (s, ws) in writers.iter_mut().enumerate() {
+        // Per component: in-degree, then longest-path rank.
+        let mut node = vec![(0usize, 0usize); n];
+        let mut edges: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // The self-loop reported is the first in signal order, observed
+        // drivers before declared ones: `(signal, declared, writer)`.
+        let mut self_loop: Option<(usize, bool, usize)> = None;
+        let mut add_writer = |s: usize, w: usize, declared: bool| {
+            for &r in &self.watchers[s] {
+                if r == w {
+                    if self_loop.is_none_or(|(s0, d0, _)| (s, declared) < (s0, d0)) {
+                        self_loop = Some((s, declared, w));
+                    }
+                    continue;
+                }
+                edges[w].push(u32::try_from(r).unwrap_or(u32::MAX));
+                node[r].0 += 1;
+            }
+        };
+        for s in 0..self.bus.len() {
             for &d in self.bus.slot_drivers(s) {
                 if d != DRIVER_POKE && d < n {
-                    ws.push(d);
+                    add_writer(s, d, false);
                 }
             }
         }
+        // A declared drive the bus also saw adds its edges twice; Kahn's
+        // pass counts a repeated edge in and out alike.
         for (i, c) in self.components.iter().enumerate() {
-            if let Some(declared) = c.drives() {
-                for id in declared {
-                    if let Some(ws) = writers.get_mut(id.index()) {
-                        if !ws.contains(&i) {
-                            ws.push(i);
-                        }
-                    }
+            for id in c.drives().unwrap_or_default() {
+                if id.index() < self.bus.len() {
+                    add_writer(id.index(), i, true);
                 }
             }
         }
-        let mut indeg = vec![0usize; n];
-        let mut edges: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (s, ws) in writers.iter().enumerate() {
-            for &w in ws {
-                for &r in &self.watchers[s] {
-                    if r == w {
-                        return Err(format!(
-                            "combinational cycle: `{}` reads a signal it drives (`{}`)",
-                            self.components[w].name(),
-                            self.bus.name(SignalId(s)).unwrap_or("?")
-                        ));
-                    }
-                    edges[w].push(u32::try_from(r).unwrap_or(u32::MAX));
-                    indeg[r] += 1;
-                }
-            }
+        if let Some((s, _, w)) = self_loop {
+            return Err(format!(
+                "combinational cycle: `{}` reads a signal it drives (`{}`)",
+                self.components[w].name(),
+                self.bus.name(SignalId(s)).unwrap_or("?")
+            ));
         }
-        let mut rank = vec![0usize; n];
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        // Kahn's queue, in topological order, becomes the rank order.
+        let index = |i: usize| u32::try_from(i).unwrap_or(u32::MAX);
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| node[i].0 == 0).map(index));
         let mut head = 0;
-        while head < queue.len() {
-            let w = queue[head];
+        while head < order.len() {
+            let w = order[head] as usize;
             head += 1;
             for &r in &edges[w] {
                 let r = r as usize;
-                rank[r] = rank[r].max(rank[w] + 1);
-                indeg[r] -= 1;
-                if indeg[r] == 0 {
-                    queue.push(r);
+                node[r].1 = node[r].1.max(node[w].1 + 1);
+                node[r].0 -= 1;
+                if node[r].0 == 0 {
+                    order.push(index(r));
                 }
             }
         }
-        if queue.len() < n {
+        if order.len() < n {
             let stuck: Vec<String> = (0..n)
-                .filter(|&i| indeg[i] > 0)
+                .filter(|&i| node[i].0 > 0)
                 .take(4)
                 .map(|i| format!("`{}`", self.components[i].name()))
                 .collect();
-            let extra = n - queue.len() - stuck.len().min(n - queue.len());
+            let extra = n - order.len() - stuck.len().min(n - order.len());
             let more = if extra > 0 {
                 format!(" (+{extra} more)")
             } else {
@@ -1222,11 +1203,15 @@ impl Simulator {
                 stuck.join(", ")
             ));
         }
-        let mut order: Vec<u32> = (0..u32::try_from(n).unwrap_or(u32::MAX)).collect();
-        order.sort_by_key(|&i| (rank[i as usize], i));
-        let mut rank_counts = vec![0u64; rank.iter().copied().max().map_or(0, |m| m + 1)];
-        for &r in &rank {
-            rank_counts[r] += 1;
+        order.sort_by_key(|&i| (node[i as usize].1, i));
+        let depth = node
+            .iter()
+            .map(|&(_, rank)| rank)
+            .max()
+            .map_or(0, |m| m + 1);
+        let mut rank_counts = vec![0u64; depth];
+        for &(_, rank) in &node {
+            rank_counts[rank] += 1;
         }
         Ok(CompiledSchedule::new(order, rank_counts))
     }
@@ -1263,251 +1248,16 @@ impl Simulator {
             .and_then(|p| p.sched.as_ref().err().map(String::as_str))
     }
 
-    /// A structural signature of the current design: an FNV-1a hash
-    /// over every signal's name and width and every component's name,
-    /// sensitivity, clocking and declared drives, all in declaration
-    /// order. Two simulators built through the same construction
-    /// sequence produce the same signature; signal *values* and
-    /// simulation progress do not participate, so the signature is
-    /// stable for a design's whole lifetime.
-    ///
-    /// This is the compatibility key for [`CompiledPlan`] reuse:
-    /// [`Simulator::install_plan`] rejects a plan whose signature does
-    /// not match the target simulator.
+    /// How many of this simulator's lowered units run on an op stream
+    /// an earlier simulator built: a [`NetlistComponent`] lowers once,
+    /// and every clone of it shares the program, so a job whose design
+    /// came from a cache of pristine components skips the lowering pass.
+    /// Counted whatever the telemetry level;
+    /// [`SimStats::plan_installs`] reports the same number when
+    /// telemetry is on.
     #[must_use]
-    pub fn design_signature(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.u64(self.bus.len() as u64);
-        for slot in 0..self.bus.len() {
-            let id = SignalId(slot);
-            h.str(self.bus.name(id).unwrap_or(""));
-            h.u64(self.bus.width(id).unwrap_or(0) as u64);
-        }
-        h.u64(self.components.len() as u64);
-        for c in &self.components {
-            h.str(c.name());
-            match c.sensitivity() {
-                Sensitivity::Always => h.u64(u64::MAX),
-                Sensitivity::Signals(mut sigs) => {
-                    sigs.sort_unstable();
-                    sigs.dedup();
-                    h.u64(sigs.len() as u64);
-                    for s in sigs {
-                        h.u64(s.index() as u64);
-                    }
-                }
-            }
-            h.u64(u64::from(c.is_clocked()));
-            match c.drives() {
-                None => h.u64(u64::MAX),
-                Some(mut drives) => {
-                    drives.sort_unstable();
-                    drives.dedup();
-                    h.u64(drives.len() as u64);
-                    for d in drives {
-                        h.u64(d.index() as u64);
-                    }
-                }
-            }
-        }
-        // Clock domains participate only when the design actually has
-        // more than the implicit `clk`/1, so every pre-existing
-        // signature (including pinned plan-cache keys) is unchanged.
-        // The table is recomputed here rather than read from the cache
-        // because the signature must not depend on whether
-        // `ensure_domains` has run yet.
-        let mut domains = vec![ClockDomain::default_clock()];
-        let merge = |domains: &mut Vec<ClockDomain>, d: ClockDomain| {
-            if !domains.iter().any(|x| x.name == d.name) {
-                domains.push(d);
-            }
-        };
-        for d in &self.extra_domains {
-            merge(&mut domains, d.clone());
-        }
-        for c in &self.components {
-            for d in c.clock_domains() {
-                merge(&mut domains, d);
-            }
-        }
-        if domains.len() > 1 {
-            h.u64(domains.len() as u64);
-            for d in &domains {
-                h.str(&d.name);
-                h.u64(d.period);
-            }
-        }
-        h.finish()
-    }
-
-    /// Snapshots the active rank schedule as a reusable
-    /// [`CompiledPlan`]: the levelized order, the rank shape, every
-    /// `(signal, driver)` link the bus has observed, and the
-    /// per-component op streams. `None` while no rank schedule is
-    /// active (mode is not [`SchedMode::Lowered`],
-    /// [`Simulator::compile`] has not run, or the design permanently
-    /// fell back to the full sweep).
-    ///
-    /// The plan is plain data — hash it, cache it, ship it to another
-    /// simulator of the same design via [`Simulator::install_plan`].
-    #[must_use]
-    pub fn export_plan(&self) -> Option<CompiledPlan> {
-        let plan = self.compiled.as_ref()?;
-        let sched = plan.sched.as_ref().ok()?;
-        let mut links = Vec::new();
-        for slot in 0..self.bus.len() {
-            for &d in self.bus.slot_drivers(slot) {
-                let driver = if d == DRIVER_POKE {
-                    u32::MAX
-                } else {
-                    u32::try_from(d).unwrap_or(u32::MAX)
-                };
-                links.push((u32::try_from(slot).unwrap_or(u32::MAX), driver));
-            }
-        }
-        // Ship the per-component op streams too (cheap: `Arc` bumps),
-        // so a warm install skips the lowering pass as well as
-        // levelization.
-        let lowered: Vec<Option<Arc<LoweredProgram>>> = if self.lowered.len() == plan.n_comps {
-            self.lowered
-                .iter()
-                .map(|u| u.as_ref().map(|u| Arc::clone(&u.prog)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Some(CompiledPlan {
-            signature: self.design_signature(),
-            n_sigs: plan.n_sigs,
-            n_comps: plan.n_comps,
-            links,
-            order: sched.order.clone(),
-            rank_counts: sched.rank_counts.clone(),
-            lowered,
-        })
-    }
-
-    /// Installs a [`CompiledPlan`] exported from another simulator of
-    /// the same design, switching this simulator to
-    /// [`SchedMode::Lowered`] with the schedule already built — the
-    /// validation levelization is skipped entirely. Call after all
-    /// signals and components are registered (and before running);
-    /// the recorded driver links are replayed onto the bus so the
-    /// installed schedule ages exactly like a locally compiled one.
-    ///
-    /// Settled values, traces and telemetry toggle counts are
-    /// bit-identical to a cold [`Simulator::compile`]: the installed
-    /// schedule is the one a local compile would have produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::PlanMismatch`] when the plan's structural
-    /// signature or shape does not match this simulator's design.
-    pub fn install_plan(&mut self, plan: &CompiledPlan) -> Result<(), SimError> {
-        self.ensure_tables()?;
-        if plan.n_sigs != self.bus.len() || plan.n_comps != self.components.len() {
-            return Err(SimError::PlanMismatch {
-                reason: format!(
-                    "plan shape is {} signals / {} components, design has {} / {}",
-                    plan.n_sigs,
-                    plan.n_comps,
-                    self.bus.len(),
-                    self.components.len()
-                ),
-            });
-        }
-        let expected = self.design_signature();
-        if plan.signature != expected {
-            return Err(SimError::PlanMismatch {
-                reason: format!(
-                    "plan signature {:#018x} != design signature {expected:#018x}",
-                    plan.signature
-                ),
-            });
-        }
-        if plan.order.len() != plan.n_comps {
-            return Err(SimError::PlanMismatch {
-                reason: format!(
-                    "plan orders {} components, expected {}",
-                    plan.order.len(),
-                    plan.n_comps
-                ),
-            });
-        }
-        for &(slot, driver) in &plan.links {
-            if slot as usize >= self.bus.len()
-                || (driver != u32::MAX && driver as usize >= self.components.len())
-            {
-                return Err(SimError::PlanMismatch {
-                    reason: format!("plan link ({slot}, {driver}) is out of range"),
-                });
-            }
-        }
-        // Replay the recorded driver links (deduplicated by the bus)
-        // so shared-signal promotion and plan-staleness accounting
-        // behave exactly as they would after a local validation
-        // settle.
-        for &(slot, driver) in &plan.links {
-            let d = if driver == u32::MAX {
-                DRIVER_POKE
-            } else {
-                driver as usize
-            };
-            self.bus.note_driver(slot as usize, d);
-        }
-        let sched = CompiledSchedule::new(plan.order.clone(), plan.rank_counts.clone());
-        self.compiled = Some(ActivePlan {
-            n_sigs: plan.n_sigs,
-            n_comps: plan.n_comps,
-            links: self.bus.driver_link_count(),
-            sched: Ok(sched),
-        });
-        // Adopt the plan's lowered op streams when it carries a
-        // complete, still-matching set — the warm simulator then skips
-        // its own lowering pass entirely.
-        if plan.lowered.len() == self.components.len() {
-            let mut units = Vec::with_capacity(plan.lowered.len());
-            let mut compatible = true;
-            for (i, prog) in plan.lowered.iter().enumerate() {
-                match prog {
-                    Some(prog) => {
-                        let ok = (*self.components[i])
-                            .as_any()
-                            .downcast_ref::<NetlistComponent>()
-                            .is_some_and(|nc| prog.matches(nc));
-                        if !ok {
-                            compatible = false;
-                            break;
-                        }
-                        units.push(Some(LoweredUnit {
-                            prog: Arc::clone(prog),
-                            scratch: LoweredScratch::new(prog),
-                        }));
-                    }
-                    None => units.push(None),
-                }
-            }
-            if compatible {
-                for (c, unit) in self.components.iter_mut().zip(&units) {
-                    if unit.is_some() {
-                        interpreter(c).drop_planes();
-                    }
-                }
-                self.lowered = units;
-                self.lowered_ready = true;
-            }
-        }
-        // Fresh planes hold nothing yet: re-evaluate every component
-        // once, as after a mode switch, so no clock edge samples them
-        // before a walk has filled them.
-        self.wake_all = true;
-        self.set_mode(SchedMode::Lowered);
-        if self.telemetry.on() {
-            self.telemetry.plan_installs += 1;
-            self.telemetry
-                .note_once("lowered: schedule installed from a cached plan");
-        }
-        Ok(())
+    pub fn plan_installs(&self) -> u64 {
+        self.plan_installs
     }
 
     /// Builds the non-convergence report from the last pass's dirty set.
@@ -1751,7 +1501,7 @@ impl Simulator {
     /// The outcome is the per-cycle loop's, call for call: the rows the
     /// sink sees, the first error and the row that raised it, and the
     /// simulator afterwards (every signal, net, [`cycle`](Self::cycle),
-    /// [`stats`](Self::stats) and exported plan).
+    /// [`stats`](Self::stats) and rank schedule).
     ///
     /// One case runs faster. Take a [`SchedMode::Lowered`] simulator
     /// whose one component is a lowered netlist, with telemetry
@@ -2924,6 +2674,59 @@ mod tests {
     }
 
     #[test]
+    fn the_self_loop_reported_is_the_first_in_signal_order() {
+        /// Reads `read`; drives 0 onto `drive`; declares `declare`.
+        struct Loop {
+            name: &'static str,
+            read: SignalId,
+            drive: Option<SignalId>,
+            declare: Option<SignalId>,
+        }
+        impl Component for Loop {
+            fn name(&self) -> &str {
+                self.name
+            }
+            fn eval(&mut self, bus: &mut dyn BusAccess) -> Result<(), SimError> {
+                self.drive.map_or(Ok(()), |y| bus.drive_u64(y, 0))
+            }
+            fn tick(&mut self, _bus: &mut SignalBus) -> Result<(), SimError> {
+                Ok(())
+            }
+            fn sensitivity(&self) -> Sensitivity {
+                Sensitivity::Signals(vec![self.read])
+            }
+            fn is_clocked(&self) -> bool {
+                false
+            }
+            fn drives(&self) -> Option<Vec<SignalId>> {
+                self.declare.map(|s| vec![s])
+            }
+        }
+        // `late` only declares its loop, on the lower signal; `eager`'s
+        // loop is one the bus saw. Signal order picks `late`.
+        let mut sim = Simulator::new();
+        let p = sim.add_signal("p", 1).unwrap();
+        let q = sim.add_signal("q", 1).unwrap();
+        sim.add_component(Loop {
+            name: "eager",
+            read: q,
+            drive: Some(q),
+            declare: None,
+        });
+        sim.add_component(Loop {
+            name: "late",
+            read: p,
+            drive: None,
+            declare: Some(p),
+        });
+        assert!(!sim.compile().unwrap());
+        assert_eq!(
+            sim.compile_fallback_reason(),
+            Some("combinational cycle: `late` reads a signal it drives (`p`)")
+        );
+    }
+
+    #[test]
     fn lowered_falls_back_permanently_on_always_sensitivity() {
         struct Sweeper {
             y: SignalId,
@@ -3218,107 +3021,6 @@ mod tests {
         assert_eq!(render(SchedMode::Lowered), render(SchedMode::FullSweep));
     }
 
-    /// The counter rig without reset, for plan-reuse tests that need
-    /// two identically constructed simulators.
-    fn unreset_counter_sim() -> (Simulator, SignalId) {
-        let mut sim = Simulator::new();
-        let q = sim.add_signal("q", 8).unwrap();
-        let d = sim.add_signal("d", 8).unwrap();
-        sim.add_component(Reg {
-            name: "r".into(),
-            d,
-            q,
-            state: 0,
-        });
-        sim.add_component(Inc {
-            name: "i".into(),
-            a: q,
-            y: d,
-            evals: None,
-        });
-        (sim, q)
-    }
-
-    #[test]
-    fn design_signature_is_stable_and_structural() {
-        let (a, _) = unreset_counter_sim();
-        let (b, _) = unreset_counter_sim();
-        assert_eq!(a.design_signature(), b.design_signature());
-        assert_eq!(a.design_signature(), a.design_signature());
-        // A structural difference (extra signal) changes the signature.
-        let (mut c, _) = unreset_counter_sim();
-        c.add_signal("extra", 1).unwrap();
-        assert_ne!(a.design_signature(), c.design_signature());
-    }
-
-    #[test]
-    fn exported_plan_installs_and_runs_bit_identically() {
-        // Cold: compile locally, export the plan mid-run.
-        let (mut cold, q_cold) = unreset_counter_sim();
-        cold.set_telemetry(TelemetryLevel::Counters);
-        cold.reset().unwrap();
-        assert!(cold.compile().unwrap());
-        let plan = cold.export_plan().expect("active schedule exports");
-        assert_eq!(plan.components(), 2);
-        assert!(!plan.rank_counts().is_empty());
-        cold.run(9).unwrap();
-
-        // Warm: same design, schedule installed instead of levelized.
-        let (mut warm, q_warm) = unreset_counter_sim();
-        warm.set_telemetry(TelemetryLevel::Counters);
-        warm.install_plan(&plan).unwrap();
-        assert_eq!(warm.mode(), SchedMode::Lowered);
-        warm.reset().unwrap();
-        warm.run(9).unwrap();
-        assert_eq!(
-            warm.peek(q_warm).unwrap(),
-            cold.peek(q_cold).unwrap(),
-            "installed plan settles bit-identically"
-        );
-        let stats = warm.stats();
-        assert_eq!(stats.plan_installs, 1);
-        assert!(
-            stats.lowered_settles > 0,
-            "the installed schedule actually ran rank walks"
-        );
-        // The plan survives the whole run: exporting again round-trips.
-        let again = warm.export_plan().expect("plan still active");
-        assert_eq!(again.signature(), plan.signature());
-    }
-
-    #[test]
-    fn install_plan_rejects_a_foreign_design() {
-        let (mut donor, _) = unreset_counter_sim();
-        donor.reset().unwrap();
-        assert!(donor.compile().unwrap());
-        let plan = donor.export_plan().unwrap();
-
-        // Same shape, different signal width: signature mismatch.
-        let mut other = Simulator::new();
-        let q = other.add_signal("q", 4).unwrap();
-        let d = other.add_signal("d", 4).unwrap();
-        other.add_component(Reg {
-            name: "r".into(),
-            d,
-            q,
-            state: 0,
-        });
-        other.add_component(Inc {
-            name: "i".into(),
-            a: q,
-            y: d,
-            evals: None,
-        });
-        let err = other.install_plan(&plan).unwrap_err();
-        assert!(matches!(err, SimError::PlanMismatch { .. }), "{err}");
-
-        // Different shape entirely.
-        let mut tiny = Simulator::new();
-        tiny.add_signal("s", 1).unwrap();
-        let err = tiny.install_plan(&plan).unwrap_err();
-        assert!(err.to_string().contains("plan shape"), "{err}");
-    }
-
     /// A counter that advances only when its declared domain fires.
     struct DomainReg {
         name: String,
@@ -3428,16 +3130,6 @@ mod tests {
         assert_eq!(domains[1], ClockDomain::new("rd", 3));
     }
 
-    #[test]
-    fn extra_domain_changes_design_signature() {
-        let (sim_a, _) = counter_sim(SchedMode::FullSweep);
-        let (mut sim_b, _) = counter_sim(SchedMode::FullSweep);
-        let base = sim_a.design_signature();
-        assert_eq!(base, sim_b.design_signature());
-        sim_b.add_clock_domain("rd", 2).unwrap();
-        assert_ne!(base, sim_b.design_signature());
-    }
-
     // --- `run_rows` against the hand-written per-cycle loop ---
 
     use hdp_hdl::prim::{GateOp, Prim};
@@ -3532,7 +3224,39 @@ mod tests {
         }
         assert_eq!(a.sim.cycle(), b.sim.cycle());
         assert_eq!(a.sim.stats(), b.sim.stats());
-        assert_eq!(a.sim.export_plan(), b.sim.export_plan());
+        assert_eq!(plan_shape(&a.sim), plan_shape(&b.sim));
+    }
+
+    /// What the plan was built from and what it holds.
+    #[derive(Debug, PartialEq)]
+    struct PlanShape {
+        /// `(n_sigs, n_comps, links)` of the active plan, if one is built.
+        snapshot: Option<(usize, usize, usize)>,
+        /// The rank order and rank shape, if the design levelized.
+        sched: Option<(Vec<u32>, Vec<u64>)>,
+        /// Every `(signal, driver)` link the bus has observed, by slot.
+        drivers: Vec<Vec<usize>>,
+        /// Each component's lowered program, by content.
+        lowered: Vec<Option<LoweredProgram>>,
+    }
+
+    /// The active plan, the bus's driver links and the lowered programs.
+    fn plan_shape(sim: &Simulator) -> PlanShape {
+        let plan = sim.compiled.as_ref();
+        PlanShape {
+            snapshot: plan.map(|p| (p.n_sigs, p.n_comps, p.links)),
+            sched: plan
+                .and_then(|p| p.sched.as_ref().ok())
+                .map(|s| (s.order.clone(), s.rank_counts.clone())),
+            drivers: (0..sim.bus.len())
+                .map(|s| sim.bus.slot_drivers(s).to_vec())
+                .collect(),
+            lowered: sim
+                .lowered
+                .iter()
+                .map(|u| u.as_ref().map(|u| (*u.prog).clone()))
+                .collect(),
+        }
     }
 
     /// Runs `rows` through the per-cycle loop and through `run_rows`
@@ -3781,5 +3505,35 @@ mod tests {
         let stats = run.sim.stats();
         assert_eq!(stats, reference.sim.stats());
         assert!(stats.steps > 0 && stats.lowered_settles > 0);
+    }
+
+    #[test]
+    fn clones_of_one_component_share_one_op_stream() {
+        let nl = fifo_counter(None);
+        let rows = legal_rows(24);
+        let mut cold = dut(&nl, TelemetryLevel::Counters);
+        let template = cold
+            .sim
+            .component::<NetlistComponent>(cold.id)
+            .unwrap()
+            .clone();
+        let mut warm = dut(&nl, TelemetryLevel::Counters);
+        *warm.sim.component_mut::<NetlistComponent>(warm.id).unwrap() = template;
+        let cold_run = whole_run(&mut cold, &rows);
+        let warm_run = whole_run(&mut warm, &rows);
+        assert_eq!(cold_run, warm_run);
+        let prog = |d: &Dut| Arc::clone(&d.sim.lowered[0].as_ref().unwrap().prog);
+        assert!(Arc::ptr_eq(&prog(&cold), &prog(&warm)));
+        assert_eq!((cold.sim.plan_installs(), warm.sim.plan_installs()), (0, 1));
+        // A warm run is a cold run minus the lowering pass.
+        let mut stats = warm.sim.stats();
+        assert_eq!(stats.plan_installs, 1);
+        stats.plan_installs = 0;
+        assert_eq!(stats, cold.sim.stats());
+        // A component built on its own lowers on its own.
+        let mut fresh = dut(&nl, TelemetryLevel::Off);
+        whole_run(&mut fresh, &rows).1.unwrap();
+        assert!(!Arc::ptr_eq(&prog(&cold), &prog(&fresh)));
+        assert_eq!(fresh.sim.plan_installs(), 0);
     }
 }

@@ -426,22 +426,6 @@ impl SignalBus {
         }
         Ok(changed)
     }
-
-    /// Records a `(slot, driver)` link outside a bus drive (a plan
-    /// install replaying its links). Bumps the monotonic link count for
-    /// a component driver (invalidating schedules snapshotted against
-    /// the old count) and feeds the shared-slot promotion queue exactly
-    /// as a live [`SignalBus::drive`] would.
-    pub(crate) fn note_driver(&mut self, slot: usize, driver: usize) {
-        let s = &mut self.slots[slot];
-        if !s.drivers.contains(&driver) {
-            s.drivers.push(driver);
-            self.driver_links += usize::from(driver != DRIVER_POKE);
-            if s.drivers.len() == 2 {
-                self.new_shared.push(slot);
-            }
-        }
-    }
 }
 
 impl BusAccess for SignalBus {

@@ -244,9 +244,10 @@ pub struct SimStats {
     /// Word-level ops executed by lowered components across all
     /// lowered settles (memo-skipped walks contribute zero).
     pub ops_executed: u64,
-    /// Rank schedules installed from a cached [`crate::CompiledPlan`]
-    /// ([`crate::Simulator::install_plan`]) instead of being levelized
-    /// locally — the per-simulator face of a plan-cache hit.
+    /// Lowered units that ran on an op stream an earlier simulator
+    /// built, through a clone of the same [`crate::NetlistComponent`]
+    /// ([`crate::Simulator::plan_installs`]) — the per-simulator face
+    /// of a plan-cache hit.
     pub plan_installs: u64,
     /// Component count per levelized rank of the active rank schedule
     /// (index = rank; empty when no rank schedule is active).
@@ -364,7 +365,7 @@ impl SimStats {
         if self.plan_installs > 0 {
             let _ = writeln!(
                 out,
-                "  lowered: {} schedule(s) installed from cached plans",
+                "  lowered: {} unit(s) ran on an op stream an earlier simulator built",
                 self.plan_installs
             );
         }
@@ -483,7 +484,6 @@ pub(crate) struct Telemetry {
     pub(crate) fallback_causes: [u64; FallbackCause::COUNT],
     pub(crate) lowered_settles: u64,
     pub(crate) ops_executed: u64,
-    pub(crate) plan_installs: u64,
     /// Deduplicated one-line scheduler notes (fallbacks,
     /// invalidations) surfaced in [`SimStats::notes`].
     pub(crate) notes: Vec<String>,

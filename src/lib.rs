@@ -18,7 +18,7 @@
 //! | [`metagen`] | `hdp-metagen` | the metaprogramming code generator |
 //! | [`synth`] | `hdp-synth` | technology mapping, timing, power, characterisation |
 //! | [`conform`] | `hdp-conform` | differential conformance fuzzing across simulator oracles and an executable VHDL model |
-//! | [`service`] | `hdp-service` | simulation-as-a-service job server with a content-addressed compiled-plan cache |
+//! | [`service`] | `hdp-service` | simulation-as-a-service job server whose content-addressed cache holds one interpreter per design, sharing its lowered op stream |
 //!
 //! For day-to-day use, [`prelude`] re-exports the simulation and
 //! service surface in one import:
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use hdp_sim::probe::{Monitor, Stimulus};
     pub use hdp_sim::vcd::VcdRecorder;
     pub use hdp_sim::{
-        CompiledPlan, FallbackCause, LaneBatch, SchedMode, SimBuilder, SimError, SimStats,
-        Simulator, TelemetryLevel, LANES,
+        FallbackCause, LaneBatch, SchedMode, SimBuilder, SimError, SimStats, Simulator,
+        TelemetryLevel, LANES,
     };
 }

@@ -3,10 +3,11 @@
 //! Everything here goes through the public surface (`hdp::prelude` /
 //! `hdp::service`): cache hit/miss/eviction as observed by a client,
 //! content-hash stability across processes, bit-identity between
-//! cached and cold execution under every scheduling mode, and
-//! concurrent submissions of the same design racing to publish a
-//! plan, and hostile input: out-of-range size fields and oversized
-//! lines come back as named errors while the server keeps answering.
+//! cached and cold execution under every scheduling mode, concurrent
+//! submissions of the same design racing to publish its template or to
+//! lower its op stream, and hostile input: out-of-range size fields
+//! and oversized lines come back as named errors while the server
+//! keeps answering.
 
 mod tree_decoder;
 
@@ -133,24 +134,29 @@ fn cached_compiled_execution_matches_the_reference_oracle() {
     assert_eq!(
         warm.verified,
         Some(true),
-        "cached plan execution must match a cache-free full-sweep run"
+        "cached execution must match a cache-free full-sweep run"
     );
+}
+
+/// Submits `case` from eight threads at once under default options.
+fn race(service: &Arc<Service>, case: &Case) -> Vec<JobOutcome> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let service = Arc::clone(service);
+                let case = case.clone();
+                s.spawn(move || service.run_case(&case, &JobOptions::default()).unwrap())
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
 }
 
 #[test]
 fn concurrent_same_design_submissions_agree() {
     let service = Arc::new(Service::new(8));
     let case = sample_case(123, 8);
-    let outcomes: Vec<JobOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let service = Arc::clone(&service);
-                let case = case.clone();
-                s.spawn(move || service.run_case(&case, &JobOptions::default()).unwrap())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let outcomes = race(&service, &case);
     // Whoever lost the publish race still simulated correctly; every
     // trace must be identical and the cache holds exactly one entry.
     for o in &outcomes {
@@ -161,6 +167,31 @@ fn concurrent_same_design_submissions_agree() {
     let stats = service.cache_stats();
     assert_eq!(stats.hits + stats.misses, 8);
     assert!(stats.misses >= 1);
+}
+
+#[test]
+fn concurrent_lowered_hits_on_an_unlowered_entry_agree() {
+    // A full-sweep miss publishes a template no job has lowered yet, so
+    // the first lowered hits race to lower its shared op stream.
+    let service = Arc::new(Service::new(8));
+    let case = sample_case(123, 8);
+    let full_sweep = JobOptions {
+        mode: SchedMode::FullSweep,
+        ..JobOptions::default()
+    };
+    let primer = service.run_case(&case, &full_sweep).unwrap();
+    assert!(!primer.cache_hit && !primer.plan_installed);
+    let outcomes = race(&service, &case);
+    for o in &outcomes {
+        assert!(o.cache_hit);
+        assert_eq!(o.trace, primer.trace);
+    }
+    let installed = outcomes.iter().filter(|o| o.plan_installed).count();
+    assert_eq!(
+        installed, 7,
+        "exactly one racer lowers; the rest run on its stream"
+    );
+    assert_eq!(service.cache_stats().insertions, 1);
 }
 
 #[test]
